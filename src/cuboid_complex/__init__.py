@@ -7,7 +7,6 @@ certification runs in rational arithmetic; floating point enters only as
 an optional cross-check.
 """
 
-from ._exactcore import BACKEND as kernel_backend
 from .assembly import (GlobalSpace, SparseMatrix, assemble_space,
                        interpolate, operator_matrix, read_matrix_market,
                        reconstruct_local, write_matrix_market)
@@ -39,7 +38,7 @@ __all__ = [
     "curl_transpose", "div_preimage_check", "div_preimage_elasticity",
     "div_preimage_gradgrad", "div_rows", "euler_characteristic",
     "face_jump", "family", "global_dimension_formula", "gradgrad",
-    "identity_suite", "interpolate", "jump_check", "kernel_backend",
+    "identity_suite", "interpolate", "jump_check",
     "kernel_identification", "local_dofs", "min_order", "operator_matrix",
     "read_matrix_market", "reconstruct_local", "shape_space", "sym_grad",
     "uniform_unit_mesh", "verify_complex", "verify_dimensions",

@@ -1,32 +1,8 @@
-"""Backend selection for the exact integer kernels.
+"""Exact integer kernels: fraction-free rank, exact inverse, matrix products.
 
-Imports the compiled ``_speedups`` extension when it is available and falls
-back to the pure-Python implementation otherwise.  Setting the environment
-variable ``CUBOID_COMPLEX_PURE=1`` forces the fallback, which is handy for
-benchmarking and for debugging the kernels themselves.
+The implementations live in :mod:`.pure`; this package re-exports them.
 """
 
-from __future__ import annotations
+from .pure import ff_rank, fj_inverse, imat_mul, spmul
 
-import os
-
-from . import pure
-
-if os.environ.get("CUBOID_COMPLEX_PURE", "") not in ("", "0"):
-    _impl = pure
-    BACKEND = "pure"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = pure
-        BACKEND = "pure"
-
-ff_rank = _impl.ff_rank
-fj_inverse = _impl.fj_inverse
-imat_mul = _impl.imat_mul
-spmul = _impl.spmul
-
-__all__ = ["BACKEND", "ff_rank", "fj_inverse", "imat_mul", "spmul", "pure"]
+__all__ = ["ff_rank", "fj_inverse", "imat_mul", "spmul"]

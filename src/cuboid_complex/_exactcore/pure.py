@@ -1,6 +1,6 @@
-"""Exact integer linear-algebra kernels, pure Python reference backend.
+"""Exact integer linear-algebra kernels in pure Python.
 
-Conventions shared with the compiled twin in ``_speedups.pyx``:
+Conventions:
 
 * a dense matrix is a list of rows, each row a list of ``int``;
 * a sparse matrix is a list of rows, each row a ``dict`` mapping column
@@ -9,13 +9,13 @@ Conventions shared with the compiled twin in ``_speedups.pyx``:
   (the surrounding code stores rational matrices as an integer matrix plus
   one common denominator).
 
-The two backends must produce bit-identical results; ``ff_rank`` and
-``fj_inverse`` therefore fix their pivot strategy deterministically instead
-of leaving it to chance.
+``ff_rank`` and ``fj_inverse`` fix their pivot strategy deterministically,
+so a run is reproducible pivot for pivot.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 # How many of the sparsest rows the pivot search inspects per step.  Small
@@ -31,34 +31,56 @@ def ff_rank(rows: list[dict[int, int]], ncols: int) -> int:
     entry an integer; per-row content removal plays the role of the exact
     Bareiss division (the guaranteed divisor always divides the row
     content, so entries never grow past the classical bound).  Pivots are
-    chosen by Markowitz count, with ties broken toward entries of small
+    chosen by Markowitz count among the ``_PIVOT_ROWS`` live rows smallest
+    in ``(length, index)``, with ties broken toward entries of small
     magnitude and then by (row, column) index so runs are reproducible.
+
+    Two structures keep each step proportional to the work it does:
+
+    * ``heap`` holds ``(len(row), index)`` entries.  Every live row has a
+      current entry; an entry is stale once its row is gone or has another
+      length, and stale or repeated entries are skipped when popped.  So
+      the first ``_PIVOT_ROWS`` distinct current entries popped are exactly
+      the smallest ``(length, index)`` pairs of the live rows.
+    * ``col_rows[c]`` is the set of live rows with a nonzero in column
+      ``c``; its size is the Markowitz column count, and popping the pivot
+      column yields the rows to eliminate.  Their order does not matter:
+      each update reads only the pivot row and the target itself.
     """
     act: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         r = {c: v for c, v in row.items() if v}
         if r:
             _strip_content(r)
             act[i] = r
-    col_count: dict[int, int] = {}
-    for r in act.values():
-        for c in r:
-            col_count[c] = col_count.get(c, 0) + 1
+            for c in r:
+                col_rows.setdefault(c, set()).add(i)
+    heap = [(len(r), i) for i, r in act.items()]
+    heapify(heap)
 
     rank = 0
     while act:
-        pi, pc = _pick_pivot(act, col_count)
+        shortlist: dict[int, dict[int, int]] = {}
+        while len(shortlist) < _PIVOT_ROWS and heap:
+            n, i = heappop(heap)
+            r = act.get(i)
+            if r is not None and len(r) == n and i not in shortlist:
+                shortlist[i] = r
+        pi, pc = _pick_pivot(shortlist, col_rows)
+        for i, r in shortlist.items():
+            if i != pi:
+                heappush(heap, (len(r), i))
+
         prow = act.pop(pi)
         piv = prow[pc]
         for c in prow:
-            col_count[c] -= 1
+            col_rows[c].discard(pi)
         rank += 1
 
-        targets = [i for i, r in act.items() if pc in r]
-        for ri in targets:
+        for ri in col_rows.pop(pc):
             r = act.pop(ri)
             f = r.pop(pc)
-            col_count[pc] -= 1
             g = gcd(piv, f)
             a = piv // g
             b = f // g
@@ -69,25 +91,26 @@ def ff_rank(rows: list[dict[int, int]], ncols: int) -> int:
                 if w:
                     new[c] = w
                 else:
-                    col_count[c] -= 1
+                    col_rows[c].discard(ri)
             for c, pv in prow.items():
                 if c != pc and c not in r:
                     new[c] = -b * pv
-                    col_count[c] = col_count.get(c, 0) + 1
+                    col_rows[c].add(ri)
             if new:
                 _strip_content(new)
                 act[ri] = new
+                heappush(heap, (len(new), ri))
     return rank
 
 
-def _pick_pivot(act: dict[int, dict[int, int]], col_count: dict[int, int]) -> tuple[int, int]:
-    shortlist = sorted(act.items(), key=lambda item: (len(item[1]), item[0]))[:_PIVOT_ROWS]
+def _pick_pivot(shortlist: dict[int, dict[int, int]],
+                col_rows: dict[int, set[int]]) -> tuple[int, int]:
     best_key = None
     best = (-1, -1)
-    for i, r in shortlist:
+    for i, r in shortlist.items():
         rc = len(r) - 1
         for c, v in r.items():
-            key = (rc * (col_count[c] - 1), v.bit_length() if v > 0 else (-v).bit_length(), i, c)
+            key = (rc * (len(col_rows[c]) - 1), v.bit_length() if v > 0 else (-v).bit_length(), i, c)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (i, c)

@@ -91,8 +91,7 @@ def _cmd_complex(parser, args) -> int:
     mesh = _parse_mesh(parser, args)
     try:
         report = verify_complex(args.complex, args.k, mesh,
-                                arithmetic=args.arithmetic,
-                                threads=args.threads)
+                                arithmetic=args.arithmetic)
     except (AssertionError, ValueError) as exc:
         _say(f"verification failed: {exc}")
         return 1
@@ -171,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--arithmetic", default="rational",
                    choices=("rational", "float", "both"))
-    p.add_argument("--threads", type=int, default=None,
-                   help="rank workers (default: CUBOID_COMPLEX_THREADS or 3)")
     _add_mesh_arguments(p)
     p.set_defaults(func=_cmd_complex)
 

@@ -13,10 +13,8 @@ over the integers and a floating SVD must report the same number.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,27 +66,18 @@ def float_rank(mat: SparseMatrix, rel_cutoff: float = 1e-9) -> int:
     return int((s > rel_cutoff * s[0]).sum())
 
 
-def _rank_workers() -> int:
-    env = os.environ.get("CUBOID_COMPLEX_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 3
-
-
-def certified_ranks(mats: list[SparseMatrix], arithmetic: str,
-                    threads: int | None = None) -> tuple[list[int], list[int] | None]:
+def certified_ranks(mats: list[SparseMatrix],
+                    arithmetic: str) -> tuple[list[int], list[int] | None]:
     """Ranks of the operator matrices under the requested arithmetic.
 
     Returns (ranks, float_ranks); in "both" mode a disagreement raises.
     """
-    workers = threads if threads else _rank_workers()
     rational = arithmetic in ("rational", "both")
     floating = arithmetic in ("float", "both")
     ranks_r = None
     ranks_f = None
     if rational:
-        with ThreadPoolExecutor(max_workers=min(workers, len(mats))) as pool:
-            ranks_r = list(pool.map(exact_rank, mats))
+        ranks_r = [exact_rank(m) for m in mats]
     if floating:
         ranks_f = [float_rank(m) for m in mats]
     if rational and floating and ranks_r != ranks_f:
@@ -166,8 +155,7 @@ def complex_matrices(name: str, spaces: list[GlobalSpace]) -> list[SparseMatrix]
 
 
 def verify_complex(name: str, k: int, mesh: CuboidMesh,
-                   arithmetic: str = "rational",
-                   threads: int | None = None) -> ExactnessReport:
+                   arithmetic: str = "rational") -> ExactnessReport:
     """Assemble one ladder and verify it is an exact complex."""
     t0 = time.monotonic()
     kernel_dim = COMPLEXES[name][2]
@@ -181,7 +169,7 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
                 f"!= formula {formula}")
     mats = complex_matrices(name, spaces)
     comp_zero = all(composition_is_zero(mats[i + 1], mats[i]) for i in range(2))
-    ranks, ranks_f = certified_ranks(mats, arithmetic, threads)
+    ranks, ranks_f = certified_ranks(mats, arithmetic)
     dims = [s.dimension for s in spaces]
     report = ExactnessReport(
         complex_name=name, k=k, mesh_shape=mesh.shape, dims=dims,

@@ -114,3 +114,12 @@ def test_complex_low_order_exits_one(capsys):
     code, _, err = run(capsys, "complex", "--complex", "gradgrad", "--k", "2")
     assert code == 1
     assert "verification failed" in err
+
+
+def test_complex_ignores_former_thread_variable(capsys, monkeypatch):
+    # The rank routine reads no environment variable: a value that is no
+    # number must not turn into a failed verification.
+    monkeypatch.setenv("CUBOID_COMPLEX_THREADS", "abc")
+    code, out, _ = run(capsys, "complex", "--complex", "gradgrad", "--k", "3")
+    assert code == 0
+    assert json.loads(out)["exact"]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuboid_complex import _exactcore
-from cuboid_complex._exactcore import pure
 
 
 def oracle_rank(rows, ncols):
@@ -120,27 +119,6 @@ def test_spmul_matches_naive():
             assert got[i].get(j, 0) == want
 
 
-@pytest.mark.skipif(_exactcore.BACKEND == "pure",
-                    reason="no compiled backend to compare against")
-def test_backends_agree_bit_for_bit():
-    rng = random.Random(23)
-    for _ in range(10):
-        m, n = rng.randint(2, 10), rng.randint(2, 10)
-        dense = random_int_matrix(rng, m, n, lo=-50, hi=50)
-        rows = dense_to_rows(dense)
-        assert _exactcore.ff_rank([dict(r) for r in rows], n) == \
-            pure.ff_rank([dict(r) for r in rows], n)
-    square = random_int_matrix(rng, 6, 6)
-    while oracle_rank(dense_to_rows(square), 6) < 6:
-        square = random_int_matrix(rng, 6, 6)
-    assert _exactcore.fj_inverse(square) == pure.fj_inverse(square)
-    a = random_int_matrix(rng, 5, 6)
-    b = random_int_matrix(rng, 6, 4)
-    assert _exactcore.imat_mul(a, b) == pure.imat_mul(a, b)
-    assert _exactcore.spmul(dense_to_rows(a), dense_to_rows(b)) == \
-        pure.spmul(dense_to_rows(a), dense_to_rows(b))
-
-
 small_matrices = st.integers(2, 6).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-20, 20), min_size=n, max_size=n),
@@ -166,3 +144,91 @@ def test_rank_unchanged_by_appending_combination(case, c):
     rows = dense_to_rows(dense)
     grown = dense_to_rows(dense + [combo])
     assert _exactcore.ff_rank(grown, ncols) == _exactcore.ff_rank(rows, ncols)
+
+
+# The pivot search shortlists the 12 sparsest live rows (by length, then
+# index) and eliminates through a column -> rows index.  The cases below
+# have 30-150 rows, so the shortlist truncates on most steps and the index
+# is updated through fill-in, cancellation and rows that vanish.
+
+def sparse_row(rng, ncols, lo=2, hi=6):
+    cols = rng.sample(range(ncols), rng.randint(lo, min(hi, ncols)))
+    return {c: rng.choice((-7, -3, -2, -1, 1, 2, 3, 5)) for c in cols}
+
+
+def sparse_deficient_rows(rng, nrows, ncols, nbasis):
+    """Rows of 2-6 nonzeros spanning at most ``nbasis`` dimensions, mixed
+    with exact duplicates and scaled copies of earlier rows."""
+    basis = [sparse_row(rng, ncols, 2, 3) for _ in range(nbasis)]
+    rows = []
+    while len(rows) < nrows:
+        pick = rng.random()
+        if rows and pick < 0.2:
+            rows.append(dict(rng.choice(rows)))
+        elif rows and pick < 0.4:
+            s = rng.choice((-4, -1, 2, 3))
+            rows.append({c: s * v for c, v in rng.choice(rows).items()})
+        else:
+            a, b = rng.sample(basis, 2)
+            sa, sb = rng.choice((-2, -1, 1, 3)), rng.choice((-1, 1, 2))
+            row = {c: sa * v for c, v in a.items()}
+            for c, v in b.items():
+                row[c] = row.get(c, 0) + sb * v
+            rows.append({c: v for c, v in row.items() if v})
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_sparse_deficient_past_shortlist(seed):
+    rng = random.Random(300 + seed)
+    nrows, ncols = rng.randint(30, 150), rng.randint(20, 40)
+    nbasis = rng.randint(4, 15)
+    rows = sparse_deficient_rows(rng, nrows, ncols, nbasis)
+    got = _exactcore.ff_rank([dict(r) for r in rows], ncols)
+    assert got == oracle_rank(rows, ncols)
+    assert got <= nbasis < nrows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_rows_cancel_to_empty(seed):
+    # Every row after the first 20 is the difference of two earlier rows
+    # that share a column pattern, so it is eliminated to nothing.
+    rng = random.Random(400 + seed)
+    ncols = 30
+    rows = [sparse_row(rng, ncols) for _ in range(20)]
+    for _ in range(rng.randint(15, 60)):
+        a, b = rng.sample(rows[:20], 2)
+        s = rng.choice((-2, 1, 5))
+        row = {c: s * v for c, v in a.items()}
+        for c, v in b.items():
+            row[c] = row.get(c, 0) - v
+        rows.append({c: v for c, v in row.items() if v})
+    rows.append({c: -v for c, v in rows[0].items()})
+    got = _exactcore.ff_rank(rows, ncols)
+    assert got == oracle_rank(rows, ncols)
+    assert got == _exactcore.ff_rank(rows[:20], ncols)
+
+
+sparse_tall_matrices = st.integers(8, 25).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.dictionaries(st.integers(0, n - 1),
+                                 st.integers(-6, 6).filter(bool),
+                                 min_size=2, max_size=6),
+                 min_size=30, max_size=150),
+        st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(-3, 3)),
+                 max_size=20),
+        st.just(n)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_tall_matrices)
+def test_rank_property_sparse_tall_matches_oracle(case):
+    rows, copies, ncols = case
+    # more rows than columns, so every case is rank deficient; the copies
+    # add duplicated (scale 1), scaled and vanishing (scale 0) rows
+    for src, scale in copies:
+        rows.append({c: scale * v for c, v in rows[src % len(rows)].items()
+                     if scale})
+    assert _exactcore.ff_rank([dict(r) for r in rows], ncols) == \
+        oracle_rank(rows, ncols)
