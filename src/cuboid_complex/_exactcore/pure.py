@@ -5,9 +5,8 @@ Conventions:
 * a dense matrix is a list of rows, each row a list of ``int``;
 * a sparse matrix is a list of rows, each row a ``dict`` mapping column
   index to a nonzero ``int``;
-* every routine is exact.  Callers keep track of denominators themselves
-  (the surrounding code stores rational matrices as an integer matrix plus
-  one common denominator).
+* every routine is exact.  Callers keep track of denominators themselves;
+  :func:`clear_denominators` is the one bridge from rational rows.
 
 ``ff_rank`` and ``fj_inverse`` fix their pivot strategy deterministically,
 so a run is reproducible pivot for pivot.
@@ -16,12 +15,37 @@ so a run is reproducible pivot for pivot.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 # How many of the sparsest rows the pivot search inspects per step.  Small
 # enough to keep the search cheap, large enough that the Markowitz count has
 # real candidates to compare.
 _PIVOT_ROWS = 12
+
+
+def clear_denominators(rows: list, common: bool = False) -> tuple[list, list[int]]:
+    """Integer rows from rational rows: row ``i`` is ``out[i] / dens[i]``.
+
+    A row is a list of values or a dict mapping column to value; each output
+    row has its input row's type, and dict rows drop zero entries.  Each
+    ``dens[i]`` is the least common denominator of row ``i``, which keeps
+    the rank, every row's kernel and the smallest integers, all that
+    elimination needs.  With ``common`` every ``dens[i]`` is the least
+    common denominator of the whole matrix, so the integer rows can be
+    added and multiplied as they stand.  Returns ``(out, dens)``.
+    """
+    dens = [lcm(*(v.denominator for v in (r.values() if isinstance(r, dict) else r)))
+            for r in rows]
+    if common:
+        dens = [lcm(*dens)] * len(dens)
+    out: list = []
+    for r, d in zip(rows, dens):
+        if isinstance(r, dict):
+            out.append({j: v.numerator * (d // v.denominator)
+                        for j, v in r.items() if v})
+        else:
+            out.append([v.numerator * (d // v.denominator) for v in r])
+    return out, dens
 
 
 def ff_rank(rows: list[dict[int, int]], ncols: int) -> int:

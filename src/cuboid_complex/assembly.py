@@ -3,14 +3,45 @@
 A global space enumerates degrees of freedom over the mesh entities, with
 every shared DOF identified once across adjacent cells.  The assembled
 operator matrix of a differential map between two such spaces is built
-cellwise through an exact reference pipeline:
+from local blocks, one per cell shape ``h``:
 
-    K_cell = D_dst  @  O  @  R_src
+    K(h) = D_dst(h)  @  O(h)  @  R_src(h)
 
 where ``R_src`` reconstructs monomial coordinates from source DOF values
-(reference DOF matrix inverse, rescaled per cell shape), ``O`` applies the
-operator in monomial coordinates, and ``D_dst`` evaluates the target DOFs.
-The pipeline is cached per cell shape, so a uniform mesh pays for it once.
+(the inverse DOF matrix), ``O`` applies the operator in monomial
+coordinates, and ``D_dst`` evaluates the target DOFs.
+
+Under the axis scaling ``x = lo + h t`` every family is affine-equivalent
+to its unit-cell element, so the pipeline runs once per edge and order, on
+the unit cell, and every cell shape follows from the exact identity
+
+    K(h) = diag(a_dst(h))  @  K(1)  @  diag(1 / a_src(h)),
+    a(dof, h) = dof_scale(dof, h) / w(family, dof.component, h).
+
+``dof_scale`` is the measure of the DOF's entity times ``h^-deriv``, which
+gives ``D(h) = diag(dof_scale) D(1)``.  The component weight ``w`` is what
+one reference unit of a component is worth on the cell, which gives
+``O(h) = diag(1 / w_dst) O(1) diag(w_src)``; down each ladder it is the
+source weight times ``h`` of the differentiated axis.  With
+``H = h_x h_y h_z``, for component ``a`` or ``ab``:
+
+    =====================  ==============================================
+    family                 weight of the component
+    =====================  ==============================================
+    u                      1
+    x                      h_a
+    sigma, sigma-red, phi  h_a h_b
+    xi, xi-red             h_a H / h_b (so H on the whole diagonal group,
+                           and H for the coupled DOFs)
+    q, q-red               h_a H
+    gamma, gamma-red       H^2 / (h_a h_b)
+    z, z-red               H^2 / h_a
+    =====================  ==============================================
+
+The weight is constant on each component group, so it commutes with the
+block-diagonal DOF matrices.  Only unit-cell blocks and reconstructors are
+cached, one per edge or family and order; a reconstruction divides the
+local DOF values by ``dof_scale`` and applies ``R(1)``.
 
 Scattering asserts conformity instead of assuming it: a shared target DOF
 must receive the identical value from every adjacent cell, including the
@@ -19,47 +50,53 @@ implicit zero from cells where the source basis function is not supported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from . import _exactcore
-from .elements import (BubbleBasis, DofFunctional, FamilyId, _ENTITY_RANK,
-                       _COMP_POS, _EDGE_SIDES, _VERTEX_CORNERS, apply_dof,
-                       bubble_basis_divT, dof_entry, entity_ref_for,
-                       local_dofs, shape_space, _resolve)
-from .mesh import CuboidMesh
+from .elements import (DofFunctional, FamilyId, _COMP_POS, _bubbles_for,
+                       apply_dof, entity_ref_for, group_dof_matrix,
+                       local_dofs, shape_space)
+from .mesh import ENTITY_RANK, CuboidMesh, _EDGE_SIDES, _VERTEX_CORNERS
 from .operators import (OPERATORS, PolyField, coordinate_field, field_coords,
                         field_to_coords)
-from .polytensor import CellBox, TensorPoly
+from .polytensor import AXIS_NAMES, UNIT_BOX, CellBox, TensorPoly
 
 _F0 = Fraction(0)
 
+#: complex name -> (families, operators, kernel dimension, minimum order)
+COMPLEXES = {
+    "gradgrad": (("u", "sigma", "xi", "q"),
+                 ("gradgrad", "curl", "div"), 4, 3),
+    "gradgrad-reduced": (("u", "sigma-red", "xi-red", "q-red"),
+                         ("gradgrad", "curl", "div"), 4, 3),
+    "elasticity": (("x", "phi", "gamma", "z"),
+                   ("symgrad", "curlcurlt", "div"), 6, 2),
+    "elasticity-reduced": (("x", "phi", "gamma-red", "z-red"),
+                           ("symgrad", "curlcurlt", "div"), 6, 2),
+}
 
-# ---------------------------------------------------------------------------
-# exact dense helpers (integer kernel plumbing)
-
-
-def dense_to_int(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Clear a single common denominator from a dense rational matrix."""
-    den = 1
-    for row in rows:
-        for v in row:
-            if v:
-                den = den * v.denominator // math.gcd(den, v.denominator)
-    out = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
-    return out, den
+#: the sanctioned (source family, operator, target family) edges
+COMPLEX_EDGES = frozenset(
+    (fams[i], op, fams[i + 1])
+    for fams, ops, _kd, _min_k in COMPLEXES.values()
+    for i, op in enumerate(ops))
 
 
 def frac_mul(a: Sequence[Sequence[Fraction]],
              b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact product of dense rational matrices via the integer kernel."""
-    ia, da = dense_to_int(a)
-    ib, db = dense_to_int(b)
+    """Exact product of dense rational matrices via the integer kernel.
+
+    Row ``i`` of the product is row ``i`` of ``a`` times ``b``, so ``a`` is
+    cleared row by row and only ``b`` needs one common denominator.
+    """
+    ia, da = _exactcore.clear_denominators(a)
+    ib, db = _exactcore.clear_denominators(b, common=True)
     prod = _exactcore.imat_mul(ia, ib)
-    den = da * db
-    return [[Fraction(v, den) if v else _F0 for v in row] for row in prod]
+    return [[Fraction(v, d * db[0]) if v else _F0 for v in row]
+            for row, d in zip(prod, da)]
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +105,7 @@ def frac_mul(a: Sequence[Sequence[Fraction]],
 
 def _dof_sort_key(key) -> tuple:
     (kind, gid), comp, deriv, weight, _tag, bub = key
-    return (_ENTITY_RANK[kind], gid, _COMP_POS[comp], deriv, weight, bub)
+    return (ENTITY_RANK[kind], gid, _COMP_POS[comp], deriv, weight, bub)
 
 
 def cell_entity_ids(mesh: CuboidMesh, ci: int) -> dict[tuple, tuple[str, int]]:
@@ -130,24 +167,13 @@ def assemble_space(fam: FamilyId, mesh: CuboidMesh) -> GlobalSpace:
 
 
 # ---------------------------------------------------------------------------
-# reference pipeline, cached per family and cell shape
-
-
-def _label_free_axes(label: tuple) -> tuple[int, ...]:
-    kind = label[0]
-    if kind == "vertex":
-        return ()
-    if kind == "edge":
-        return (label[1],)
-    if kind == "face":
-        return tuple(a for a in range(3) if a != label[1])
-    return (0, 1, 2)
+# reference pipeline: unit-cell blocks and their exact diagonal scaling
 
 
 def dof_scale(dof: DofFunctional, h: tuple[Fraction, Fraction, Fraction]) -> Fraction:
     """Physical/reference DOF ratio: entity measure over derivative factors."""
     s = Fraction(1)
-    for a in _label_free_axes(dof.entity_label):
+    for a in dof.entity.free_axes:
         s *= h[a]
     for a in range(3):
         if dof.deriv[a]:
@@ -155,90 +181,81 @@ def dof_scale(dof: DofFunctional, h: tuple[Fraction, Fraction, Fraction]) -> Fra
     return s
 
 
-def _bubbles_for(fam: FamilyId) -> BubbleBasis | None:
-    name, k = _resolve(fam)
-    return bubble_basis_divT(k) if name == "xi-red" else None
+def component_weight(fam: FamilyId, comp: str,
+                     h: tuple[Fraction, Fraction, Fraction]) -> Fraction:
+    """Weight ``w`` of one component on a cell of shape ``h`` (module table)."""
+    base = fam.name.removesuffix("-red")
+    H = h[0] * h[1] * h[2]
+    if base == "u":
+        return Fraction(1)
+    if comp == "diag":
+        return H
+    a, b = AXIS_NAMES.index(comp[0]), AXIS_NAMES.index(comp[-1])
+    if base == "x":
+        return h[a]
+    if base in ("sigma", "phi"):
+        return h[a] * h[b]
+    if base == "xi":
+        return h[a] * H / h[b]
+    if base == "q":
+        return h[a] * H
+    if base == "gamma":
+        return H * H / (h[a] * h[b])
+    if base == "z":
+        return H * H / h[a]
+    raise ValueError(fam.name)
 
 
-def full_dof_matrix(fam: FamilyId, cell: CellBox) -> list[list[Fraction]]:
-    """DOF-by-coordinate matrix over the full catalog order on one cell."""
+def _group_layout(fam: FamilyId) -> list[tuple[str, list[int], int]]:
+    """Per component group: its name, the catalog positions of its DOFs and
+    the offset of its monomial coordinates."""
     spec = shape_space(fam)
-    coords = field_coords(spec)
-    bubbles = _bubbles_for(fam)
-    fold = spec.traceless
-    rows = []
-    for dof in local_dofs(fam, cell):
-        row = [dof_entry(dof, comp, exp, cell, bubbles) for comp, exp in coords]
-        if fold:
-            for pos, (comp, exp) in enumerate(coords):
-                if comp in ("xx", "yy"):
-                    zz = dof_entry(dof, "zz", exp, cell, bubbles)
-                    if zz:
-                        row[pos] -= zz
-        rows.append(row)
-    return rows
-
-
-_ref_inv_cache: dict = {}
-
-
-def _reference_inverse_blocks(fam: FamilyId):
-    """Blockwise exact inverse of the reference DOF matrix.
-
-    Returns (row positions, column offset, integer inverse, scale) per
-    component group; the inverse of the full block-diagonal matrix is the
-    union of the scaled blocks.
-    """
-    ck = (fam.name, fam.k)
-    hit = _ref_inv_cache.get(ck)
-    if hit is not None:
-        return hit
-    from .elements import group_dof_matrix, group_dofs
-    spec = shape_space(fam)
-    full = local_dofs(fam)
-    pos_of_group: dict[str, list[int]] = {g.name: [] for g in spec.groups}
-    for i, dof in enumerate(full):
-        pos_of_group[spec.group_of(dof.component).name].append(i)
-    blocks = []
-    col_off = 0
+    positions: dict[str, list[int]] = {g.name: [] for g in spec.groups}
+    for i, dof in enumerate(local_dofs(fam)):
+        positions[spec.group_of(dof.component).name].append(i)
+    out = []
+    off = 0
     for g in spec.groups:
-        mat = group_dof_matrix(fam, g.name)
-        n = len(mat)
-        if n != len(mat[0]):
+        out.append((g.name, positions[g.name], off))
+        off += len(spec.group_coords(g))
+    return out
+
+
+def _dof_matrix(fam: FamilyId, cell: CellBox) -> list[list[Fraction]]:
+    """DOFs (catalog order) by monomial coordinates, from the group blocks."""
+    width = shape_space(fam).local_dimension()
+    D = [[_F0] * width for _ in local_dofs(fam)]
+    for gname, positions, off in _group_layout(fam):
+        for p, row in zip(positions, group_dof_matrix(fam, gname, cell)):
+            D[p][off:off + len(row)] = row
+    return D
+
+
+def _reconstructor(fam: FamilyId, cell: CellBox) -> list[list[Fraction]]:
+    """Monomial coordinates by DOF values: the exact inverse of the DOF
+    matrix, taken group block by group block."""
+    ndofs = len(local_dofs(fam))
+    R = [[_F0] * ndofs for _ in range(shape_space(fam).local_dimension())]
+    for gname, positions, off in _group_layout(fam):
+        mat = group_dof_matrix(fam, gname, cell)
+        if len(mat) != len(mat[0]):
             raise AssertionError(
-                f"{fam.name} k={fam.k} group {g.name}: DOF matrix "
-                f"{n}x{len(mat[0])} is not square")
-        imat, den = dense_to_int(mat)
+                f"{fam.name} k={fam.k} group {gname}: DOF matrix "
+                f"{len(mat)}x{len(mat[0])} is not square")
+        # mat = diag(1 / dens) @ imat, so mat^-1 = imat^-1 @ diag(dens)
+        imat, dens = _exactcore.clear_denominators(mat)
         inv, inv_den = _exactcore.fj_inverse(imat)
-        blocks.append((pos_of_group[g.name], col_off, inv, Fraction(den, inv_den)))
-        col_off += n
-    result = (blocks, col_off, len(full))
-    _ref_inv_cache[ck] = result
-    return result
-
-
-_local_cache: dict = {}
-
-
-def local_reconstructor(fam: FamilyId, h: tuple) -> list[list[Fraction]]:
-    """Matrix taking local DOF values to monomial coordinates on a cell of
-    shape ``h``: the reference inverse with per-DOF rescaling folded in."""
-    ck = ("R", fam.name, fam.k, h)
-    hit = _local_cache.get(ck)
-    if hit is not None:
-        return hit
-    blocks, ncoords, ndofs = _reference_inverse_blocks(fam)
-    full = local_dofs(fam)
-    scales = [dof_scale(d, h) for d in full]
-    R = [[_F0] * ndofs for _ in range(ncoords)]
-    for rows_pos, col_off, inv, scale in blocks:
-        for a in range(len(rows_pos)):
-            for b, p in enumerate(rows_pos):
-                v = inv[a][b]
+        for a, row in enumerate(inv):
+            for p, v, d in zip(positions, row, dens):
                 if v:
-                    R[col_off + a][p] = v * scale / scales[p]
-    _local_cache[ck] = R
+                    R[off + a][p] = Fraction(v * d, inv_den)
     return R
+
+
+@lru_cache(maxsize=None)
+def _reference_reconstructor(fam: FamilyId) -> list[list[Fraction]]:
+    """R(1), once per family and order."""
+    return _reconstructor(fam, UNIT_BOX)
 
 
 def _operator_coord_matrix(op_name: str, src: FamilyId, dst: FamilyId,
@@ -255,20 +272,28 @@ def _operator_coord_matrix(op_name: str, src: FamilyId, dst: FamilyId,
     return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
 
 
+@lru_cache(maxsize=None)
+def _reference_block(op_name: str, src: FamilyId, dst: FamilyId
+                     ) -> list[list[Fraction]]:
+    """K(1) = D_dst(1) @ O(1) @ R_src(1), once per edge and order."""
+    O = _operator_coord_matrix(op_name, src, dst, UNIT_BOX)
+    return frac_mul(_dof_matrix(dst, UNIT_BOX),
+                    frac_mul(O, _reference_reconstructor(src)))
+
+
+def _dof_factors(fam: FamilyId, h: tuple) -> list[Fraction]:
+    """The diagonal ``a(dof, h)`` over the catalog DOFs of a family."""
+    return [dof_scale(d, h) / component_weight(fam, d.component, h)
+            for d in local_dofs(fam)]
+
+
 def local_operator_block(op_name: str, src: FamilyId, dst: FamilyId,
                          h: tuple) -> list[list[Fraction]]:
-    """K_cell for a cell of shape ``h``: target DOFs by source DOFs."""
-    ck = ("K", op_name, src.name, src.k, dst.name, dst.k, h)
-    hit = _local_cache.get(ck)
-    if hit is not None:
-        return hit
-    cell = CellBox((_F0, _F0, _F0), h)
-    O = _operator_coord_matrix(op_name, src, dst, cell)
-    R = local_reconstructor(src, h)
-    D = full_dof_matrix(dst, cell)
-    K = frac_mul(D, frac_mul(O, R))
-    _local_cache[ck] = K
-    return K
+    """K(h) for a cell of shape ``h``: target DOFs by source DOFs."""
+    inv_src = [1 / a for a in _dof_factors(src, h)]
+    return [[a * v * b if v else v for v, b in zip(row, inv_src)]
+            for a, row in zip(_dof_factors(dst, h),
+                              _reference_block(op_name, src, dst))]
 
 
 # ---------------------------------------------------------------------------
@@ -291,27 +316,6 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)
 
-    def int_rows(self) -> list[dict[int, int]]:
-        """Per-row denominator clearing (rank-preserving, not product-safe)."""
-        out = []
-        for r in self.rows:
-            den = 1
-            for v in r.values():
-                den = den * v.denominator // math.gcd(den, v.denominator)
-            out.append({j: v.numerator * (den // v.denominator)
-                        for j, v in r.items()})
-        return out
-
-    def int_common(self) -> tuple[list[dict[int, int]], int]:
-        """Single common denominator over the whole matrix (product-safe)."""
-        den = 1
-        for r in self.rows:
-            for v in r.values():
-                den = den * v.denominator // math.gcd(den, v.denominator)
-        out = [{j: v.numerator * (den // v.denominator) for j, v in r.items()}
-               for r in self.rows]
-        return out, den
-
     def to_float_array(self):
         import numpy as np
         a = np.zeros((self.nrows, self.ncols))
@@ -333,17 +337,6 @@ class ConformityError(AssertionError):
     """Adjacent cells disagreed about a shared target DOF value."""
 
 
-#: the sanctioned (source family, operator, target family) edges
-COMPLEX_EDGES = frozenset([
-    ("u", "gradgrad", "sigma"), ("sigma", "curl", "xi"), ("xi", "div", "q"),
-    ("u", "gradgrad", "sigma-red"), ("sigma-red", "curl", "xi-red"),
-    ("xi-red", "div", "q-red"),
-    ("x", "symgrad", "phi"), ("phi", "curlcurlt", "gamma"),
-    ("gamma", "div", "z"),
-    ("phi", "curlcurlt", "gamma-red"), ("gamma-red", "div", "z-red"),
-])
-
-
 def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseMatrix:
     """Assemble the global operator matrix (target dim by source dim).
 
@@ -362,12 +355,16 @@ def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseM
     mesh = src.mesh
     A = SparseMatrix(dst.dimension, src.dimension)
     rows = A.rows
-    shapes = []
+    # one scaled block per distinct cell shape, freed on return
+    by_shape: dict[tuple, list[list[Fraction]]] = {}
+    blocks = []
     for ci in range(mesh.num_cells):
         box = mesh.cell_box(ci)
         h = tuple(box.h(a) for a in range(3))
-        shapes.append(h)
-        K = local_operator_block(op_name, src.fam, dst.fam, h)
+        if h not in by_shape:
+            by_shape[h] = local_operator_block(op_name, src.fam, dst.fam, h)
+        blocks.append(by_shape[h])
+    for ci, K in enumerate(blocks):
         dmap = dst.cell_maps[ci]
         smap = src.cell_maps[ci]
         for i, krow in enumerate(K):
@@ -385,8 +382,7 @@ def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseM
                             f"{old} vs {v}")
     # second pass: a stored value must be reproduced (zeros included) by
     # every cell that carries both DOFs
-    for ci in range(mesh.num_cells):
-        K = local_operator_block(op_name, src.fam, dst.fam, shapes[ci])
+    for ci, K in enumerate(blocks):
         dmap = dst.cell_maps[ci]
         smap = src.cell_maps[ci]
         for i, krow in enumerate(K):
@@ -419,10 +415,10 @@ def reconstruct_local(space: GlobalSpace, ci: int,
     spec = shape_space(space.fam)
     box = space.mesh.cell_box(ci)
     h = tuple(box.h(a) for a in range(3))
-    R = local_reconstructor(space.fam, h)
-    local = [coeffs[g] for g in space.cell_maps[ci]]
-    coords = [sum((row[j] * local[j] for j in range(len(local)) if row[j]), _F0)
-              for row in R]
+    local = [coeffs[g] / dof_scale(dof, h)
+             for g, dof in zip(space.cell_maps[ci], space.ref_dofs)]
+    coords = [sum((v * local[j] for j, v in enumerate(row) if v), _F0)
+              for row in _reference_reconstructor(space.fam)]
     comps: dict[str, TensorPoly] = {}
     off = 0
     for g in spec.groups:

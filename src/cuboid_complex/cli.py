@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -125,6 +126,10 @@ def _cmd_export(parser, args) -> int:
     if args.edge not in ops:
         parser.error(f"complex {args.complex!r} has edges {', '.join(ops)}; "
                      f"got {args.edge!r}")
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if (not os.path.isdir(out_dir) or os.path.isdir(args.out)
+            or not os.access(out_dir, os.W_OK)):
+        parser.error(f"--out: cannot write {args.out!r}")
     pos = ops.index(args.edge)
     spaces = complex_spaces(args.complex, args.k, mesh)
     mat = operator_matrix(args.edge, spaces[pos], spaces[pos + 1])
@@ -140,6 +145,8 @@ def _cmd_export(parser, args) -> int:
 
 
 def _cmd_identities(parser, args) -> int:
+    if args.count < 1:
+        parser.error(f"--count must be at least 1, got {args.count}")
     try:
         res = identity_suite(count=args.count, seed=args.seed)
     except AssertionError as exc:

@@ -42,6 +42,7 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from . import _exactcore
+from .mesh import _EDGE_SIDES, _VERTEX_CORNERS
 from .polytensor import (AXIS_NAMES, CellBox, Degree3, EntityRef, TensorPoly,
                          UNIT_BOX, degree_from_caps, moment, monomial_weight)
 
@@ -258,12 +259,6 @@ class DofFunctional:
         """Global identity of the functional, shared across adjacent cells."""
         return (entity_id, self.component, self.deriv, self.weight,
                 self.kind, self.bubble_index)
-
-
-_ENTITY_RANK = {"vertex": 0, "edge": 1, "face": 2, "cell": 3}
-
-_VERTEX_CORNERS = [(ci, cj, cl) for ci in (0, 1) for cj in (0, 1) for cl in (0, 1)]
-_EDGE_SIDES = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def _entity_sort_key(label: tuple) -> tuple[int, int]:
@@ -799,67 +794,32 @@ def group_dofs(fam: FamilyId, dofs: list[DofFunctional] | None = None
     return out
 
 
+def _bubbles_for(fam: FamilyId) -> BubbleBasis | None:
+    """The bubble basis the family's coupled DOFs need, if it has any."""
+    name, k = _resolve(fam)
+    return bubble_basis_divT(k) if name == "xi-red" else None
+
+
 def group_dof_matrix(fam: FamilyId, gname: str, cell: CellBox = UNIT_BOX
                      ) -> list[list[Fraction]]:
-    """DOF-by-coordinate matrix of one component group (square iff unisolvent)."""
+    """DOF-by-coordinate matrix of one component group (square iff unisolvent).
+
+    This is the one DOF-matrix builder; the full matrix is block diagonal
+    across the groups, so every other use is assembled from these blocks.
+    """
     spec = shape_space(fam)
-    grp = next(g for g in spec.groups if g.name == gname)
-    coords = spec.group_coords(grp)
-    dofs = group_dofs(fam)[gname]
-    name, k = _resolve(fam)
-    bubbles = bubble_basis_divT(k) if name == "xi-red" else None
+    coords = spec.group_coords(next(g for g in spec.groups if g.name == gname))
+    fold = spec.traceless and gname == "diag"
+    bubbles = _bubbles_for(fam)
     rows = []
-    for dof in dofs:
-        dof_b = DofFunctional(dof.entity_label, entity_ref_for(dof.entity_label, cell),
-                              dof.component, dof.deriv, dof.weight, dof.kind,
-                              dof.bubble_index)
-        row = []
-        for comp, exp in coords:
-            v = dof_entry(dof_b, comp, exp, cell, bubbles)
-            if comp == "zz" and grp.name == "diag" and spec.traceless:
-                raise AssertionError("independent coords must not include zz")
-            row.append(v)
-        # traceless diagonal: zz = -(xx + yy) folds into the independents
-        if spec.traceless and grp.name == "diag":
-            for pos, (comp, exp) in enumerate(coords):
-                zz = dof_entry(dof_b, "zz", exp, cell, bubbles)
-                if zz:
-                    row[pos] -= zz
+    for dof in group_dofs(fam, local_dofs(fam, cell))[gname]:
+        row = [dof_entry(dof, comp, exp, cell, bubbles) for comp, exp in coords]
+        if fold:
+            # traceless diagonal: zz = -(xx + yy) folds into the independents
+            for pos, (_comp, exp) in enumerate(coords):
+                row[pos] -= dof_entry(dof, "zz", exp, cell, bubbles)
         rows.append(row)
     return rows
-
-
-def local_dof_matrix(fam: FamilyId, cell: CellBox = UNIT_BOX) -> list[list[Fraction]]:
-    """The full square DOF matrix, block diagonal across component groups."""
-    spec = shape_space(fam)
-    blocks = [group_dof_matrix(fam, g.name, cell) for g in spec.groups]
-    total = sum(len(b) for b in blocks)
-    width = sum(len(b[0]) if b else 0 for b in blocks)
-    out = [[Fraction(0)] * width for _ in range(total)]
-    r0 = c0 = 0
-    for bmat in blocks:
-        for i, row in enumerate(bmat):
-            out[r0 + i][c0:c0 + len(row)] = row
-        r0 += len(bmat)
-        c0 += len(bmat[0]) if bmat else 0
-    return out
-
-
-def _int_rows(rows: list[list[Fraction]]) -> list[dict[int, int]]:
-    """Clear denominators row by row; safe for rank computations."""
-    out = []
-    for row in rows:
-        den = 1
-        for v in row:
-            den = den * v.denominator // _gcd(den, v.denominator)
-        out.append({j: int(v * den) for j, v in enumerate(row) if v})
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def check_unisolvence(fam: FamilyId, cell: CellBox = UNIT_BOX) -> dict:
@@ -879,7 +839,8 @@ def check_unisolvence(fam: FamilyId, cell: CellBox = UNIT_BOX) -> dict:
             continue
         if len(block) != len(block[0]):
             square = False
-        rank += _exactcore.ff_rank(_int_rows(block), len(block[0]))
+        ints, _ = _exactcore.clear_denominators([dict(enumerate(r)) for r in block])
+        rank += _exactcore.ff_rank(ints, len(block[0]))
     return {
         "family": fam.name,
         "k": fam.k,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterator
 
 AXIS_NAMES = ("x", "y", "z")
@@ -435,12 +434,3 @@ def exponent_range(degree: Degree3) -> list[tuple[int, int, int]]:
     """Exponent triples of a degree grid as a list (empty if the grid is)."""
     return list(degree.exponents())
 
-
-def tensor_interval_points(n: int) -> list[Fraction]:
-    """Deterministic interior sample points (i/(n+1) for i=1..n)."""
-    return [Fraction(i, n + 1) for i in range(1, n + 1)]
-
-
-def grid_points(n: int) -> list[tuple[Fraction, Fraction]]:
-    pts = tensor_interval_points(n)
-    return list(product(pts, pts))

@@ -19,28 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _exactcore
-from .assembly import (GlobalSpace, SparseMatrix, assemble_space, frac_mul,
-                       interpolate, operator_matrix, reconstruct_local,
-                       _operator_coord_matrix)
+from .assembly import (COMPLEXES, GlobalSpace, SparseMatrix, assemble_space,
+                       frac_mul, interpolate, operator_matrix,
+                       reconstruct_local, _operator_coord_matrix)
 from .elements import (FamilyId, comp_name, global_dimension_formula,
                        shape_space, _others)
 from .mesh import CuboidMesh
 from .operators import PolyField, check_identity_curl_symgrad, div_rows
-from .polytensor import TensorPoly, UNIT_BOX, grid_points
+from .polytensor import EntityRef, TensorPoly, UNIT_BOX
 
 _F0 = Fraction(0)
-
-#: complex name -> (families, operators, kernel dimension, minimum order)
-COMPLEXES = {
-    "gradgrad": (("u", "sigma", "xi", "q"),
-                 ("gradgrad", "curl", "div"), 4, 3),
-    "gradgrad-reduced": (("u", "sigma-red", "xi-red", "q-red"),
-                         ("gradgrad", "curl", "div"), 4, 3),
-    "elasticity": (("x", "phi", "gamma", "z"),
-                   ("symgrad", "curlcurlt", "div"), 6, 2),
-    "elasticity-reduced": (("x", "phi", "gamma-red", "z-red"),
-                           ("symgrad", "curlcurlt", "div"), 6, 2),
-}
 
 COMPLEX_NAMES = tuple(COMPLEXES)
 
@@ -50,7 +38,8 @@ COMPLEX_NAMES = tuple(COMPLEXES)
 
 
 def exact_rank(mat: SparseMatrix) -> int:
-    rows = [r for r in mat.int_rows() if r]
+    ints, _ = _exactcore.clear_denominators(mat.rows)
+    rows = [r for r in ints if r]
     if not rows:
         return 0
     return _exactcore.ff_rank(rows, mat.ncols)
@@ -89,8 +78,8 @@ def certified_ranks(mats: list[SparseMatrix],
 
 def composition_is_zero(outer: SparseMatrix, inner: SparseMatrix) -> bool:
     """Exact test that outer @ inner vanishes (common-denominator integers)."""
-    ia, _ = outer.int_common()
-    ib, _ = inner.int_common()
+    ia, _ = _exactcore.clear_denominators(outer.rows, common=True)
+    ib, _ = _exactcore.clear_denominators(inner.rows, common=True)
     prod = _exactcore.spmul(ia, ib)
     return all(not row for row in prod)
 
@@ -520,28 +509,13 @@ def continuity_traces(family_name: str, normal: int) -> list[tuple[str, tuple[in
     raise ValueError(family_name)
 
 
-def _face_sample_points(mesh: CuboidMesh, normal: int, i: int, j: int, l: int):
-    fent = mesh.face_entity(normal, i, j, l)
-    ext = fent.extent
-    o1, o2 = _others(normal)
-    pts = []
-    for t1, t2 in grid_points(4):
-        p = list(ext.lo)
-        p[o1] = ext.lo[o1] + t1 * ext.h(o1)
-        p[o2] = ext.lo[o2] + t2 * ext.h(o2)
-        pts.append(tuple(p))
-    return pts
-
-
-def _trace_jumps(mesh: CuboidMesh, lo_field: PolyField, hi_field: PolyField,
-                 face: tuple[int, int, int, int],
+def _trace_jumps(lo_field: PolyField, hi_field: PolyField, face: EntityRef,
                  traces: list[tuple[str, tuple[int, int, int]]]) -> list[Fraction]:
-    pts = _face_sample_points(mesh, *face)
     out: list[Fraction] = []
     for comp, deriv in traces:
-        p1 = lo_field.component(comp).differentiate_multi(deriv)
-        p2 = hi_field.component(comp).differentiate_multi(deriv)
-        out.extend(p1.eval_physical(pt) - p2.eval_physical(pt) for pt in pts)
+        t1 = lo_field.component(comp).differentiate_multi(deriv).trace(face)
+        t2 = hi_field.component(comp).differentiate_multi(deriv).trace(face)
+        out.extend((t1 - t2).coeffs)
     return out
 
 
@@ -552,9 +526,10 @@ def face_jump(space: GlobalSpace, coeffs: list[Fraction],
 
     ``face`` is (normal, i, j, l) with the index along the normal strictly
     inside the mesh; ``traces`` lists (component, derivative multi-order)
-    pairs.  Each trace is sampled from both adjacent cells at a fixed 4x4
-    rational grid on the face and the differences are returned flat, trace
-    by trace.  All zeros certifies the sampled jump vanishes.
+    pairs.  Each trace is taken exactly from both adjacent cells as a
+    polynomial on the face, and the coefficients of their difference are
+    returned flat, trace by trace.  All zeros proves the jump vanishes on
+    the whole face, at every order.
     """
     normal, i, j, l = face
     idx = (i, j, l)
@@ -566,12 +541,13 @@ def face_jump(space: GlobalSpace, coeffs: list[Fraction],
     lo_ci, hi_ci = space.mesh.face_cells(normal, i, j, l)
     lo_field = reconstruct_local(space, lo_ci, coeffs)
     hi_field = reconstruct_local(space, hi_ci, coeffs)
-    return _trace_jumps(space.mesh, lo_field, hi_field, face, traces)
+    return _trace_jumps(lo_field, hi_field, space.mesh.face_entity(*face),
+                        traces)
 
 
 def jump_check(fam: FamilyId, mesh: CuboidMesh, fields: int = 5,
                seed: int = 20260818) -> dict:
-    """Sample the advertised traces of random members on interior faces."""
+    """Check the advertised traces of random members on interior faces."""
     space = assemble_space(fam, mesh)
     rng = random.Random(seed)
     faces = mesh.interior_faces()
@@ -585,9 +561,9 @@ def jump_check(fam: FamilyId, mesh: CuboidMesh, fields: int = 5,
         for face in faces:
             normal = face[0]
             lo_ci, hi_ci = mesh.face_cells(*face)
+            fent = mesh.face_entity(*face)
             for trace in continuity_traces(fam.name, normal):
-                jumps = _trace_jumps(mesh, local[lo_ci], local[hi_ci],
-                                     face, [trace])
+                jumps = _trace_jumps(local[lo_ci], local[hi_ci], fent, [trace])
                 if any(jumps):
                     raise AssertionError(
                         f"{fam.name} k={fam.k}: jump in {trace[0]} "

@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+import cuboid_complex
+from cuboid_complex import _exactcore
 from cuboid_complex.assembly import (
-    SparseMatrix, assemble_space, dense_to_int, frac_mul, interpolate,
-    operator_matrix, read_matrix_market, reconstruct_local,
-    write_matrix_market,
+    COMPLEXES, SparseMatrix, _dof_matrix,
+    _operator_coord_matrix, _reconstructor, assemble_space, frac_mul,
+    interpolate, local_operator_block, operator_matrix, read_matrix_market,
+    reconstruct_local, write_matrix_market,
 )
 from cuboid_complex.elements import FAMILY_NAMES, family, min_order
 from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
-from cuboid_complex.polytensor import TensorPoly
+from cuboid_complex.polytensor import CellBox, TensorPoly
 from cuboid_complex.verify import exact_rank
 
 F = Fraction
@@ -106,20 +109,27 @@ def test_assembly_on_nonuniform_breakpoints():
     assert interpolate(space, lambda ci, box: local[ci].comps) == coeffs
 
 
-def test_dense_to_int_uses_common_denominator():
-    rows, den = dense_to_int([[F(1, 2), F(0)], [F(1, 3), F(5)]])
-    assert den == 6
-    assert rows == [[3, 0], [2, 30]]
+def test_clear_denominators_dense_rows():
+    rows = [[F(1, 2), F(0)], [F(1, 3), F(5)]]
+    ints, dens = _exactcore.clear_denominators(rows, common=True)
+    assert dens == [6, 6]
+    assert ints == [[3, 0], [2, 30]]
+    ints, dens = _exactcore.clear_denominators(rows)
+    assert dens == [2, 3]
+    assert ints == [[1, 0], [1, 15]]
 
 
-def test_int_common_is_product_safe():
+def test_clear_denominators_common_is_product_safe():
     a = SparseMatrix(2, 2, [{0: F(1, 2)}, {1: F(1, 3)}])
-    rows, den = a.int_common()
-    assert den == 6
+    rows, dens = _exactcore.clear_denominators(a.rows, common=True)
+    assert dens == [6, 6]
     assert rows == [{0: 3}, {1: 2}]
     # per-row clearing would lose the relative scale between rows
-    per_row = a.int_rows()
+    per_row, dens = _exactcore.clear_denominators(a.rows)
     assert per_row == [{0: 1}, {1: 1}]
+    assert dens == [2, 3]
+    # dict rows drop zero entries
+    assert _exactcore.clear_denominators([{0: F(0), 2: F(3, 4)}])[0] == [{2: 3}]
 
 
 def test_frac_mul_exact():
@@ -170,3 +180,62 @@ def test_conformity_audit_passes_on_every_edge():
         a = operator_matrix(op, assemble_space(family(src, k), mesh),
                             assemble_space(family(dst, k), mesh))
         assert a.nrows > 0 and a.ncols > 0
+
+
+def _ladder_edges():
+    return sorted({(fams[i], op, fams[i + 1])
+                   for fams, ops, _kd, _min_k in COMPLEXES.values()
+                   for i, op in enumerate(ops)})
+
+
+_SCALING_CASES = (
+    [(src, op, dst, min_order(src)) for src, op, dst in _ladder_edges()]
+    + [(src, op, dst, min_order(src) + 1) for src, op, dst in _ladder_edges()
+       if src in COMPLEXES["gradgrad"][0] and dst in COMPLEXES["gradgrad"][0]])
+
+
+# distinct sides other than 1, so a weight on the wrong axis shows
+_SIDES = sorted({F(p, q) for p in range(1, 10) for q in range(1, 10)} - {1})
+
+
+@pytest.mark.parametrize("src,op,dst,k", _SCALING_CASES)
+def test_scaled_block_equals_direct_block(src, op, dst, k):
+    """K(h) = diag(a_dst) K(1) diag(1/a_src) matches D_dst(h) O(h) R_src(h),
+    built by the same builders directly on a cell of shape h."""
+    rng = random.Random(f"{src}-{op}-{dst}-{k}")
+    h = tuple(rng.sample(_SIDES, 3))
+    cell = CellBox((F(0), F(0), F(0)), h)
+    s, d = family(src, k), family(dst, k)
+    direct = frac_mul(_dof_matrix(d, cell),
+                      frac_mul(_operator_coord_matrix(op, s, d, cell),
+                               _reconstructor(s, cell)))
+    assert local_operator_block(op, s, d, h) == direct
+
+
+def _reference_cache_sizes():
+    caches = {f"{mod.__name__}.{name}": fn
+              for mod in (cuboid_complex.assembly, cuboid_complex.elements)
+              for name, fn in vars(mod).items() if hasattr(fn, "cache_info")}
+    assert caches
+    return {name: fn.cache_info().currsize for name, fn in caches.items()}
+
+
+def test_reference_caches_do_not_grow_with_cell_shapes():
+    first = build_box_mesh([0, F(1, 3), 1], [0, F(2, 5), 1], [0, 1])
+    second = build_box_mesh([0, F(1, 7), F(1, 2)], [0, F(3, 4)],
+                            [0, F(1, 5), F(5, 4)])
+
+    def shapes(mesh):
+        return {tuple(mesh.cell_box(ci).h(a) for a in range(3))
+                for ci in range(mesh.num_cells)}
+
+    def curl(mesh):
+        return operator_matrix("curl",
+                               assemble_space(family("sigma-red", 3), mesh),
+                               assemble_space(family("xi-red", 3), mesh))
+
+    assert not shapes(first) & shapes(second)
+    curl(first)
+    after_first = _reference_cache_sizes()
+    curl(second)
+    assert _reference_cache_sizes() == after_first

@@ -101,12 +101,31 @@ def test_identities_payload(capsys):
     ("export", "--complex", "gradgrad", "--k", "2", "--edge", "curl",
      "--out", "/tmp/never.mtx"),
     ("unisolvence", "--family", "u", "--k", "2"),
+    ("identities", "--count", "-3"),
+    ("identities", "--count", "0"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     assert capsys.readouterr().err
+
+
+def test_export_to_unwritable_path_is_a_usage_error(capsys, monkeypatch,
+                                                    tmp_path):
+    import cuboid_complex.assembly as assembly
+
+    def never(*a, **kw):
+        raise AssertionError("the matrix was assembled")
+
+    monkeypatch.setattr(assembly, "operator_matrix", never)
+    for out in (tmp_path / "missing" / "x.mtx", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--complex", "elasticity", "--k", "2",
+                  "--edge", "div", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
 
 
 def test_complex_low_order_exits_one(capsys):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from cuboid_complex import _exactcore
 
@@ -221,7 +221,10 @@ sparse_tall_matrices = st.integers(8, 25).flatmap(
         st.just(n)))
 
 
-@settings(max_examples=25, deadline=None)
+# No shrink phase: every shrink step of a 150-row case reruns the Fraction
+# oracle, which took minutes to report a wrong rank.
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
 @given(sparse_tall_matrices)
 def test_rank_property_sparse_tall_matches_oracle(case):
     rows, copies, ncols = case

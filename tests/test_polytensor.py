@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuboid_complex.polytensor import (
     CellBox, Degree3, EntityRef, TensorPoly, UNIT_BOX, box, degree_from_caps,
-    grid_points, moment, monomial_weight, tensor_interval_points,
-    vertex_entity,
+    moment, monomial_weight, vertex_entity,
 )
 
 F = Fraction
@@ -170,12 +169,6 @@ def test_moment_auto_traces_from_the_cell():
     w = monomial_weight((0, 0, 0), hi)
     # trace at x=1 is y z; integral over the unit face is 1/4
     assert moment(p, w, hi) == F(1, 4)
-
-
-def test_deterministic_point_sets():
-    assert tensor_interval_points(4) == [F(1, 5), F(2, 5), F(3, 5), F(4, 5)]
-    pts = grid_points(2)
-    assert len(pts) == 4 and pts[0] == (F(1, 3), F(1, 3))
 
 
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))

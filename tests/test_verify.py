@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuboid_complex.assembly import assemble_space, operator_matrix
+from cuboid_complex.assembly import assemble_space, interpolate, operator_matrix
 from cuboid_complex.elements import family
 from cuboid_complex.mesh import uniform_unit_mesh
 from cuboid_complex.polytensor import TensorPoly
@@ -157,7 +157,7 @@ def test_jump_check_sigma_small():
 
 def test_face_jump_shared_derivative_moments():
     # sigma_xy with a normal derivative across a z-normal face: the face
-    # DOFs pair values with d/dz moments, so the sampled jump vanishes
+    # DOFs pair values with d/dz moments, so the jump vanishes
     mesh = uniform_unit_mesh(1, 1, 2)
     space = assemble_space(family("sigma", 3), mesh)
     rng = random.Random(20260818)
@@ -169,6 +169,31 @@ def test_face_jump_shared_derivative_moments():
     coeffs = [F(rng.randint(-9, 9)) for _ in range(xi.dimension)]
     jumps = face_jump(xi, coeffs, (2, 0, 0, 1), [("xx", (0, 0, 0))])
     assert all(v == 0 for v in jumps)
+
+
+def test_face_jump_sees_a_jump_that_vanishes_on_a_sample_grid():
+    # q-red is fully discontinuous.  Across the x-normal face of a 2x1x1
+    # mesh its x component jumps by (t_y - 1/5)(t_y - 2/5)(t_y - 3/5)(t_y - 4/5),
+    # which is zero at every point of the 4x4 grid with abscissae i/5 on
+    # the face, yet is not zero.
+    mesh = uniform_unit_mesh(2, 1, 1)
+    space = assemble_space(family("q-red", 5), mesh)
+
+    def jump(box):
+        t_y = TensorPoly.monomial((0, 1, 0), box)
+        out = TensorPoly.from_terms({(0, 0, 0): F(1)}, cell=box)
+        for i in range(1, 5):
+            out = out * (t_y - TensorPoly.from_terms({(0, 0, 0): F(i, 5)}, cell=box))
+        return out
+
+    grid = [F(i, 5) for i in range(1, 5)]
+    assert all(jump(mesh.cell_box(1)).eval_reference((0, s, t)) == 0
+               for s in grid for t in grid)
+    coeffs = interpolate(space, lambda ci, box: {"x": jump(box)} if ci else {})
+    jumps = face_jump(space, coeffs, (0, 1, 0, 0), [("x", (0, 0, 0))])
+    assert any(jumps)
+    # the y component has no jump there
+    assert not any(face_jump(space, coeffs, (0, 1, 0, 0), [("y", (0, 0, 0))]))
 
 
 def test_face_jump_boundary_rejected():
