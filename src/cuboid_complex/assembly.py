@@ -57,8 +57,8 @@ from typing import Callable, Mapping, Sequence
 
 from . import _exactcore
 from .elements import (DofFunctional, FamilyId, _COMP_POS, _bubbles_for,
-                       apply_dof, entity_ref_for, group_dof_matrix,
-                       local_dofs, shape_space)
+                       apply_dof, group_dof_matrix, local_dofs,
+                       shape_space)
 from .mesh import ENTITY_RANK, CuboidMesh, _EDGE_SIDES, _VERTEX_CORNERS
 from .operators import (OPERATORS, PolyField, coordinate_field, field_coords,
                         field_to_coords)
@@ -447,12 +447,8 @@ def interpolate(space: GlobalSpace,
     for ci in range(space.mesh.num_cells):
         box = space.mesh.cell_box(ci)
         comps = make_field(ci, box)
-        for dof, gi in zip(space.ref_dofs, space.cell_maps[ci]):
-            bound = DofFunctional(dof.entity_label,
-                                  entity_ref_for(dof.entity_label, box),
-                                  dof.component, dof.deriv, dof.weight,
-                                  dof.kind, dof.bubble_index)
-            v = apply_dof(bound, comps, spec, bubbles)
+        for dof, gi in zip(local_dofs(space.fam, box), space.cell_maps[ci]):
+            v = apply_dof(dof, comps, spec, bubbles)
             if vals[gi] is None:
                 vals[gi] = v
             elif vals[gi] != v:

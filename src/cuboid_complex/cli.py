@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .elements import FAMILY_NAMES, FamilyId, check_unisolvence, min_order
 from .mesh import CuboidMesh, build_box_mesh
-from .verify import (COMPLEXES, COMPLEX_NAMES, complex_matrices,
+from .verify import (COMPLEXES, COMPLEX_NAMES, DenseSizeError,
                      complex_spaces, identity_suite, verify_complex,
                      verify_dimensions)
 
@@ -93,6 +93,9 @@ def _cmd_complex(parser, args) -> int:
     try:
         report = verify_complex(args.complex, args.k, mesh,
                                 arithmetic=args.arithmetic)
+    except DenseSizeError as exc:
+        _say(str(exc))
+        return 1
     except (AssertionError, ValueError) as exc:
         _say(f"verification failed: {exc}")
         return 1

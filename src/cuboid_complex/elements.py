@@ -35,7 +35,7 @@ the fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -90,6 +90,7 @@ def _dsum(d1, d2):
 
 
 _D0 = (0, 0, 0)
+_F0 = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -304,14 +305,13 @@ def entity_ref_for(label: tuple, cell: CellBox) -> EntityRef:
 
 
 class _DofBuilder:
-    """Accumulates raw DOF tuples for one family on one cell."""
+    """Accumulates raw DOF tuples for one family on the unit cell."""
 
-    def __init__(self, cell: CellBox):
-        self.cell = cell
+    def __init__(self):
         self.raw: list[DofFunctional] = []
 
     def _add(self, label, component, deriv, weight, kind, bubble_index=-1):
-        self.raw.append(DofFunctional(label, entity_ref_for(label, self.cell),
+        self.raw.append(DofFunctional(label, entity_ref_for(label, UNIT_BOX),
                                       component, deriv, weight, kind, bubble_index))
 
     def at_vertices(self, component: str, derivs: Iterable[tuple[int, int, int]]):
@@ -501,15 +501,11 @@ def _dofs_zred(b: _DofBuilder, k: int, a: int) -> None:
     b.in_cell(comp_name(a), {a: k, o1: k - 1, o2: k - 1})
 
 
-def local_dofs(fam: FamilyId, cell: CellBox = UNIT_BOX) -> list[DofFunctional]:
-    """The family's DOFs on one cell, in canonical local order.
-
-    The order is (entity rank, local entity, component, derivative, weight);
-    it matches the relative order of global entity ids on every cell of a
-    structured mesh, which is what makes one reference DOF matrix reusable.
-    """
+@lru_cache(maxsize=None)
+def _unit_catalog(fam: FamilyId) -> tuple[DofFunctional, ...]:
+    """The family's DOFs on the unit cell, once per family and order."""
     name, k = _resolve(fam)
-    b = _DofBuilder(cell)
+    b = _DofBuilder()
     if name == "u":
         _dofs_u(b, k)
     elif name in ("sigma", "sigma-red"):
@@ -550,7 +546,22 @@ def local_dofs(fam: FamilyId, cell: CellBox = UNIT_BOX) -> list[DofFunctional]:
     else:
         raise ValueError(name)
     b.raw.sort(key=DofFunctional.sort_key)
-    return b.raw
+    return tuple(b.raw)
+
+
+def local_dofs(fam: FamilyId, cell: CellBox = UNIT_BOX) -> list[DofFunctional]:
+    """The family's DOFs on one cell, in canonical local order.
+
+    The order is (entity rank, local entity, component, derivative, weight);
+    it matches the relative order of global entity ids on every cell of a
+    structured mesh, which is what makes one reference DOF matrix reusable.
+    Each call returns a fresh list; off the unit cell every DOF is rebound
+    to its entity on ``cell``.
+    """
+    dofs = _unit_catalog(fam)
+    if cell == UNIT_BOX:
+        return list(dofs)
+    return [replace(d, entity=entity_ref_for(d.entity_label, cell)) for d in dofs]
 
 
 # ---------------------------------------------------------------------------
@@ -739,45 +750,6 @@ def _deriv_factor_free(e: int, d: int, w: int) -> Fraction:
     return Fraction(e, e + w)
 
 
-def dof_entry(dof: DofFunctional, comp: str, exp: tuple[int, int, int],
-              cell: CellBox, bubbles: BubbleBasis | None = None) -> Fraction:
-    """Closed-form value of a DOF on the unit monomial of one component.
-
-    This is the fast path used to build DOF matrices; ``apply_dof`` on a
-    monomial field computes the same number through polynomial calculus and
-    serves as its cross-check in the tests.
-    """
-    if dof.kind == "coupled":
-        if comp not in _DIAG_COMPS:
-            return Fraction(0)
-        xi = bubbles.triples[dof.bubble_index][_DIAG_COMPS.index(comp)]
-        total = Fraction(0)
-        for e2, v in xi.terms():
-            f = v
-            for a in range(3):
-                f *= Fraction(1, exp[a] + e2[a] + 1)
-            total += f
-        return total * cell.measure()
-    if comp != dof.component:
-        return Fraction(0)
-    ext = dof.entity.extent
-    free = set(ext.free_axes())
-    value = Fraction(1)
-    for a in range(3):
-        d = dof.deriv[a]
-        h = cell.h(a)
-        if a in free:
-            value *= _deriv_factor_free(exp[a], d, dof.weight[a]) * h
-        else:
-            side = 1 if ext.lo[a] == cell.hi[a] else 0
-            value *= _deriv_factor_frozen(exp[a], d, side)
-        if d:
-            value /= h ** d
-        if not value:
-            return value
-    return value
-
-
 # ---------------------------------------------------------------------------
 # DOF matrices and unisolvency
 
@@ -800,24 +772,98 @@ def _bubbles_for(fam: FamilyId) -> BubbleBasis | None:
     return bubble_basis_divT(k) if name == "xi-red" else None
 
 
+def _axis_table(cap: int, d: int, w: int, side: int | None,
+                h: Fraction) -> list[Fraction]:
+    """One 1-D functional on ``t^e``, e = 0..cap: on a free axis
+    (``side`` None) the moment against ``t^w`` over an interval of length
+    ``h``, on a frozen one the value at ``side``; ``d`` = 1 adds ``h^-1``.
+    """
+    scale = 1 / h if d else Fraction(1)
+    if side is None:
+        return [_deriv_factor_free(e, d, w) * h * scale for e in range(cap + 1)]
+    return [_deriv_factor_frozen(e, d, side) * scale for e in range(cap + 1)]
+
+
+def _coupled_row(dof: DofFunctional, grid: Degree3, bubbles: BubbleBasis,
+                 measure: Fraction) -> list[Fraction]:
+    """A coupled DOF on the (xx, yy) coordinates of the traceless diagonal.
+
+    It pairs all three diagonal components with one bubble triple, so with
+    zz = -(xx + yy) the weight of xx is ``b_xx - b_zz`` and of yy
+    ``b_yy - b_zz``.
+    """
+    bxx, byy, bzz = bubbles.triples[dof.bubble_index]
+    row = []
+    for weight in (bxx - bzz, byy - bzz):
+        terms = list(weight.terms())
+        for exp in grid.exponents():
+            total = Fraction(0)
+            for e2, v in terms:
+                total += v / ((exp[0] + e2[0] + 1) * (exp[1] + e2[1] + 1)
+                              * (exp[2] + e2[2] + 1))
+            row.append(total * measure)
+    return row
+
+
 def group_dof_matrix(fam: FamilyId, gname: str, cell: CellBox = UNIT_BOX
                      ) -> list[list[Fraction]]:
     """DOF-by-coordinate matrix of one component group (square iff unisolvent).
 
     This is the one DOF-matrix builder; the full matrix is block diagonal
     across the groups, so every other use is assembled from these blocks.
+    Every DOF is a product of 1-D functionals along the three axes, so its
+    entry on the monomial ``t^e`` of its own component factors as
+    ``t0[e0] * t1[e1] * t2[e2]``, one table per axis over the group's
+    exponents.  Other components' coordinates are zero, except on the
+    traceless diagonal, where a ``zz`` DOF lands negated on the ``xx`` and
+    ``yy`` coordinates.  The coupled DOFs of ``xi-red`` are bubble moments.
+    Axes and sides come from the unit-cell catalog; ``cell`` supplies ``h``.
     """
     spec = shape_space(fam)
-    coords = spec.group_coords(next(g for g in spec.groups if g.name == gname))
-    fold = spec.traceless and gname == "diag"
-    bubbles = _bubbles_for(fam)
+    group = next(g for g in spec.groups if g.name == gname)
+    h = tuple(cell.h(a) for a in range(3))
+    offsets = {}
+    width = 0
+    for c in group.independent:
+        offsets[c] = width
+        width += spec.degrees[c].dim()
+    tables: dict[tuple, list[Fraction]] = {}   # 1-D functional -> its table
     rows = []
-    for dof in group_dofs(fam, local_dofs(fam, cell))[gname]:
-        row = [dof_entry(dof, comp, exp, cell, bubbles) for comp, exp in coords]
-        if fold:
+    for dof in group_dofs(fam)[gname]:
+        if dof.kind == "coupled":
+            rows.append(_coupled_row(dof, spec.degrees["xx"], _bubbles_for(fam),
+                                     cell.measure()))
+            continue
+        caps = spec.degrees[dof.component].caps
+        ext = dof.entity.extent
+        tabs = []
+        for a in range(3):
+            side = None if ext.lo[a] < ext.hi[a] else (1 if ext.lo[a] else 0)
+            key = (caps[a], dof.deriv[a], dof.weight[a], side, h[a])
+            if key not in tables:
+                tables[key] = _axis_table(*key)
+            tabs.append(tables[key])
+        t0, t1, t2 = tabs
+        if dof.component in offsets:
+            targets = [(offsets[dof.component], t0)]
+        else:
             # traceless diagonal: zz = -(xx + yy) folds into the independents
-            for pos, (_comp, exp) in enumerate(coords):
-                row[pos] -= dof_entry(dof, "zz", exp, cell, bubbles)
+            neg = [-v for v in t0]
+            targets = [(offsets["xx"], neg), (offsets["yy"], neg)]
+        row = [_F0] * width
+        n12 = len(t1) * len(t2)
+        for off, s0 in targets:
+            for e0, f0 in enumerate(s0):
+                if not f0:
+                    continue
+                pos = off + e0 * n12
+                for f1 in t1:
+                    if f1:
+                        f01 = f0 * f1
+                        for e2, f2 in enumerate(t2):
+                            if f2:
+                                row[pos + e2] = f01 * f2
+                    pos += len(t2)
         rows.append(row)
     return rows
 

@@ -45,7 +45,22 @@ def exact_rank(mat: SparseMatrix) -> int:
     return _exactcore.ff_rank(rows, mat.ncols)
 
 
+#: the largest dense array, in bytes, the float rank route will allocate
+FLOAT_RANK_MAX_BYTES = 1 << 30
+
+
+class DenseSizeError(ValueError):
+    """The float rank route refused a matrix too large to make dense."""
+
+
 def float_rank(mat: SparseMatrix, rel_cutoff: float = 1e-9) -> int:
+    need = mat.nrows * mat.ncols * 8
+    if need > FLOAT_RANK_MAX_BYTES:
+        raise DenseSizeError(
+            f"float rank of a {mat.nrows}x{mat.ncols} matrix needs "
+            f"{need / 2**20:.0f} MiB dense, over the "
+            f"{FLOAT_RANK_MAX_BYTES / 2**20:.0f} MiB limit; "
+            f"use rational arithmetic")
     import numpy as np
     if mat.nnz == 0:
         return 0

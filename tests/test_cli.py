@@ -5,6 +5,7 @@ import json
 import pytest
 
 import cuboid_complex.cli as cli
+from cuboid_complex import verify
 from cuboid_complex.cli import main
 
 
@@ -142,3 +143,16 @@ def test_complex_ignores_former_thread_variable(capsys, monkeypatch):
     code, out, _ = run(capsys, "complex", "--complex", "gradgrad", "--k", "3")
     assert code == 0
     assert json.loads(out)["exact"]
+
+
+@pytest.mark.parametrize("arithmetic", ["float", "both"])
+def test_complex_too_large_for_the_float_route_exits_one(capsys, monkeypatch,
+                                                         arithmetic):
+    # 1 KiB stands in for the real limit, which no quick mesh reaches
+    monkeypatch.setattr(verify, "FLOAT_RANK_MAX_BYTES", 1024)
+    code, out, err = run(capsys, "complex", "--complex", "gradgrad", "--k", "3",
+                         "--arithmetic", arithmetic)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "MiB dense" in err
+    assert "Traceback" not in err

@@ -1,13 +1,14 @@
 """Element families: shape spaces, DOF catalogs, unisolvency, bubbles."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from cuboid_complex.elements import (
     FAMILY_NAMES, FamilyId, apply_dof, bubble_basis_divT, check_unisolvence,
-    dof_entry, family, global_dimension_formula, local_dofs, min_order,
-    shape_space,
+    entity_ref_for, family, global_dimension_formula, group_dof_matrix,
+    group_dofs, local_dofs, min_order, shape_space,
 )
 from cuboid_complex.polytensor import EntityRef, TensorPoly, UNIT_BOX, box
 
@@ -144,24 +145,67 @@ def test_xired_diagonal_count_identity():
     assert len(diag) == 2 * 27
 
 
-def test_dof_entry_matches_apply_dof():
-    cell = box(0, F(1, 2), 0, F(1, 3), 0, F(3, 4))
-    for name in ("sigma", "xi-red"):
-        fam = family(name, 3)
-        spec = shape_space(fam)
-        bubbles = bubble_basis_divT(3) if name == "xi-red" else None
-        dofs = local_dofs(fam, cell)
-        probe = dofs[:: max(1, len(dofs) // 17)]
-        for dof in probe:
-            for comp in ("xx", "xy", "zz"):
-                grid = spec.degrees.get(comp)
-                if grid is None or grid.is_empty:
-                    continue
-                exp = list(grid.exponents())[-1]
-                field = {comp: TensorPoly.monomial(exp, cell)}
-                got = dof_entry(dof, comp, exp, cell, bubbles)
-                want = apply_dof(dof, field, spec, bubbles)
-                assert got == want, (name, dof.entity_label, dof.component, comp)
+# an anisotropic cell away from the origin: every h differs from 1 and
+# from the others, so a lost h^-d, side or fold shows in some entry
+_ANISO = box(F(1, 3), F(5, 6), F(-2, 5), F(3, 5), F(7, 4), F(2))
+
+_FULL_CASES = ([(name, min_order(name)) for name in FAMILY_NAMES]
+               + [(name, min_order(name) + 1) for name in ("u", "sigma", "xi", "q")])
+
+
+@pytest.mark.parametrize("name,k", _FULL_CASES)
+def test_dof_matrix_matches_apply_dof(name, k):
+    """D(h) c equals every DOF applied to the field with coordinates c."""
+    fam = family(name, k)
+    spec = shape_space(fam)
+    bubbles = bubble_basis_divT(k) if name == "xi-red" else None
+    by_group = group_dofs(fam, local_dofs(fam, _ANISO))
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        coords = [F(rng.randint(-5, 5)) for _ in range(spec.local_dimension())]
+        field = {}
+        off = 0
+        for g in spec.groups:
+            for comp in g.independent:
+                n = spec.degrees[comp].dim()
+                field[comp] = TensorPoly(spec.degrees[comp], coords[off:off + n],
+                                         _ANISO)
+                off += n
+        if spec.traceless:
+            field["zz"] = -(field["xx"] + field["yy"])
+        off = 0
+        for g in spec.groups:
+            width = len(spec.group_coords(g))
+            c = coords[off:off + width]
+            off += width
+            mat = group_dof_matrix(fam, g.name, _ANISO)
+            assert len(mat) == len(by_group[g.name])
+            for row, dof in zip(mat, by_group[g.name]):
+                got = sum((v * x for v, x in zip(row, c)), F(0))
+                assert got == apply_dof(dof, field, spec, bubbles), (
+                    name, k, seed, dof.entity_label, dof.component, dof.deriv)
+
+
+def test_local_dofs_is_a_fresh_list_each_call():
+    fam = family("sigma", 3)
+    first = local_dofs(fam)
+    want = list(first)
+    first.reverse()
+    first.pop()
+    assert local_dofs(fam) == want
+
+
+def test_local_dofs_on_a_cell_keeps_the_unit_catalog():
+    def tags(dofs):
+        return [(d.entity_label, d.component, d.deriv, d.weight, d.kind,
+                 d.bubble_index) for d in dofs]
+
+    for name in ("x", "xi-red"):
+        fam = family(name, min_order(name))
+        bound = local_dofs(fam, _ANISO)
+        assert tags(bound) == tags(local_dofs(fam))
+        assert all(d.entity == entity_ref_for(d.entity_label, _ANISO)
+                   for d in bound)
 
 
 def test_global_dimension_formula_spot_values():

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from cuboid_complex.assembly import assemble_space, interpolate, operator_matrix
+from cuboid_complex.assembly import (SparseMatrix, assemble_space, interpolate,
+                                     operator_matrix)
 from cuboid_complex.elements import family
 from cuboid_complex.mesh import uniform_unit_mesh
 from cuboid_complex.polytensor import TensorPoly
 from cuboid_complex.verify import (
-    COMPLEX_NAMES, certified_ranks, continuity_traces, discontinuity_witness,
+    COMPLEX_NAMES, DenseSizeError, certified_ranks, continuity_traces,
+    discontinuity_witness,
     div_preimage_check, div_preimage_elasticity, div_preimage_gradgrad,
     exact_rank, face_jump, float_rank, identity_suite, jump_check,
     kernel_identification, verify_complex, verify_dimensions,
@@ -79,6 +81,14 @@ def test_rank_modes_agree():
     d = operator_matrix("div", xi, q)
     assert exact_rank(d) == float_rank(d) == 96
     assert certified_ranks([d], "both") == ([96], [96])
+
+
+def test_float_rank_refuses_a_matrix_too_large_to_make_dense():
+    huge = SparseMatrix(200_000, 100_000)
+    huge.rows[7][99_999] = Fraction(1)
+    with pytest.raises(DenseSizeError, match=r"200000x100000 .* 152588 MiB"):
+        float_rank(huge)
+    assert issubclass(DenseSizeError, ValueError)
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
