@@ -9,7 +9,20 @@ from local blocks, one per cell shape ``h``:
 
 where ``R_src`` reconstructs monomial coordinates from source DOF values
 (the inverse DOF matrix), ``O`` applies the operator in monomial
-coordinates, and ``D_dst`` evaluates the target DOFs.
+coordinates, and ``D_dst`` evaluates the target DOFs.  Every factor is
+kept as sparse rows (one ``{column: Fraction}`` dict per row).
+
+``O(1)`` comes from one stencil per operator and source family: the
+operator from ``OPERATORS`` is applied once per independent source
+component, to the probe monomial ``t^P`` at the top corner ``P`` of that
+component's degree grid.  A term at ``t^(P - alpha)`` is the derivative
+``d^alpha``, with coefficient ``value / (P!/(P - alpha)!)``.  Every
+derivative that acts on the space leaves a term at the probe, so column
+``t^e`` is ``sum coef * e!/(e - alpha)! * t^(e - alpha)`` over the stencil,
+and each column gets the membership checks of ``check_membership`` (degree
+grid, symmetric pair, zero trace).  The products are sparse integer
+products (``_exactcore.spmul``) on rows cleared by ``clear_denominators``,
+the left factor row by row and the right one with a common denominator.
 
 Under the axis scaling ``x = lo + h t`` every family is affine-equivalent
 to its unit-cell element, so the pipeline runs once per edge and order, on
@@ -39,13 +52,18 @@ source weight times ``h`` of the differentiated axis.  With
     =====================  ==============================================
 
 The weight is constant on each component group, so it commutes with the
-block-diagonal DOF matrices.  Only unit-cell blocks and reconstructors are
-cached, one per edge or family and order; a reconstruction divides the
-local DOF values by ``dof_scale`` and applies ``R(1)``.
+block-diagonal DOF matrices.  Only unit-cell objects are cached: blocks
+per edge, reconstructors per family and stencils per operator and source
+family, each per order.  A reconstruction divides the local DOF values by
+``dof_scale`` and applies ``R(1)``.
 
-Scattering asserts conformity instead of assuming it: a shared target DOF
-must receive the identical value from every adjacent cell, including the
-implicit zero from cells where the source basis function is not supported.
+``K(h)`` is scaled from ``K(1)`` nonzero by nonzero, and the scatter walks
+only nonzeros.  It asserts conformity instead of assuming it: a shared
+target DOF must receive the identical value from every adjacent cell,
+including the implicit zero from cells where the source basis function is
+not supported.  That second pass walks every stored global entry back to
+each cell's local column, so an entry a cell's block leaves out is still
+compared.
 """
 
 from __future__ import annotations
@@ -60,8 +78,8 @@ from .elements import (DofFunctional, FamilyId, _COMP_POS, _bubbles_for,
                        apply_dof, group_dof_matrix, local_dofs,
                        shape_space)
 from .mesh import ENTITY_RANK, CuboidMesh, _EDGE_SIDES, _VERTEX_CORNERS
-from .operators import (OPERATORS, PolyField, coordinate_field, field_coords,
-                        field_to_coords)
+from .operators import (OPERATORS, PolyField, check_membership,
+                        coordinate_field, field_coords)
 from .polytensor import AXIS_NAMES, UNIT_BOX, CellBox, TensorPoly
 
 _F0 = Fraction(0)
@@ -83,20 +101,6 @@ COMPLEX_EDGES = frozenset(
     (fams[i], op, fams[i + 1])
     for fams, ops, _kd, _min_k in COMPLEXES.values()
     for i, op in enumerate(ops))
-
-
-def frac_mul(a: Sequence[Sequence[Fraction]],
-             b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact product of dense rational matrices via the integer kernel.
-
-    Row ``i`` of the product is row ``i`` of ``a`` times ``b``, so ``a`` is
-    cleared row by row and only ``b`` needs one common denominator.
-    """
-    ia, da = _exactcore.clear_denominators(a)
-    ib, db = _exactcore.clear_denominators(b, common=True)
-    prod = _exactcore.imat_mul(ia, ib)
-    return [[Fraction(v, d * db[0]) if v else _F0 for v in row]
-            for row, d in zip(prod, da)]
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +225,21 @@ def _group_layout(fam: FamilyId) -> list[tuple[str, list[int], int]]:
     return out
 
 
-def _dof_matrix(fam: FamilyId, cell: CellBox) -> list[list[Fraction]]:
-    """DOFs (catalog order) by monomial coordinates, from the group blocks."""
-    width = shape_space(fam).local_dimension()
-    D = [[_F0] * width for _ in local_dofs(fam)]
+def _dof_matrix(fam: FamilyId, cell: CellBox) -> list[dict[int, Fraction]]:
+    """DOFs (catalog order) by monomial coordinates, from the group blocks,
+    as sparse rows."""
+    D: list[dict[int, Fraction]] = [{} for _ in local_dofs(fam)]
     for gname, positions, off in _group_layout(fam):
         for p, row in zip(positions, group_dof_matrix(fam, gname, cell)):
-            D[p][off:off + len(row)] = row
+            D[p] = {off + j: v for j, v in enumerate(row) if v}
     return D
 
 
-def _reconstructor(fam: FamilyId, cell: CellBox) -> list[list[Fraction]]:
-    """Monomial coordinates by DOF values: the exact inverse of the DOF
-    matrix, taken group block by group block."""
-    ndofs = len(local_dofs(fam))
-    R = [[_F0] * ndofs for _ in range(shape_space(fam).local_dimension())]
+def _reconstructor(fam: FamilyId, cell: CellBox) -> list[dict[int, Fraction]]:
+    """Monomial coordinates by DOF values, as sparse rows: the exact inverse
+    of the DOF matrix, taken group block by group block."""
+    R: list[dict[int, Fraction]] = [
+        {} for _ in range(shape_space(fam).local_dimension())]
     for gname, positions, off in _group_layout(fam):
         mat = group_dof_matrix(fam, gname, cell)
         if len(mat) != len(mat[0]):
@@ -253,32 +257,115 @@ def _reconstructor(fam: FamilyId, cell: CellBox) -> list[list[Fraction]]:
 
 
 @lru_cache(maxsize=None)
-def _reference_reconstructor(fam: FamilyId) -> list[list[Fraction]]:
+def _reference_reconstructor(fam: FamilyId) -> list[dict[int, Fraction]]:
     """R(1), once per family and order."""
     return _reconstructor(fam, UNIT_BOX)
 
 
-def _operator_coord_matrix(op_name: str, src: FamilyId, dst: FamilyId,
-                           cell: CellBox) -> list[list[Fraction]]:
-    """The operator in monomial coordinates, with target membership checks."""
-    src_spec = shape_space(src)
-    dst_spec = shape_space(dst)
+def _falling(e: tuple[int, int, int], alpha: tuple[int, int, int]) -> int:
+    """``e!/(e - alpha)!`` taken per axis and multiplied: the factor that
+    ``d^alpha`` puts on ``t^e``, zero when ``alpha`` exceeds ``e`` on an axis."""
+    out = 1
+    for ea, aa in zip(e, alpha):
+        for i in range(aa):
+            out *= ea - i
+    return out
+
+
+@lru_cache(maxsize=None)
+def _operator_stencil(op_name: str, src: FamilyId
+                      ) -> dict[str, dict[str, tuple]]:
+    """The operator on the unit cell as a stencil, once per source family
+    and order.
+
+    ``OPERATORS[op_name]`` is applied once per independent source component
+    ``c``, to the coordinate field of the probe monomial ``t^P`` at the top
+    corner ``P`` of the component's degree grid.  Each output term at
+    exponent ``P - alpha`` is one derivative ``d^alpha`` of the probe, and
+    its value divided by ``P!/(P - alpha)!`` is that derivative's constant
+    coefficient.  Every derivative that does not vanish on some ``t^e`` of
+    the grid leaves a term at the probe, so the stencil is complete.
+    Returns ``{c: {output key: ((alpha, coef), ...)}}``; a symmetric output
+    also carries its transposed keys, as :meth:`PolyField.component` reads
+    them.
+    """
+    spec = shape_space(src)
     op = OPERATORS[op_name]
-    cols = []
-    for comp, exp in field_coords(src_spec):
-        f = coordinate_field(src_spec, comp, exp, cell)
-        cols.append(field_to_coords(op(f), dst_spec, strict=True))
-    nrows = len(cols[0]) if cols else 0
-    return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
+    stencil = {}
+    for g in spec.groups:
+        for comp in g.independent:
+            probe = spec.degrees[comp].caps
+            out = op(coordinate_field(spec, comp, probe, UNIT_BOX))
+            terms = {}
+            for key, poly in out.comps.items():
+                alphas = ((tuple(p - x for p, x in zip(probe, e)), v)
+                          for e, v in poly.terms())
+                terms[key] = tuple((a, v / _falling(probe, a))
+                                   for a, v in alphas)
+            if out.symmetric:
+                for key in list(terms):
+                    terms.setdefault(key[::-1], terms[key])
+            stencil[comp] = terms
+    return stencil
+
+
+def _operator_rows(op_name: str, src: FamilyId, dst: FamilyId
+                   ) -> list[dict[int, Fraction]]:
+    """O(1): the operator in monomial coordinates on the unit cell, as
+    sparse rows (target coordinates by source coordinates).
+
+    Column ``t^e`` of component ``c`` is ``sum coef * e!/(e - alpha)! *
+    t^(e - alpha)`` over the stencil of ``c``; every column must pass
+    :func:`check_membership` in the target space.
+    """
+    dst_spec = shape_space(dst)
+    stencil = _operator_stencil(op_name, src)
+    bases = {}
+    off = 0
+    for g in dst_spec.groups:
+        for comp in g.independent:
+            grid = dst_spec.degrees[comp]
+            bases[comp] = (grid, off)
+            off += grid.dim()
+    rows: list[dict[int, Fraction]] = [{} for _ in range(off)]
+    for col, (comp, e) in enumerate(field_coords(shape_space(src))):
+        polys = {}
+        for key, terms in stencil[comp].items():
+            poly = {}
+            for alpha, coef in terms:
+                n = _falling(e, alpha)
+                if n:
+                    poly[(e[0] - alpha[0], e[1] - alpha[1],
+                          e[2] - alpha[2])] = coef * n
+            polys[key] = poly
+        check_membership(polys, dst_spec)
+        for comp_t, (grid, base) in bases.items():
+            for exp, v in polys.get(comp_t, {}).items():
+                rows[base + grid.index(exp)][col] = v
+    return rows
+
+
+def _sparse_product(a: list[dict[int, Fraction]],
+                    b: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """Exact product of sparse rational rows through the integer kernel.
+
+    Row ``i`` of the product is row ``i`` of ``a`` times ``b``, so ``a`` is
+    cleared row by row and only ``b`` needs one common denominator.
+    """
+    ia, da = _exactcore.clear_denominators(a)
+    ib, db = _exactcore.clear_denominators(b, common=True)
+    return [{j: Fraction(v, d * db[0]) for j, v in row.items()}
+            for row, d in zip(_exactcore.spmul(ia, ib), da)]
 
 
 @lru_cache(maxsize=None)
 def _reference_block(op_name: str, src: FamilyId, dst: FamilyId
-                     ) -> list[list[Fraction]]:
-    """K(1) = D_dst(1) @ O(1) @ R_src(1), once per edge and order."""
-    O = _operator_coord_matrix(op_name, src, dst, UNIT_BOX)
-    return frac_mul(_dof_matrix(dst, UNIT_BOX),
-                    frac_mul(O, _reference_reconstructor(src)))
+                     ) -> list[dict[int, Fraction]]:
+    """K(1) = D_dst(1) @ (O(1) @ R_src(1)) as sparse rows, once per edge and
+    order."""
+    OR = _sparse_product(_operator_rows(op_name, src, dst),
+                         _reference_reconstructor(src))
+    return _sparse_product(_dof_matrix(dst, UNIT_BOX), OR)
 
 
 def _dof_factors(fam: FamilyId, h: tuple) -> list[Fraction]:
@@ -288,10 +375,11 @@ def _dof_factors(fam: FamilyId, h: tuple) -> list[Fraction]:
 
 
 def local_operator_block(op_name: str, src: FamilyId, dst: FamilyId,
-                         h: tuple) -> list[list[Fraction]]:
-    """K(h) for a cell of shape ``h``: target DOFs by source DOFs."""
+                         h: tuple) -> list[dict[int, Fraction]]:
+    """K(h) for a cell of shape ``h`` as sparse rows: target DOFs by source
+    DOFs."""
     inv_src = [1 / a for a in _dof_factors(src, h)]
-    return [[a * v * b if v else v for v, b in zip(row, inv_src)]
+    return [{j: a * v * inv_src[j] for j, v in row.items()}
             for a, row in zip(_dof_factors(dst, h),
                               _reference_block(op_name, src, dst))]
 
@@ -356,7 +444,7 @@ def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseM
     A = SparseMatrix(dst.dimension, src.dimension)
     rows = A.rows
     # one scaled block per distinct cell shape, freed on return
-    by_shape: dict[tuple, list[list[Fraction]]] = {}
+    by_shape: dict[tuple, list[dict[int, Fraction]]] = {}
     blocks = []
     for ci in range(mesh.num_cells):
         box = mesh.cell_box(ci)
@@ -365,35 +453,29 @@ def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseM
             by_shape[h] = local_operator_block(op_name, src.fam, dst.fam, h)
         blocks.append(by_shape[h])
     for ci, K in enumerate(blocks):
-        dmap = dst.cell_maps[ci]
         smap = src.cell_maps[ci]
-        for i, krow in enumerate(K):
-            gi = dmap[i]
+        for gi, krow in zip(dst.cell_maps[ci], K):
             row = rows[gi]
-            for j, v in enumerate(krow):
-                if v:
-                    gj = smap[j]
-                    old = row.get(gj)
-                    if old is None:
-                        row[gj] = v
-                    elif old != v:
-                        raise ConformityError(
-                            f"cells disagree at target DOF {dst.keys[gi]}: "
-                            f"{old} vs {v}")
-    # second pass: a stored value must be reproduced (zeros included) by
-    # every cell that carries both DOFs
-    for ci, K in enumerate(blocks):
-        dmap = dst.cell_maps[ci]
-        smap = src.cell_maps[ci]
-        for i, krow in enumerate(K):
-            row = rows[dmap[i]]
-            if not row:
-                continue
-            for j, v in enumerate(krow):
-                stored = row.get(smap[j])
-                if stored is not None and stored != v:
+            for j, v in krow.items():
+                gj = smap[j]
+                old = row.get(gj)
+                if old is None:
+                    row[gj] = v
+                elif old != v:
                     raise ConformityError(
-                        f"zero/nonzero clash at target DOF {dst.keys[dmap[i]]}")
+                        f"cells disagree at target DOF {dst.keys[gi]}: "
+                        f"{old} vs {v}")
+    # second pass: a stored value must be reproduced by every cell that
+    # carries both DOFs, including the cells whose block holds an implicit
+    # zero there; the stored entries are mapped back to local columns
+    for ci, K in enumerate(blocks):
+        local_col = {gj: j for j, gj in enumerate(src.cell_maps[ci])}
+        for gi, krow in zip(dst.cell_maps[ci], K):
+            for gj, stored in rows[gi].items():
+                j = local_col.get(gj)
+                if j is not None and krow.get(j, _F0) != stored:
+                    raise ConformityError(
+                        f"zero/nonzero clash at target DOF {dst.keys[gi]}")
     # adjacency audit: every cell at the target DOF must see the source DOF
     for gi, row in enumerate(rows):
         ci_set = set(dst.dof_cells[gi])
@@ -417,7 +499,7 @@ def reconstruct_local(space: GlobalSpace, ci: int,
     h = tuple(box.h(a) for a in range(3))
     local = [coeffs[g] / dof_scale(dof, h)
              for g, dof in zip(space.cell_maps[ci], space.ref_dofs)]
-    coords = [sum((v * local[j] for j, v in enumerate(row) if v), _F0)
+    coords = [sum((v * local[j] for j, v in row.items()), _F0)
               for row in _reference_reconstructor(space.fam)]
     comps: dict[str, TensorPoly] = {}
     off = 0

@@ -136,11 +136,12 @@ def _cmd_export(parser, args) -> int:
     pos = ops.index(args.edge)
     spaces = complex_spaces(args.complex, args.k, mesh)
     mat = operator_matrix(args.edge, spaces[pos], spaces[pos + 1])
+    shape = ",".join(str(n) for n in mesh.shape)
     comment = (f"{args.edge}: {fams[pos]} -> {fams[pos + 1]}, "
-               f"k={args.k}, mesh={args.mesh}")
+               f"k={args.k}, mesh={shape}")
     write_matrix_market(args.out, mat, float_mode=args.float, comment=comment)
     _say(f"wrote {mat.nrows}x{mat.ncols} matrix ({mat.nnz} entries) to {args.out}")
-    _emit({"complex": args.complex, "k": args.k, "mesh": args.mesh,
+    _emit({"complex": args.complex, "k": args.k, "mesh": shape,
            "edge": args.edge, "rows": mat.nrows, "cols": mat.ncols,
            "nnz": mat.nnz, "path": args.out,
            "field": "real" if args.float else "rational"})

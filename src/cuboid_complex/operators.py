@@ -206,36 +206,54 @@ class MembershipError(ValueError):
     """A field fell outside the degree grids of the target shape space."""
 
 
-def _check_grid(p: TensorPoly, grid: Degree3, comp: str) -> None:
-    for e, v in p.terms():
-        if v and not grid.contains(e):
-            raise MembershipError(
-                f"component {comp}: term {e} outside degree grid {grid}")
+def check_membership(comps: Mapping[str, Mapping[tuple[int, int, int], Fraction]],
+                     spec: ShapeSpaceSpec) -> None:
+    """The strict membership checks of a field given by its terms.
+
+    ``comps`` maps each component key the field carries to its nonzero
+    terms (exponent to coefficient); a symmetric field also carries its
+    transposed keys.  Symmetric targets require equal off-diagonal pairs
+    where both keys are carried, traceless targets a pointwise-zero trace,
+    and every independent component must stay inside its degree grid.
+    """
+    if spec.kind == "matrix":
+        if spec.symmetric:
+            for a in range(3):
+                for b in range(a + 1, 3):
+                    pab = comps.get(comp_name(a, b))
+                    pba = comps.get(comp_name(b, a))
+                    if pab is not None and pba is not None and pab != pba:
+                        raise MembershipError(
+                            f"asymmetric pair {comp_name(a, b)}/{comp_name(b, a)}")
+        if spec.traceless:
+            trace: dict[tuple[int, int, int], Fraction] = {}
+            for c in ("xx", "yy", "zz"):
+                for e, v in comps.get(c, {}).items():
+                    trace[e] = trace.get(e, 0) + v
+            if any(trace.values()):
+                raise MembershipError("nonzero trace")
+    for g in spec.groups:
+        for comp in g.independent:
+            grid = spec.degrees[comp]
+            for e in comps.get(comp, ()):
+                if not grid.contains(e):
+                    raise MembershipError(
+                        f"component {comp}: term {e} outside degree grid {grid}")
 
 
 def field_to_coords(f: PolyField, spec: ShapeSpaceSpec,
                     strict: bool = True) -> list[Fraction]:
-    """Coordinates of a field in a shape space, verifying membership.
-
-    Symmetric targets require equal off-diagonal pairs, traceless targets a
-    pointwise-zero trace; every component must stay inside its degree grid.
-    """
+    """Coordinates of a field in a shape space, verifying membership
+    (:func:`check_membership`) when ``strict``."""
+    if strict:
+        comps = {key: dict(p.terms()) for key, p in f.comps.items()}
+        if f.symmetric:
+            for key in list(comps):
+                comps.setdefault(key[::-1], comps[key])
+        check_membership(comps, spec)
     out: list[Fraction] = []
-    if strict and spec.kind == "matrix":
-        if spec.symmetric:
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    pab = f.comps.get(comp_name(a, b))
-                    pba = f.comps.get(comp_name(b, a))
-                    if pab is not None and pba is not None and not (pab - pba).is_zero():
-                        raise MembershipError(
-                            f"asymmetric pair {comp_name(a, b)}/{comp_name(b, a)}")
-        if spec.traceless and not trace_field(f).is_zero():
-            raise MembershipError("nonzero trace")
     for g in spec.groups:
         for comp in g.independent:
             p = f.component(comp)
-            if strict:
-                _check_grid(p, spec.degrees[comp], comp)
             out.extend(p.coeff(e) for e in spec.degrees[comp].exponents())
     return out

@@ -20,13 +20,13 @@ from fractions import Fraction
 
 from . import _exactcore
 from .assembly import (COMPLEXES, GlobalSpace, SparseMatrix, assemble_space,
-                       frac_mul, interpolate, operator_matrix,
-                       reconstruct_local, _operator_coord_matrix)
+                       interpolate, operator_matrix, reconstruct_local,
+                       _operator_rows)
 from .elements import (FamilyId, comp_name, global_dimension_formula,
                        shape_space, _others)
 from .mesh import CuboidMesh
 from .operators import PolyField, check_identity_curl_symgrad, div_rows
-from .polytensor import EntityRef, TensorPoly, UNIT_BOX
+from .polytensor import EntityRef, TensorPoly
 
 _F0 = Fraction(0)
 
@@ -53,7 +53,8 @@ class DenseSizeError(ValueError):
     """The float rank route refused a matrix too large to make dense."""
 
 
-def float_rank(mat: SparseMatrix, rel_cutoff: float = 1e-9) -> int:
+def _check_dense_size(mat: SparseMatrix) -> None:
+    """Raise :class:`DenseSizeError` when the float route cannot take ``mat``."""
     need = mat.nrows * mat.ncols * 8
     if need > FLOAT_RANK_MAX_BYTES:
         raise DenseSizeError(
@@ -61,6 +62,10 @@ def float_rank(mat: SparseMatrix, rel_cutoff: float = 1e-9) -> int:
             f"{need / 2**20:.0f} MiB dense, over the "
             f"{FLOAT_RANK_MAX_BYTES / 2**20:.0f} MiB limit; "
             f"use rational arithmetic")
+
+
+def float_rank(mat: SparseMatrix, rel_cutoff: float = 1e-9) -> int:
+    _check_dense_size(mat)
     import numpy as np
     if mat.nnz == 0:
         return 0
@@ -75,9 +80,14 @@ def certified_ranks(mats: list[SparseMatrix],
     """Ranks of the operator matrices under the requested arithmetic.
 
     Returns (ranks, float_ranks); in "both" mode a disagreement raises.
+    A matrix too large for the float route raises :class:`DenseSizeError`
+    before any rank is computed.
     """
     rational = arithmetic in ("rational", "both")
     floating = arithmetic in ("float", "both")
+    if floating:
+        for m in mats:
+            _check_dense_size(m)
     ranks_r = None
     ranks_f = None
     if rational:
@@ -199,14 +209,6 @@ def verify_dimensions(fam: FamilyId, mesh: CuboidMesh) -> dict:
     }
 
 
-def _dense_rank(m: list[list[Fraction]]) -> int:
-    if not m:
-        return 0
-    sparse = SparseMatrix(len(m), len(m[0]),
-                          [{j: v for j, v in enumerate(row) if v} for row in m])
-    return exact_rank(sparse)
-
-
 def verify_local_complex(name: str, k: int) -> dict:
     """Exactness of one ladder on the reference cell, no DOFs involved.
 
@@ -222,12 +224,12 @@ def verify_local_complex(name: str, k: int) -> dict:
         raise ValueError(f"complex {name!r} needs k >= {min_k}")
     ids = [FamilyId(f, k) for f in fams]
     dims = [shape_space(f).local_dimension() for f in ids]
-    mats = [_operator_coord_matrix(op, src, dst, UNIT_BOX)
-            for op, src, dst in zip(ops, ids, ids[1:])]
-    ranks = [_dense_rank(m) for m in mats]
-    comp_zero = all(
-        all(v == 0 for row in frac_mul(m2, m1) for v in row)
-        for m1, m2 in zip(mats, mats[1:]))
+    mats = [SparseMatrix(nrows, ncols, _operator_rows(op, src, dst))
+            for op, src, dst, ncols, nrows
+            in zip(ops, ids, ids[1:], dims, dims[1:])]
+    ranks = [exact_rank(m) for m in mats]
+    comp_zero = all(composition_is_zero(m2, m1)
+                    for m1, m2 in zip(mats, mats[1:]))
     alternating = dims[0] - dims[1] + dims[2] - dims[3]
     exact = (dims[0] - ranks[0] == kernel_dim
              and ranks[0] == dims[1] - ranks[1]

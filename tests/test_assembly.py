@@ -6,19 +6,54 @@ from fractions import Fraction
 import pytest
 
 import cuboid_complex
-from cuboid_complex import _exactcore
+from cuboid_complex import _exactcore, assembly
 from cuboid_complex.assembly import (
-    COMPLEXES, SparseMatrix, _dof_matrix,
-    _operator_coord_matrix, _reconstructor, assemble_space, frac_mul,
-    interpolate, local_operator_block, operator_matrix, read_matrix_market,
-    reconstruct_local, write_matrix_market,
+    COMPLEXES, ConformityError, SparseMatrix, _dof_matrix, _operator_rows,
+    _reconstructor, assemble_space, interpolate, local_operator_block,
+    operator_matrix, read_matrix_market, reconstruct_local,
+    write_matrix_market,
 )
-from cuboid_complex.elements import FAMILY_NAMES, family, min_order
+from cuboid_complex.elements import (FAMILY_NAMES, family, local_dofs,
+                                     min_order, shape_space)
 from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
-from cuboid_complex.polytensor import CellBox, TensorPoly
+from cuboid_complex.operators import (OPERATORS, MembershipError,
+                                      coordinate_field, field_coords,
+                                      field_to_coords)
+from cuboid_complex.polytensor import UNIT_BOX, CellBox, TensorPoly
 from cuboid_complex.verify import exact_rank
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# the polynomial-calculus oracle: the operator applied to one monomial
+# coordinate field at a time, and dense products through the integer kernel
+
+
+def frac_mul(a, b):
+    """Exact product of dense rational matrices via the integer kernel."""
+    ia, da = _exactcore.clear_denominators(a)
+    ib, db = _exactcore.clear_denominators(b, common=True)
+    prod = _exactcore.imat_mul(ia, ib)
+    return [[F(v, d * db[0]) for v in row] for row, d in zip(prod, da)]
+
+
+def operator_coord_matrix(op, src, dst, cell):
+    """The operator in monomial coordinates on ``cell``, column by column."""
+    dst_spec = shape_space(dst)
+    src_spec = shape_space(src)
+    cols = [field_to_coords(OPERATORS[op](coordinate_field(src_spec, c, e, cell)),
+                            dst_spec, strict=True)
+            for c, e in field_coords(src_spec)]
+    return [list(row) for row in zip(*cols)]
+
+
+def dense(rows, ncols):
+    out = [[F(0)] * ncols for _ in rows]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[i][j] = v
+    return out
 
 
 def test_unit_cell_dimensions_match_local():
@@ -201,15 +236,79 @@ _SIDES = sorted({F(p, q) for p in range(1, 10) for q in range(1, 10)} - {1})
 @pytest.mark.parametrize("src,op,dst,k", _SCALING_CASES)
 def test_scaled_block_equals_direct_block(src, op, dst, k):
     """K(h) = diag(a_dst) K(1) diag(1/a_src) matches D_dst(h) O(h) R_src(h),
-    built by the same builders directly on a cell of shape h."""
+    with D and R built directly on a cell of shape h and O by polynomial
+    calculus on that cell, compared as dense matrices."""
     rng = random.Random(f"{src}-{op}-{dst}-{k}")
     h = tuple(rng.sample(_SIDES, 3))
     cell = CellBox((F(0), F(0), F(0)), h)
     s, d = family(src, k), family(dst, k)
-    direct = frac_mul(_dof_matrix(d, cell),
-                      frac_mul(_operator_coord_matrix(op, s, d, cell),
-                               _reconstructor(s, cell)))
-    assert local_operator_block(op, s, d, h) == direct
+    nsrc = len(local_dofs(s))
+    direct = frac_mul(dense(_dof_matrix(d, cell),
+                            shape_space(d).local_dimension()),
+                      frac_mul(operator_coord_matrix(op, s, d, cell),
+                               dense(_reconstructor(s, cell), nsrc)))
+    assert dense(local_operator_block(op, s, d, h), nsrc) == direct
+
+
+@pytest.mark.parametrize("src,op,dst,k", (
+    [(src, op, dst, min_order(src)) for src, op, dst in _ladder_edges()]
+    + [(src, op, dst, min_order(src) + 1) for src, op, dst in _ladder_edges()]))
+def test_operator_rows_equal_polynomial_calculus(src, op, dst, k):
+    """O(1) from the stencil equals the operator applied by polynomial
+    calculus to every monomial coordinate field, entry for entry."""
+    s, d = family(src, k), family(dst, k)
+    ncols = shape_space(s).local_dimension()
+    assert (dense(_operator_rows(op, s, d), ncols)
+            == operator_coord_matrix(op, s, d, UNIT_BOX))
+
+
+@pytest.mark.parametrize("op,src,dst,message", [
+    ("curl", family("sigma", 4), family("xi", 3), "outside degree grid"),
+    ("curl", family("sigma", 3), family("sigma", 3), "asymmetric pair"),
+    ("gradgrad", family("u", 3), family("xi", 3), "nonzero trace"),
+])
+def test_operator_rows_check_membership(op, src, dst, message):
+    with pytest.raises(MembershipError, match=message):
+        _operator_rows(op, src, dst)
+
+
+def _tamper_one_shared_entry(monkeypatch, change):
+    """Assemble gradgrad u -> sigma on a 2x1x1 mesh of two cell shapes after
+    ``change`` has rewritten one nonzero entry of the first cell's block, an
+    entry whose row and column DOFs the second cell shares."""
+    mesh = build_box_mesh([0, F(1, 3), 1], [0, 1], [0, 1])
+    src = assemble_space(family("u", 3), mesh)
+    dst = assemble_space(family("sigma", 3), mesh)
+    h0 = tuple(mesh.cell_box(0).h(a) for a in range(3))
+    assert h0 != tuple(mesh.cell_box(1).h(a) for a in range(3))
+    real = assembly.local_operator_block
+    block = real("gradgrad", src.fam, dst.fam, h0)
+    i, j = next((i, j) for i, row in enumerate(block) for j in row
+                if 1 in dst.dof_cells[dst.cell_maps[0][i]]
+                and 1 in src.dof_cells[src.cell_maps[0][j]])
+
+    def tampered(op_name, s, d, h):
+        rows = real(op_name, s, d, h)
+        if h == h0:
+            change(rows[i], j)
+        return rows
+
+    monkeypatch.setattr(assembly, "local_operator_block", tampered)
+    operator_matrix("gradgrad", src, dst)
+
+
+def test_conformity_audit_sees_cells_disagree(monkeypatch):
+    def bump(row, j):
+        row[j] += 1
+    with pytest.raises(ConformityError, match="cells disagree"):
+        _tamper_one_shared_entry(monkeypatch, bump)
+
+
+def test_conformity_audit_sees_an_implicit_zero(monkeypatch):
+    def drop(row, j):
+        del row[j]
+    with pytest.raises(ConformityError, match="zero/nonzero clash"):
+        _tamper_one_shared_entry(monkeypatch, drop)
 
 
 def _reference_cache_sizes():

@@ -83,6 +83,18 @@ def test_export_round_trip(capsys, tmp_path):
     assert (mat.nrows, mat.ncols, mat.nnz) == (36, 102, payload["nnz"])
 
 
+def test_export_reports_the_mesh_the_breakpoints_build(capsys, tmp_path):
+    dest = tmp_path / "div.mtx"
+    code, out, _ = run(capsys, "export", "--complex", "elasticity", "--k", "2",
+                       "--edge", "div", "--breakpoints-x", "0,1/3,1",
+                       "--breakpoints-y", "0,1/2,1", "--out", str(dest))
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["rows"], payload["cols"]) == (128, 330)
+    assert payload["mesh"] == "2,2,1"
+    assert "mesh=2,2,1" in dest.read_text().splitlines()[1]
+
+
 def test_identities_payload(capsys):
     code, out, _ = run(capsys, "identities", "--count", "4", "--seed", "7")
     assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuboid_complex import verify
 from cuboid_complex.assembly import (SparseMatrix, assemble_space, interpolate,
                                      operator_matrix)
 from cuboid_complex.elements import family
@@ -89,6 +90,17 @@ def test_float_rank_refuses_a_matrix_too_large_to_make_dense():
     with pytest.raises(DenseSizeError, match=r"200000x100000 .* 152588 MiB"):
         float_rank(huge)
     assert issubclass(DenseSizeError, ValueError)
+
+
+def test_certified_ranks_checks_sizes_before_any_exact_rank(monkeypatch):
+    def never(mat):
+        raise AssertionError("an exact rank ran before the size check")
+
+    monkeypatch.setattr(verify, "exact_rank", never)
+    small = SparseMatrix(2, 2, [{0: F(1)}, {}])
+    huge = SparseMatrix(200_000, 100_000)
+    with pytest.raises(DenseSizeError):
+        certified_ranks([small, huge], "both")
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
