@@ -9,8 +9,7 @@ from local blocks, one per cell shape ``h``:
 
 where ``R_src`` reconstructs monomial coordinates from source DOF values
 (the inverse DOF matrix), ``O`` applies the operator in monomial
-coordinates, and ``D_dst`` evaluates the target DOFs.  Every factor is
-kept as sparse rows (one ``{column: Fraction}`` dict per row).
+coordinates, and ``D_dst`` evaluates the target DOFs.
 
 ``O(1)`` comes from one stencil per operator and source family: the
 operator from ``OPERATORS`` is applied once per independent source
@@ -18,11 +17,39 @@ component, to the probe monomial ``t^P`` at the top corner ``P`` of that
 component's degree grid.  A term at ``t^(P - alpha)`` is the derivative
 ``d^alpha``, with coefficient ``value / (P!/(P - alpha)!)``.  Every
 derivative that acts on the space leaves a term at the probe, so column
-``t^e`` is ``sum coef * e!/(e - alpha)! * t^(e - alpha)`` over the stencil,
-and each column gets the membership checks of ``check_membership`` (degree
-grid, symmetric pair, zero trace).  The products are sparse integer
-products (``_exactcore.spmul``) on rows cleared by ``clear_denominators``,
-the left factor row by row and the right one with a common denominator.
+``t^e`` is ``sum coef * e!/(e - alpha)! * t^(e - alpha)`` over the stencil.
+The probe column passes the membership checks of ``check_membership``
+(degree grid, symmetric pair, zero trace).  Every other column has the
+probe's derivatives at exponents ``e - alpha <= P - alpha``, each scaled
+by the same factor in every output component, so it passes too.
+
+The reference pipeline is sum-factorised.  Every DOF that is not coupled
+is a product of three 1-D functionals (a value or first derivative at an
+end point, or a moment against ``t^w``).  A component group is a *product
+group* when, for each independent component, its DOFs are exactly
+``F_x x F_y x F_z`` with ``|F_a| = cap_a + 1`` distinct 1-D functionals on
+axis ``a``.  That component's DOF block is then ``P (T_x (x) T_y (x) T_z)``
+for a row permutation ``P`` and square 1-D tables ``T_a``, and its inverse
+is ``(T_x^-1 (x) T_y^-1 (x) T_z^-1) P^T`` (Van Loan, JCAM 123, 2000).  The
+factor table (``_factor_table``, once per family and order) stores ``P``,
+each ``T_a`` and its exact inverse.  At k = min..min+2, 168 of the 180
+groups are product groups.  The 12 others are, at each order, the three
+off-diagonal groups of ``sigma-red`` and the diagonal group of ``xi-red``
+(the coupled bubble DOFs); they keep their dense block from
+``group_dof_matrix`` and its inverse from ``fj_inverse``.
+
+A derivative is a product of 1-D derivative matrices, so for a target
+component ``t`` and a source component ``s`` (Orszag, JCP 37, 1980):
+
+    K(1)[t, s] = sum coef * (x)_a (T_t,a @ Der_a^alpha_a @ T_s,a^-1)
+
+over the stencil terms of ``s`` that land on ``t``.  Only the nonzeros of
+the ``(k+1) x (k+1)`` factors are expanded, in integers over one common
+denominator, and each entry of ``K(1)`` becomes one ``Fraction``.  No
+dense ``R(1)`` of a product group is formed.  An exception group takes
+the identity in place of its 1-D factors, and its dense block or inverse
+is applied to the result.  ``reconstruct_local`` applies
+``(T_x^-1 (x) T_y^-1 (x) T_z^-1) P^T`` as three 1-D passes.
 
 Under the axis scaling ``x = lo + h t`` every family is affine-equivalent
 to its unit-cell element, so the pipeline runs once per edge and order, on
@@ -53,17 +80,17 @@ source weight times ``h`` of the differentiated axis.  With
 
 The weight is constant on each component group, so it commutes with the
 block-diagonal DOF matrices.  Only unit-cell objects are cached: blocks
-per edge, reconstructors per family and stencils per operator and source
+per edge, factor tables per family and stencils per operator and source
 family, each per order.  A reconstruction divides the local DOF values by
 ``dof_scale`` and applies ``R(1)``.
 
-``K(h)`` is scaled from ``K(1)`` nonzero by nonzero, and the scatter walks
-only nonzeros.  It asserts conformity instead of assuming it: a shared
-target DOF must receive the identical value from every adjacent cell,
-including the implicit zero from cells where the source basis function is
-not supported.  That second pass walks every stored global entry back to
-each cell's local column, so an entry a cell's block leaves out is still
-compared.
+``K(h)`` is scaled from ``K(1)`` nonzero by nonzero, one ``Fraction`` per
+entry, and the scatter walks only nonzeros.  It asserts conformity
+instead of assuming it: a shared target DOF must receive the identical
+value from every adjacent cell, including the implicit zero from cells
+where the source basis function is not supported.  That second pass walks
+every stored global entry back to each cell's local column, so an entry a
+cell's block leaves out is still compared.
 """
 
 from __future__ import annotations
@@ -71,12 +98,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from itertools import product
+from math import lcm, perm, prod
+from operator import mul
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import _exactcore
-from .elements import (DofFunctional, FamilyId, _COMP_POS, _bubbles_for,
-                       apply_dof, group_dof_matrix, local_dofs,
-                       shape_space)
+from .elements import (DofFunctional, FamilyId, _COMP_POS, _axis_table,
+                       _bubbles_for, apply_dof, axis_functionals,
+                       group_dof_matrix, local_dofs, shape_space)
 from .mesh import ENTITY_RANK, CuboidMesh, _EDGE_SIDES, _VERTEX_CORNERS
 from .operators import (OPERATORS, PolyField, check_membership,
                         coordinate_field, field_coords)
@@ -142,9 +172,6 @@ class GlobalSpace:
     @property
     def dimension(self) -> int:
         return len(self.keys)
-
-    def entity_of(self, i: int) -> tuple[str, int]:
-        return self.keys[i][0]
 
 
 def assemble_space(fam: FamilyId, mesh: CuboidMesh) -> GlobalSpace:
@@ -225,51 +252,114 @@ def _group_layout(fam: FamilyId) -> list[tuple[str, list[int], int]]:
     return out
 
 
-def _dof_matrix(fam: FamilyId, cell: CellBox) -> list[dict[int, Fraction]]:
-    """DOFs (catalog order) by monomial coordinates, from the group blocks,
-    as sparse rows."""
-    D: list[dict[int, Fraction]] = [{} for _ in local_dofs(fam)]
-    for gname, positions, off in _group_layout(fam):
-        for p, row in zip(positions, group_dof_matrix(fam, gname, cell)):
-            D[p] = {off + j: v for j, v in enumerate(row) if v}
-    return D
+class _Unit(NamedTuple):
+    """One block of a family's factor table.
+
+    A product unit is one independent component of a product group: its
+    DOFs are exactly ``F_x x F_y x F_z`` for sets ``F_a`` of ``cap_a + 1``
+    distinct 1-D functionals, so its DOF block is ``P (T_x (x) T_y (x) T_z)``.
+    ``dofs`` holds the catalog position of each Kronecker row (that is
+    ``P``), ``tables`` and ``inverses`` each ``T_a`` and ``T_a^-1`` as
+    integer rows over a denominator.  An exception unit is a whole group
+    that is not a product; it keeps its DOF block (``dof_rows``, over the
+    unit's coordinates) and the block's exact inverse (``recon_rows``, unit
+    coordinates by catalog positions), and ``dofs`` lists its catalog
+    positions in group order.  ``comps`` gives each component with the
+    offset of its coordinates in the unit and its degree caps; ``offset``
+    places the unit's coordinates in the family's.
+    """
+
+    comps: tuple[tuple[str, int, tuple[int, int, int]], ...]
+    offset: int
+    dofs: tuple[int, ...]
+    tables: tuple | None = None
+    inverses: tuple | None = None
+    dof_rows: list | None = None
+    recon_rows: list | None = None
 
 
-def _reconstructor(fam: FamilyId, cell: CellBox) -> list[dict[int, Fraction]]:
-    """Monomial coordinates by DOF values, as sparse rows: the exact inverse
-    of the DOF matrix, taken group block by group block."""
-    R: list[dict[int, Fraction]] = [
-        {} for _ in range(shape_space(fam).local_dimension())]
-    for gname, positions, off in _group_layout(fam):
-        mat = group_dof_matrix(fam, gname, cell)
-        if len(mat) != len(mat[0]):
-            raise AssertionError(
-                f"{fam.name} k={fam.k} group {gname}: DOF matrix "
-                f"{len(mat)}x{len(mat[0])} is not square")
-        # mat = diag(1 / dens) @ imat, so mat^-1 = imat^-1 @ diag(dens)
-        imat, dens = _exactcore.clear_denominators(mat)
-        inv, inv_den = _exactcore.fj_inverse(imat)
-        for a, row in enumerate(inv):
-            for p, v, d in zip(positions, row, dens):
-                if v:
-                    R[off + a][p] = Fraction(v * d, inv_den)
-    return R
+def _int_rows(mat: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """A dense rational matrix as integer rows over one denominator."""
+    rows, dens = _exactcore.clear_denominators(mat, common=True)
+    return rows, dens[0]
+
+
+def _int_inverse(mat: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """The exact inverse of a square rational matrix as integer rows over a
+    denominator."""
+    # mat = diag(1 / dens) @ imat, so mat^-1 = imat^-1 @ diag(dens)
+    imat, dens = _exactcore.clear_denominators(mat)
+    inv, den = _exactcore.fj_inverse(imat)
+    return [[v * d for v, d in zip(row, dens)] for row in inv], den
+
+
+def _product_units(spec, group, catalog, positions: list[int],
+                   off: int) -> list[_Unit] | None:
+    """The group's independent components as product units, or None when
+    the group is not a product group."""
+    if any(catalog[p].kind == "coupled"
+           or catalog[p].component not in group.independent for p in positions):
+        return None
+    units = []
+    for comp in group.independent:
+        caps = spec.degrees[comp].caps
+        mine = [p for p in positions if catalog[p].component == comp]
+        funcs = {axis_functionals(catalog[p]): p for p in mine}
+        axes = [list(dict.fromkeys(f[a] for f in funcs)) for a in range(3)]
+        # distinct triples, as many as F_x x F_y x F_z has: they are all of it
+        if (len(funcs) != len(mine) or len(mine) != prod(c + 1 for c in caps)
+                or any(len(axes[a]) != caps[a] + 1 for a in range(3))):
+            return None
+        tables = [[_axis_table(caps[a], *f, Fraction(1)) for f in axes[a]]
+                  for a in range(3)]
+        units.append(_Unit(
+            ((comp, 0, caps),), off, tuple(funcs[f] for f in product(*axes)),
+            tables=tuple(_int_rows(t) for t in tables),
+            inverses=tuple(_int_inverse(t) for t in tables)))
+        off += len(mine)
+    return units
+
+
+def _exception_unit(fam: FamilyId, spec, group, positions: list[int],
+                    off: int) -> _Unit:
+    """A group that is not a product: its DOF block and exact inverse."""
+    mat = group_dof_matrix(fam, group.name)
+    if len(mat) != len(mat[0]):
+        raise AssertionError(
+            f"{fam.name} k={fam.k} group {group.name}: DOF matrix "
+            f"{len(mat)}x{len(mat[0])} is not square")
+    inv, den = _int_inverse(mat)
+    comps = []
+    local = 0
+    for comp in group.independent:
+        grid = spec.degrees[comp]
+        comps.append((comp, local, grid.caps))
+        local += grid.dim()
+    return _Unit(
+        tuple(comps), off, tuple(positions),
+        dof_rows=[{j: v for j, v in enumerate(row) if v} for row in mat],
+        recon_rows=[{p: Fraction(v, den) for p, v in zip(positions, row) if v}
+                    for row in inv])
 
 
 @lru_cache(maxsize=None)
-def _reference_reconstructor(fam: FamilyId) -> list[dict[int, Fraction]]:
-    """R(1), once per family and order."""
-    return _reconstructor(fam, UNIT_BOX)
+def _factor_table(fam: FamilyId) -> tuple[_Unit, ...]:
+    """The unit-cell DOF blocks in factored form, once per family and order:
+    a product unit per independent component of each product group and an
+    exception unit per other group, in coordinate order."""
+    spec = shape_space(fam)
+    catalog = local_dofs(fam)
+    units: list[_Unit] = []
+    for group, (_name, positions, off) in zip(spec.groups, _group_layout(fam)):
+        units.extend(_product_units(spec, group, catalog, positions, off)
+                     or [_exception_unit(fam, spec, group, positions, off)])
+    return tuple(units)
 
 
 def _falling(e: tuple[int, int, int], alpha: tuple[int, int, int]) -> int:
     """``e!/(e - alpha)!`` taken per axis and multiplied: the factor that
     ``d^alpha`` puts on ``t^e``, zero when ``alpha`` exceeds ``e`` on an axis."""
-    out = 1
-    for ea, aa in zip(e, alpha):
-        for i in range(aa):
-            out *= ea - i
-    return out
+    return perm(e[0], alpha[0]) * perm(e[1], alpha[1]) * perm(e[2], alpha[2])
 
 
 @lru_cache(maxsize=None)
@@ -309,6 +399,21 @@ def _operator_stencil(op_name: str, src: FamilyId
     return stencil
 
 
+def _stencil_column(terms: dict[str, tuple], e: tuple[int, int, int]
+                    ) -> dict[str, dict[tuple[int, int, int], Fraction]]:
+    """Column ``t^e`` of O(1) for one source component's stencil ``terms``,
+    as ``{output key: {exponent: value}}``."""
+    polys = {}
+    for key, kterms in terms.items():
+        poly = {}
+        for alpha, coef in kterms:
+            n = _falling(e, alpha)
+            if n:
+                poly[(e[0] - alpha[0], e[1] - alpha[1], e[2] - alpha[2])] = coef * n
+        polys[key] = poly
+    return polys
+
+
 def _operator_rows(op_name: str, src: FamilyId, dst: FamilyId
                    ) -> list[dict[int, Fraction]]:
     """O(1): the operator in monomial coordinates on the unit cell, as
@@ -329,15 +434,7 @@ def _operator_rows(op_name: str, src: FamilyId, dst: FamilyId
             off += grid.dim()
     rows: list[dict[int, Fraction]] = [{} for _ in range(off)]
     for col, (comp, e) in enumerate(field_coords(shape_space(src))):
-        polys = {}
-        for key, terms in stencil[comp].items():
-            poly = {}
-            for alpha, coef in terms:
-                n = _falling(e, alpha)
-                if n:
-                    poly[(e[0] - alpha[0], e[1] - alpha[1],
-                          e[2] - alpha[2])] = coef * n
-            polys[key] = poly
+        polys = _stencil_column(stencil[comp], e)
         check_membership(polys, dst_spec)
         for comp_t, (grid, base) in bases.items():
             for exp, v in polys.get(comp_t, {}).items():
@@ -358,14 +455,134 @@ def _sparse_product(a: list[dict[int, Fraction]],
             for row, d in zip(_exactcore.spmul(ia, ib), da)]
 
 
+def _axis_factor(left, alpha: int, right, cap_t: int, cap_s: int
+                 ) -> tuple[list[list[int]], int]:
+    """One axis of a stencil term, ``left @ Der^alpha @ right``, as integer
+    rows over a denominator; an absent ``left`` or ``right`` is the
+    identity.  ``Der^alpha`` maps ``t^e`` (``e <= cap_s``) to
+    ``e!/(e - alpha)! t^(e - alpha)`` (``e - alpha <= cap_t``)."""
+    if left is None:
+        rows = [[0] * (cap_s + 1) for _ in range(cap_t + 1)]
+        for e in range(alpha, cap_s + 1):
+            rows[e - alpha][e] = perm(e, alpha)
+        den = 1
+    else:
+        lrows, den = left
+        rows = [[0] * alpha + [r[e - alpha] * perm(e, alpha)
+                               for e in range(alpha, cap_s + 1)]
+                for r in lrows]
+    if right is not None:
+        rrows, rden = right
+        cols = list(zip(*rrows))
+        rows = [[sum(map(mul, r, c)) for c in cols] for r in rows]
+        den *= rden
+    return rows, den
+
+
+def _kron_sum(terms: tuple, left, right, t_caps: tuple, s_caps: tuple,
+              memo: dict) -> tuple[list[dict[int, int]], int]:
+    """``sum coef * (x)_a (left_a @ Der_a^alpha_a @ right_a)`` over the
+    stencil ``terms`` of one (target, source) component pair, as integer
+    rows over one common denominator.
+
+    Only the nonzeros of the 1-D factors are expanded.  ``left`` and
+    ``right`` are per-axis factors or None for the identity; ``memo`` keeps
+    the 1-D factors of one edge.
+    """
+    scaled = []
+    for alpha, coef in terms:
+        mats = []
+        den = coef.denominator
+        for a in range(3):
+            la = left[a] if left else None
+            ra = right[a] if right else None
+            key = (id(la), alpha[a], id(ra), t_caps[a], s_caps[a])
+            if key not in memo:
+                memo[key] = _axis_factor(la, alpha[a], ra, t_caps[a], s_caps[a])
+            m, d = memo[key]
+            mats.append(m)
+            den *= d
+        scaled.append((coef.numerator, den, mats))
+    common = lcm(*(den for _n, den, _m in scaled))
+    mx, my, mz = scaled[0][2]
+    acc: list[dict[int, int]] = [{} for _ in range(len(mx) * len(my) * len(mz))]
+    for num, den, (mx, my, mz) in scaled:
+        scale = num * (common // den)
+        ny, nz = len(my[0]), len(mz[0])
+        ry = [[(j, v) for j, v in enumerate(r) if v] for r in my]
+        rz = [[(j, v) for j, v in enumerate(r) if v] for r in mz]
+        i = 0
+        for r0 in mx:
+            x = [(j0 * ny, scale * v0) for j0, v0 in enumerate(r0) if v0]
+            if not x:
+                i += len(ry) * len(rz)
+                continue
+            for r1 in ry:
+                xy = [((c0 + j1) * nz, w0 * v1) for c0, w0 in x for j1, v1 in r1]
+                for r2 in rz:
+                    row = acc[i]
+                    i += 1
+                    for c01, w01 in xy:
+                        for j2, v2 in r2:
+                            c = c01 + j2
+                            row[c] = row.get(c, 0) + w01 * v2
+    return acc, common
+
+
 @lru_cache(maxsize=None)
 def _reference_block(op_name: str, src: FamilyId, dst: FamilyId
                      ) -> list[dict[int, Fraction]]:
-    """K(1) = D_dst(1) @ (O(1) @ R_src(1)) as sparse rows, once per edge and
-    order."""
-    OR = _sparse_product(_operator_rows(op_name, src, dst),
-                         _reference_reconstructor(src))
-    return _sparse_product(_dof_matrix(dst, UNIT_BOX), OR)
+    """K(1) = D_dst(1) @ O(1) @ R_src(1) as sparse rows, once per edge and
+    order.
+
+    For each target component ``t`` in unit ``U`` and source component
+    ``s`` in unit ``V`` the block is ``sum coef * (x)_a (T_t,a @
+    Der_a^alpha_a @ T_s,a^-1)`` over the stencil, with the identity in
+    place of an exception unit's factors; an exception unit's dense DOF
+    block or inverse is then applied to its (target, source) blocks.
+    """
+    stencil = _operator_stencil(op_name, src)
+    src_spec = shape_space(src)
+    dst_spec = shape_space(dst)
+    for comp, terms in stencil.items():
+        # the probe column stands for every column (module docstring)
+        check_membership(_stencil_column(terms, src_spec.degrees[comp].caps),
+                         dst_spec)
+    where = {c: (u, local, caps)
+             for u in _factor_table(dst) for c, local, caps in u.comps}
+    K: list[dict[int, Fraction]] = [{} for _ in local_dofs(dst)]
+    memo: dict = {}
+    for v in _factor_table(src):
+        pending: dict[int, tuple[_Unit, list[dict[int, Fraction]]]] = {}
+        for s, s_local, s_caps in v.comps:
+            cmap = (v.dofs if v.inverses is not None
+                    else range(s_local, s_local + prod(c + 1 for c in s_caps)))
+            for t, terms in stencil[s].items():
+                if not terms or t not in where:
+                    continue
+                u, t_local, t_caps = where[t]
+                acc, den = _kron_sum(terms, u.tables, v.inverses, t_caps,
+                                     s_caps, memo)
+                if u.tables is not None and v.inverses is not None:
+                    rows, rmap = K, u.dofs
+                else:
+                    rows = pending.setdefault(
+                        id(u), (u, [{} for _ in u.dofs]))[1]
+                    rmap = (range(len(acc)) if u.tables is not None
+                            else range(t_local, t_local + len(acc)))
+                for i, row in zip(rmap, acc):
+                    out = rows[i]
+                    for j, val in row.items():
+                        if val:
+                            out[cmap[j]] = Fraction(val, den)
+        for u, rows in pending.values():
+            if v.inverses is None:
+                rows = _sparse_product(rows, v.recon_rows)
+            if u.tables is None:
+                rows = _sparse_product(u.dof_rows, rows)
+            for p, row in zip(u.dofs, rows):
+                K[p].update(row)
+    return K
 
 
 def _dof_factors(fam: FamilyId, h: tuple) -> list[Fraction]:
@@ -378,10 +595,16 @@ def local_operator_block(op_name: str, src: FamilyId, dst: FamilyId,
                          h: tuple) -> list[dict[int, Fraction]]:
     """K(h) for a cell of shape ``h`` as sparse rows: target DOFs by source
     DOFs."""
-    inv_src = [1 / a for a in _dof_factors(src, h)]
-    return [{j: a * v * inv_src[j] for j, v in row.items()}
-            for a, row in zip(_dof_factors(dst, h),
-                              _reference_block(op_name, src, dst))]
+    inv_src = [(b.denominator, b.numerator) for b in _dof_factors(src, h)]
+    out = []
+    for a, row in zip(_dof_factors(dst, h), _reference_block(op_name, src, dst)):
+        na, da = a.numerator, a.denominator
+        scaled = {}
+        for j, v in row.items():
+            db, nb = inv_src[j]
+            scaled[j] = Fraction(na * v.numerator * db, da * v.denominator * nb)
+        out.append(scaled)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +714,22 @@ def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseM
 # reconstruction and interpolation
 
 
+def _axis_pass(vec: list[int], mat: list[list[int]], shape: tuple[int, int, int],
+               axis: int) -> list[int]:
+    """``mat`` applied along one axis of the array ``vec`` of ``shape``,
+    flattened with the last axis fastest."""
+    n = shape[axis]
+    stride = (shape[1] * shape[2], shape[2], 1)[axis]
+    out = [0] * len(vec)
+    for start in range(len(vec)):
+        if (start // stride) % n:
+            continue
+        line = vec[start:start + n * stride:stride]
+        for r, mrow in enumerate(mat):
+            out[start + r * stride] = sum(map(mul, mrow, line))
+    return out
+
+
 def reconstruct_local(space: GlobalSpace, ci: int,
                       coeffs: Sequence[Fraction]) -> PolyField:
     """Restrict a global coefficient vector to one cell as a PolyField."""
@@ -499,8 +738,21 @@ def reconstruct_local(space: GlobalSpace, ci: int,
     h = tuple(box.h(a) for a in range(3))
     local = [coeffs[g] / dof_scale(dof, h)
              for g, dof in zip(space.cell_maps[ci], space.ref_dofs)]
-    coords = [sum((v * local[j] for j, v in row.items()), _F0)
-              for row in _reference_reconstructor(space.fam)]
+    coords = [_F0] * spec.local_dimension()
+    for u in _factor_table(space.fam):
+        if u.inverses is None:
+            for a, row in enumerate(u.recon_rows):
+                coords[u.offset + a] = sum((v * local[p] for p, v in row.items()),
+                                           _F0)
+            continue
+        # (T_x^-1 (x) T_y^-1 (x) T_z^-1) P^T by three axis passes, in integers
+        (vec,), (den,) = _exactcore.clear_denominators([[local[p] for p in u.dofs]])
+        shape = tuple(len(m) for m, _d in u.inverses)
+        for axis, (m, d) in enumerate(u.inverses):
+            vec = _axis_pass(vec, m, shape, axis)
+            den *= d
+        for i, v in enumerate(vec):
+            coords[u.offset + i] = Fraction(v, den)
     comps: dict[str, TensorPoly] = {}
     off = 0
     for g in spec.groups:

@@ -162,12 +162,6 @@ class ShapeSpaceSpec:
             out.extend((c, e) for e in self.degrees[c].exponents())
         return out
 
-    def group_full_coords(self, group: ComponentGroup) -> list[tuple[str, tuple[int, int, int]]]:
-        out = []
-        for c in group.components:
-            out.extend((c, e) for e in self.degrees[c].exponents())
-        return out
-
     def local_dimension(self) -> int:
         return sum(len(self.group_coords(g)) for g in self.groups)
 
@@ -772,6 +766,16 @@ def _bubbles_for(fam: FamilyId) -> BubbleBasis | None:
     return bubble_basis_divT(k) if name == "xi-red" else None
 
 
+def axis_functionals(dof: DofFunctional) -> tuple[tuple[int, int, int | None], ...]:
+    """The three 1-D functionals ``(deriv, weight, side)`` a catalog DOF is
+    the product of: ``side`` is None on an axis its entity spans and the
+    frozen end (0 or 1) otherwise."""
+    ext = dof.entity.extent
+    return tuple((dof.deriv[a], dof.weight[a],
+                  None if ext.lo[a] < ext.hi[a] else (1 if ext.lo[a] else 0))
+                 for a in range(3))
+
+
 def _axis_table(cap: int, d: int, w: int, side: int | None,
                 h: Fraction) -> list[Fraction]:
     """One 1-D functional on ``t^e``, e = 0..cap: on a free axis
@@ -810,7 +814,10 @@ def group_dof_matrix(fam: FamilyId, gname: str, cell: CellBox = UNIT_BOX
     """DOF-by-coordinate matrix of one component group (square iff unisolvent).
 
     This is the one DOF-matrix builder; the full matrix is block diagonal
-    across the groups, so every other use is assembled from these blocks.
+    across the groups.  The reference pipeline of :mod:`.assembly` keeps a
+    product group as its 1-D tables (the same ``_axis_table`` rows) and
+    calls this builder for the other groups; the tests use it as the
+    oracle for the factored form.
     Every DOF is a product of 1-D functionals along the three axes, so its
     entry on the monomial ``t^e`` of its own component factors as
     ``t0[e0] * t1[e1] * t2[e2]``, one table per axis over the group's
@@ -835,11 +842,9 @@ def group_dof_matrix(fam: FamilyId, gname: str, cell: CellBox = UNIT_BOX
                                      cell.measure()))
             continue
         caps = spec.degrees[dof.component].caps
-        ext = dof.entity.extent
         tabs = []
-        for a in range(3):
-            side = None if ext.lo[a] < ext.hi[a] else (1 if ext.lo[a] else 0)
-            key = (caps[a], dof.deriv[a], dof.weight[a], side, h[a])
+        for a, f in enumerate(axis_functionals(dof)):
+            key = (caps[a], *f, h[a])
             if key not in tables:
                 tables[key] = _axis_table(*key)
             tabs.append(tables[key])

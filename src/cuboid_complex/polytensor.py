@@ -428,9 +428,3 @@ def monomial_weight(exp: tuple[int, int, int], entity: EntityRef) -> TensorPoly:
         if exp[a] and a not in entity.free_axes:
             raise ValueError("weight exponent on a frozen axis")
     return TensorPoly.monomial(exp, entity.extent)
-
-
-def exponent_range(degree: Degree3) -> list[tuple[int, int, int]]:
-    """Exponent triples of a degree grid as a list (empty if the grid is)."""
-    return list(degree.exponents())
-

@@ -53,19 +53,21 @@ class DenseSizeError(ValueError):
     """The float rank route refused a matrix too large to make dense."""
 
 
-def _check_dense_size(mat: SparseMatrix) -> None:
-    """Raise :class:`DenseSizeError` when the float route cannot take ``mat``."""
-    need = mat.nrows * mat.ncols * 8
+def _check_dense_size(shape: tuple[int, int]) -> None:
+    """Raise :class:`DenseSizeError` when the float route cannot take a
+    matrix of ``shape`` (rows, columns)."""
+    nrows, ncols = shape
+    need = nrows * ncols * 8
     if need > FLOAT_RANK_MAX_BYTES:
         raise DenseSizeError(
-            f"float rank of a {mat.nrows}x{mat.ncols} matrix needs "
+            f"float rank of a {nrows}x{ncols} matrix needs "
             f"{need / 2**20:.0f} MiB dense, over the "
             f"{FLOAT_RANK_MAX_BYTES / 2**20:.0f} MiB limit; "
             f"use rational arithmetic")
 
 
 def float_rank(mat: SparseMatrix, rel_cutoff: float = 1e-9) -> int:
-    _check_dense_size(mat)
+    _check_dense_size((mat.nrows, mat.ncols))
     import numpy as np
     if mat.nnz == 0:
         return 0
@@ -87,7 +89,7 @@ def certified_ranks(mats: list[SparseMatrix],
     floating = arithmetic in ("float", "both")
     if floating:
         for m in mats:
-            _check_dense_size(m)
+            _check_dense_size((m.nrows, m.ncols))
     ranks_r = None
     ranks_f = None
     if rational:
@@ -181,10 +183,14 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
             raise AssertionError(
                 f"{s.fam.name} k={k}: assembled dimension {s.dimension} "
                 f"!= formula {formula}")
+    dims = [s.dimension for s in spaces]
+    if arithmetic in ("float", "both"):
+        # refuse before paying for the assembly, not after it
+        for i in range(3):
+            _check_dense_size((dims[i + 1], dims[i]))
     mats = complex_matrices(name, spaces)
     comp_zero = all(composition_is_zero(mats[i + 1], mats[i]) for i in range(2))
     ranks, ranks_f = certified_ranks(mats, arithmetic)
-    dims = [s.dimension for s in spaces]
     report = ExactnessReport(
         complex_name=name, k=k, mesh_shape=mesh.shape, dims=dims,
         ranks=ranks, ranks_float=ranks_f, composition_zero=comp_zero,

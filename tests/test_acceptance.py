@@ -47,6 +47,12 @@ FROZEN_LADDERS = {
     },
 }
 
+#: complex -> (k = minimum + 3, space dims, operator ranks) on one cell
+FROZEN_HIGH_ORDER = {
+    "gradgrad": (6, [343, 1491, 1692, 540], [339, 1152, 540]),
+    "elasticity": (5, [882, 1491, 1065, 450], [876, 615, 450]),
+}
+
 #: traces checked by jump_check per family on the 2x2x2 mesh, 5 fields
 FROZEN_TRACE_COUNTS = {
     "u": 120, "sigma": 300, "xi": 420, "q": 120,
@@ -120,6 +126,21 @@ def test_criterion_4_exactness_with_frozen_ranks():
             assert rep.arithmetic_mode == "both"
     print("PASS criterion 4: 12 ladders exact, ranks frozen, "
           "float ranks agree")
+
+
+def test_high_order_one_cell_ladders():
+    for name, (k, dims, ranks) in FROZEN_HIGH_ORDER.items():
+        assert k == COMPLEXES[name][3] + 3
+        start = time.monotonic()
+        rep = verify_complex(name, k, uniform_unit_mesh(1, 1, 1))
+        elapsed = time.monotonic() - start
+        assert rep.dims == dims, (name, rep.dims)
+        assert rep.ranks == ranks, (name, rep.ranks)
+        assert rep.exact
+        assert rep.arithmetic_mode == "rational"
+        print(f"{name} k={k}: {elapsed:.1f}s")
+    print("PASS high order: gradgrad k=6 and elasticity k=5 exact on one "
+          "cell, ranks frozen")
 
 
 def test_criterion_5_kernel_is_lowest_order_span():

@@ -8,13 +8,14 @@ import pytest
 import cuboid_complex
 from cuboid_complex import _exactcore, assembly
 from cuboid_complex.assembly import (
-    COMPLEXES, ConformityError, SparseMatrix, _dof_matrix, _operator_rows,
-    _reconstructor, assemble_space, interpolate, local_operator_block,
-    operator_matrix, read_matrix_market, reconstruct_local,
-    write_matrix_market,
+    COMPLEXES, ConformityError, SparseMatrix, _group_layout, _operator_rows,
+    _reference_block, _sparse_product, assemble_space, interpolate,
+    local_operator_block, operator_matrix, read_matrix_market,
+    reconstruct_local, write_matrix_market,
 )
-from cuboid_complex.elements import (FAMILY_NAMES, family, local_dofs,
-                                     min_order, shape_space)
+from cuboid_complex.elements import (FAMILY_NAMES, FamilyId, family,
+                                     group_dof_matrix, local_dofs, min_order,
+                                     shape_space)
 from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
 from cuboid_complex.operators import (OPERATORS, MembershipError,
                                       coordinate_field, field_coords,
@@ -46,6 +47,37 @@ def operator_coord_matrix(op, src, dst, cell):
                             dst_spec, strict=True)
             for c, e in field_coords(src_spec)]
     return [list(row) for row in zip(*cols)]
+
+
+def _dof_matrix(fam: FamilyId, cell: CellBox) -> list[dict[int, Fraction]]:
+    """DOFs (catalog order) by monomial coordinates, from the group blocks,
+    as sparse rows."""
+    D: list[dict[int, Fraction]] = [{} for _ in local_dofs(fam)]
+    for gname, positions, off in _group_layout(fam):
+        for p, row in zip(positions, group_dof_matrix(fam, gname, cell)):
+            D[p] = {off + j: v for j, v in enumerate(row) if v}
+    return D
+
+
+def _reconstructor(fam: FamilyId, cell: CellBox) -> list[dict[int, Fraction]]:
+    """Monomial coordinates by DOF values, as sparse rows: the exact inverse
+    of the DOF matrix, taken group block by group block."""
+    R: list[dict[int, Fraction]] = [
+        {} for _ in range(shape_space(fam).local_dimension())]
+    for gname, positions, off in _group_layout(fam):
+        mat = group_dof_matrix(fam, gname, cell)
+        if len(mat) != len(mat[0]):
+            raise AssertionError(
+                f"{fam.name} k={fam.k} group {gname}: DOF matrix "
+                f"{len(mat)}x{len(mat[0])} is not square")
+        # mat = diag(1 / dens) @ imat, so mat^-1 = imat^-1 @ diag(dens)
+        imat, dens = _exactcore.clear_denominators(mat)
+        inv, inv_den = _exactcore.fj_inverse(imat)
+        for a, row in enumerate(inv):
+            for p, v, d in zip(positions, row, dens):
+                if v:
+                    R[off + a][p] = Fraction(v * d, inv_den)
+    return R
 
 
 def dense(rows, ncols):
@@ -260,6 +292,44 @@ def test_operator_rows_equal_polynomial_calculus(src, op, dst, k):
     ncols = shape_space(s).local_dimension()
     assert (dense(_operator_rows(op, s, d), ncols)
             == operator_coord_matrix(op, s, d, UNIT_BOX))
+
+
+@pytest.mark.parametrize("src,op,dst,k", (
+    [(src, op, dst, min_order(src)) for src, op, dst in _ladder_edges()]
+    + [(src, op, dst, min_order(src) + 1) for src, op, dst in _ladder_edges()]))
+def test_factored_block_equals_dense_pipeline(src, op, dst, k):
+    """K(1) from the 1-D factor tables equals D(1) O(1) R(1) with D from
+    group_dof_matrix and R from fj_inverse of every group block, entry for
+    entry; the gradgrad-reduced edges mix product and exception groups."""
+    s, d = family(src, k), family(dst, k)
+    oracle = _sparse_product(
+        _dof_matrix(d, UNIT_BOX),
+        _sparse_product(_operator_rows(op, s, d), _reconstructor(s, UNIT_BOX)))
+    assert _reference_block(op, s, d) == oracle
+
+
+_ANISO_MESH = build_box_mesh([F(1, 2), F(5, 6)], [0, F(7, 4)], [-1, F(-3, 5)])
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_reconstruct_local_equals_dense_inverse(name):
+    """reconstruct_local (three 1-D passes per product component) equals
+    the dense inverse of the DOF matrix built on the cell, applied to the
+    cell's DOF values, on two seeded coefficient vectors."""
+    fam = family(name, min_order(name))
+    space = assemble_space(fam, _ANISO_MESH)
+    spec = shape_space(fam)
+    R = _reconstructor(fam, _ANISO_MESH.cell_box(0))
+    for seed in (1, 2):
+        rng = random.Random(f"{name}-{seed}")
+        coeffs = [F(rng.randint(-20, 20), rng.randint(1, 9))
+                  for _ in range(space.dimension)]
+        values = [coeffs[g] for g in space.cell_maps[0]]
+        want = [sum((v * values[j] for j, v in row.items()), F(0))
+                for row in R]
+        got = field_to_coords(reconstruct_local(space, 0, coeffs), spec,
+                              strict=False)
+        assert got == want
 
 
 @pytest.mark.parametrize("op,src,dst,message", [

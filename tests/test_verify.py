@@ -103,6 +103,19 @@ def test_certified_ranks_checks_sizes_before_any_exact_rank(monkeypatch):
         certified_ranks([small, huge], "both")
 
 
+@pytest.mark.parametrize("arithmetic", ["float", "both"])
+def test_verify_complex_checks_sizes_before_assembly(monkeypatch, arithmetic):
+    def never(op_name, src, dst):
+        raise AssertionError("an operator matrix was assembled before the "
+                             "size check")
+
+    monkeypatch.setattr(verify, "operator_matrix", never)
+    monkeypatch.setattr(verify, "FLOAT_RANK_MAX_BYTES", 1024)
+    with pytest.raises(DenseSizeError, match="204x64"):
+        verify.verify_complex("gradgrad", 3, uniform_unit_mesh(1, 1, 1),
+                              arithmetic=arithmetic)
+
+
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 def test_kernel_identification_two_cells(name):
     k = 3 if name.startswith("gradgrad") else 2
