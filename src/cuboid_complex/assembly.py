@@ -62,27 +62,45 @@ the unit cell, and every cell shape follows from the exact identity
 gives ``D(h) = diag(dof_scale) D(1)``.  The component weight ``w`` is what
 one reference unit of a component is worth on the cell, which gives
 ``O(h) = diag(1 / w_dst) O(1) diag(w_src)``; down each ladder it is the
-source weight times ``h`` of the differentiated axis.  With
-``H = h_x h_y h_z``, for component ``a`` or ``ab``:
+source weight times ``h`` of the differentiated axis.  Both are monomials
+``h_x^m0 h_y^m1 h_z^m2``.  ``dof_scale`` has ``m_a = 1 - deriv_a`` on an
+axis the DOF's entity spans and ``-deriv_a`` on the others.  With
+``H = h_x h_y h_z``, the weight of component ``a`` or ``ab`` is
+``H^p h_a^q h_b^r``:
 
-    =====================  ==============================================
-    family                 weight of the component
-    =====================  ==============================================
-    u                      1
-    x                      h_a
-    sigma, sigma-red, phi  h_a h_b
-    xi, xi-red             h_a H / h_b (so H on the whole diagonal group,
-                           and H for the coupled DOFs)
-    q, q-red               h_a H
-    gamma, gamma-red       H^2 / (h_a h_b)
-    z, z-red               H^2 / h_a
-    =====================  ==============================================
+    =====================  ===========  ===================================
+    family                 (p, q, r)    weight of the component
+    =====================  ===========  ===================================
+    u                      (0, 0, 0)    1
+    x                      (0, 1, 0)    h_a
+    sigma, sigma-red, phi  (0, 1, 1)    h_a h_b
+    xi, xi-red             (1, 1, -1)   h_a H / h_b (so H on the whole
+                                        diagonal group and the coupled DOFs)
+    q, q-red               (1, 1, 0)    h_a H
+    gamma, gamma-red       (2, -1, -1)  H^2 / (h_a h_b)
+    z, z-red               (2, -1, 0)   H^2 / h_a
+    =====================  ===========  ===================================
 
-The weight is constant on each component group, so it commutes with the
-block-diagonal DOF matrices.  Only unit-cell objects are cached: blocks
-per edge, factor tables per family and stencils per operator and source
+The exponent table (``_exponent_table``, once per family and order) holds
+the exponents of ``dof_scale`` and of ``a`` for every catalog DOF; a cell
+shape costs one power product per distinct exponent triple.  The weight is
+constant on each component group, so it commutes with the block-diagonal
+DOF matrices.  Only unit-cell objects are cached: blocks per edge, factor
+and exponent tables per family and stencils per operator and source
 family, each per order.  A reconstruction divides the local DOF values by
-``dof_scale`` and applies ``R(1)``.
+``dof_scale`` and applies ``R(1)``, in integers.
+
+The reverse path, :func:`interpolate`, is sum-factorised too.  On a cell,
+a DOF that is not coupled has the value ``dof_scale * (t_x (x) t_y (x)
+t_z) c``.  Here ``c`` holds the reference coefficients of the field's
+component, cleared to integers, and ``t_a`` is the integer 1-D table at
+``h = 1`` of the DOF's functional on axis ``a``, taken over the
+component's own degree grid.  So the value equals ``apply_dof`` for any
+polynomial, inside the shape space or not.  The contraction runs over z,
+then y, then x, and the DOFs of one cell share the partial sums of their
+trailing functionals.  A coupled DOF of ``xi-red`` is a sum of cell
+moments against the monomials of its bubble triple, each diagonal
+component against its own member.
 
 ``K(h)`` is scaled from ``K(1)`` nonzero by nonzero, one ``Fraction`` per
 entry, and the scatter walks only nonzeros.  It asserts conformity
@@ -104,9 +122,10 @@ from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import _exactcore
-from .elements import (DofFunctional, FamilyId, _COMP_POS, _axis_table,
-                       _bubbles_for, apply_dof, axis_functionals,
-                       group_dof_matrix, local_dofs, shape_space)
+from .elements import (DofFunctional, FamilyId, _COMP_POS, _DIAG_COMPS,
+                       _axis_table, _bubbles_for, _component_poly,
+                       axis_functionals, group_dof_matrix, local_dofs,
+                       shape_space)
 from .mesh import ENTITY_RANK, CuboidMesh, _EDGE_SIDES, _VERTEX_CORNERS
 from .operators import (OPERATORS, PolyField, check_membership,
                         coordinate_field, field_coords)
@@ -201,40 +220,45 @@ def assemble_space(fam: FamilyId, mesh: CuboidMesh) -> GlobalSpace:
 # reference pipeline: unit-cell blocks and their exact diagonal scaling
 
 
-def dof_scale(dof: DofFunctional, h: tuple[Fraction, Fraction, Fraction]) -> Fraction:
-    """Physical/reference DOF ratio: entity measure over derivative factors."""
-    s = Fraction(1)
-    for a in dof.entity.free_axes:
-        s *= h[a]
-    for a in range(3):
-        if dof.deriv[a]:
-            s /= h[a] ** dof.deriv[a]
-    return s
+#: the component weight ``w = H^p h_a^q h_b^r`` of component ``a`` or
+#: ``ab`` as ``(p, q, r)``, per family without its ``-red`` suffix
+_WEIGHT_EXPONENTS = {"u": (0, 0, 0), "x": (0, 1, 0), "sigma": (0, 1, 1),
+                     "phi": (0, 1, 1), "xi": (1, 1, -1), "q": (1, 1, 0),
+                     "gamma": (2, -1, -1), "z": (2, -1, 0)}
 
 
-def component_weight(fam: FamilyId, comp: str,
-                     h: tuple[Fraction, Fraction, Fraction]) -> Fraction:
-    """Weight ``w`` of one component on a cell of shape ``h`` (module table)."""
-    base = fam.name.removesuffix("-red")
-    H = h[0] * h[1] * h[2]
-    if base == "u":
-        return Fraction(1)
-    if comp == "diag":
-        return H
-    a, b = AXIS_NAMES.index(comp[0]), AXIS_NAMES.index(comp[-1])
-    if base == "x":
-        return h[a]
-    if base in ("sigma", "phi"):
-        return h[a] * h[b]
-    if base == "xi":
-        return h[a] * H / h[b]
-    if base == "q":
-        return h[a] * H
-    if base == "gamma":
-        return H * H / (h[a] * h[b])
-    if base == "z":
-        return H * H / h[a]
-    raise ValueError(fam.name)
+@lru_cache(maxsize=None)
+def _exponent_table(fam: FamilyId) -> tuple[tuple, tuple]:
+    """Per catalog DOF, the exponents ``m`` of ``dof_scale = h^m`` and of
+    ``a = dof_scale / w``, once per family and order (module docstring)."""
+    p, q, r = _WEIGHT_EXPONENTS[fam.name.removesuffix("-red")]
+    scales, factors = [], []
+    # one object per distinct triple: two fresh tuples per DOF, cached in
+    # mid-run, kept about 0.3 MiB more resident at the peak of a ladder
+    distinct: dict = {}
+    for dof in local_dofs(fam):
+        scale = tuple((side is None) - d for d, _w, side in axis_functionals(dof))
+        # "s" and "diag" name no axis; their weight does not depend on one
+        a, b = (AXIS_NAMES.index(c) if c in AXIS_NAMES else 0
+                for c in (dof.component[0], dof.component[-1]))
+        factor = tuple(scale[x] - p - q * (x == a) - r * (x == b)
+                       for x in range(3))
+        scales.append(distinct.setdefault(scale, scale))
+        factors.append(distinct.setdefault(factor, factor))
+    return tuple(scales), tuple(factors)
+
+
+def _powers(exps: Sequence[tuple[int, int, int]], h: tuple) -> list[Fraction]:
+    """``h_x^m0 h_y^m1 h_z^m2`` for each exponent triple ``m``, one product
+    per distinct triple."""
+    memo: dict[tuple[int, int, int], Fraction] = {}
+    out = []
+    for m in exps:
+        v = memo.get(m)
+        if v is None:
+            v = memo[m] = h[0] ** m[0] * h[1] ** m[1] * h[2] ** m[2]
+        out.append(v)
+    return out
 
 
 def _group_layout(fam: FamilyId) -> list[tuple[str, list[int], int]]:
@@ -263,8 +287,8 @@ class _Unit(NamedTuple):
     integer rows over a denominator.  An exception unit is a whole group
     that is not a product; it keeps its DOF block (``dof_rows``, over the
     unit's coordinates) and the block's exact inverse (``recon_rows``, unit
-    coordinates by catalog positions), and ``dofs`` lists its catalog
-    positions in group order.  ``comps`` gives each component with the
+    coordinates by the DOFs of ``dofs``, as integer rows over a
+    denominator), and ``dofs`` lists its catalog positions in group order.  ``comps`` gives each component with the
     offset of its coordinates in the unit and its degree caps; ``offset``
     places the unit's coordinates in the family's.
     """
@@ -275,7 +299,7 @@ class _Unit(NamedTuple):
     tables: tuple | None = None
     inverses: tuple | None = None
     dof_rows: list | None = None
-    recon_rows: list | None = None
+    recon_rows: tuple | None = None
 
 
 def _int_rows(mat: list[list[Fraction]]) -> tuple[list[list[int]], int]:
@@ -328,7 +352,6 @@ def _exception_unit(fam: FamilyId, spec, group, positions: list[int],
         raise AssertionError(
             f"{fam.name} k={fam.k} group {group.name}: DOF matrix "
             f"{len(mat)}x{len(mat[0])} is not square")
-    inv, den = _int_inverse(mat)
     comps = []
     local = 0
     for comp in group.independent:
@@ -338,8 +361,7 @@ def _exception_unit(fam: FamilyId, spec, group, positions: list[int],
     return _Unit(
         tuple(comps), off, tuple(positions),
         dof_rows=[{j: v for j, v in enumerate(row) if v} for row in mat],
-        recon_rows=[{p: Fraction(v, den) for p, v in zip(positions, row) if v}
-                    for row in inv])
+        recon_rows=_int_inverse(mat))
 
 
 @lru_cache(maxsize=None)
@@ -577,7 +599,10 @@ def _reference_block(op_name: str, src: FamilyId, dst: FamilyId
                             out[cmap[j]] = Fraction(val, den)
         for u, rows in pending.values():
             if v.inverses is None:
-                rows = _sparse_product(rows, v.recon_rows)
+                inv, den = v.recon_rows
+                rows = _sparse_product(rows, [
+                    {p: Fraction(x, den) for p, x in zip(v.dofs, r) if x}
+                    for r in inv])
             if u.tables is None:
                 rows = _sparse_product(u.dof_rows, rows)
             for p, row in zip(u.dofs, rows):
@@ -585,10 +610,14 @@ def _reference_block(op_name: str, src: FamilyId, dst: FamilyId
     return K
 
 
+def _dof_scales(fam: FamilyId, h: tuple) -> list[Fraction]:
+    """``dof_scale(dof, h)`` over the catalog DOFs of a family."""
+    return _powers(_exponent_table(fam)[0], h)
+
+
 def _dof_factors(fam: FamilyId, h: tuple) -> list[Fraction]:
     """The diagonal ``a(dof, h)`` over the catalog DOFs of a family."""
-    return [dof_scale(d, h) / component_weight(fam, d.component, h)
-            for d in local_dofs(fam)]
+    return _powers(_exponent_table(fam)[1], h)
 
 
 def local_operator_block(op_name: str, src: FamilyId, dst: FamilyId,
@@ -736,21 +765,22 @@ def reconstruct_local(space: GlobalSpace, ci: int,
     spec = shape_space(space.fam)
     box = space.mesh.cell_box(ci)
     h = tuple(box.h(a) for a in range(3))
-    local = [coeffs[g] / dof_scale(dof, h)
-             for g, dof in zip(space.cell_maps[ci], space.ref_dofs)]
+    local = [coeffs[g] / s
+             for g, s in zip(space.cell_maps[ci], _dof_scales(space.fam, h))]
     coords = [_F0] * spec.local_dimension()
     for u in _factor_table(space.fam):
-        if u.inverses is None:
-            for a, row in enumerate(u.recon_rows):
-                coords[u.offset + a] = sum((v * local[p] for p, v in row.items()),
-                                           _F0)
-            continue
-        # (T_x^-1 (x) T_y^-1 (x) T_z^-1) P^T by three axis passes, in integers
+        # applied in integers to the unit's cleared DOF values
         (vec,), (den,) = _exactcore.clear_denominators([[local[p] for p in u.dofs]])
-        shape = tuple(len(m) for m, _d in u.inverses)
-        for axis, (m, d) in enumerate(u.inverses):
-            vec = _axis_pass(vec, m, shape, axis)
+        if u.inverses is None:
+            inv, d = u.recon_rows
+            vec = [sum(map(mul, row, vec)) for row in inv]
             den *= d
+        else:
+            # (T_x^-1 (x) T_y^-1 (x) T_z^-1) P^T by three axis passes
+            shape = tuple(len(m) for m, _d in u.inverses)
+            for axis, (m, d) in enumerate(u.inverses):
+                vec = _axis_pass(vec, m, shape, axis)
+                den *= d
         for i, v in enumerate(vec):
             coords[u.offset + i] = Fraction(v, den)
     comps: dict[str, TensorPoly] = {}
@@ -767,22 +797,94 @@ def reconstruct_local(space: GlobalSpace, ci: int,
     return PolyField(kind, comps, box, symmetric=spec.symmetric)
 
 
+def _coeff_array(p: TensorPoly | None) -> tuple | None:
+    """A component on one cell as ``(c, den, caps, memo)``: its coefficients
+    as integers ``c`` over ``den`` on its own degree grid, and an empty memo
+    of partial sums; None for a missing or zero component."""
+    if p is None or p.is_zero():
+        return None
+    (c,), (den,) = _exactcore.clear_denominators([p.coeffs])
+    return c, den, p.degree.caps, {}
+
+
+def _contract(arr: tuple | None, f: tuple, tables: dict) -> Fraction:
+    """``(t_x (x) t_y (x) t_z) c`` at ``h = 1``, for the 1-D functionals
+    ``f`` and a component ``arr`` from :func:`_coeff_array`.
+
+    z is contracted first, then y, then x; the array's memo keeps the
+    partial sums per trailing functionals.  ``tables`` keeps each integer
+    1-D table over its denominator, per cap and functional.
+    """
+    if arr is None:
+        return _F0
+    c, den, caps, memo = arr
+    ts = []
+    for cap, fa in zip(caps, f):
+        t = tables.get((cap, fa))
+        if t is None:
+            (row,), (d,) = _exactcore.clear_denominators(
+                [_axis_table(cap, *fa, Fraction(1))])
+            t = tables[(cap, fa)] = (row, d)
+        ts.append(t)
+    (tx, dx), (ty, dy), (tz, dz) = ts
+    sz = memo.get(f[2])
+    if sz is None:
+        n = caps[2] + 1
+        sz = memo[f[2]] = [sum(map(mul, c[i:i + n], tz))
+                           for i in range(0, len(c), n)]
+    syz = memo.get(f[1:])
+    if syz is None:
+        n = caps[1] + 1
+        syz = memo[f[1:]] = [sum(map(mul, sz[i:i + n], ty))
+                             for i in range(0, len(sz), n)]
+    return Fraction(sum(map(mul, syz, tx)), den * dx * dy * dz)
+
+
 def interpolate(space: GlobalSpace,
                 make_field: Callable[[int, CellBox], Mapping[str, TensorPoly]]
                 ) -> list[Fraction]:
     """Apply every DOF to a globally smooth field given cell by cell.
 
+    ``make_field(ci, box)`` returns the field on cell ``ci`` as components
+    on ``box``, of any degrees; a missing component counts as zero.  Every
+    DOF value equals ``elements.apply_dof`` on the cell (module docstring).
     Shared DOFs are evaluated from each adjacent cell and must agree; a
-    mismatch means the supplied field is not single-valued.
+    mismatch means the supplied field is not single-valued.  Raises
+    ``ValueError`` for a component that does not live on its cell's box.
     """
-    spec = shape_space(space.fam)
-    bubbles = _bubbles_for(space.fam)
+    fam = space.fam
+    spec = shape_space(fam)
+    bubbles = _bubbles_for(fam)
+    funcs = [axis_functionals(d) for d in space.ref_dofs]
+    needed = {d.component for d in space.ref_dofs} - {"diag"}
+    pairings = []
+    if bubbles is not None:
+        needed.update(_DIAG_COMPS)
+        # each coupled DOF pairs every diagonal component with its weight,
+        # a sum of cell moments against monomials t^e
+        pairings = [[(comp, tuple((0, w, None) for w in e), b)
+                     for comp, bp in zip(_DIAG_COMPS, trip)
+                     for e, b in bp.terms()] for trip in bubbles.triples]
+    tables: dict = {}
     vals: list[Fraction | None] = [None] * space.dimension
     for ci in range(space.mesh.num_cells):
         box = space.mesh.cell_box(ci)
-        comps = make_field(ci, box)
-        for dof, gi in zip(local_dofs(space.fam, box), space.cell_maps[ci]):
-            v = apply_dof(dof, comps, spec, bubbles)
+        field = make_field(ci, box)
+        for comp, p in field.items():
+            if p.cell != box:
+                raise ValueError(
+                    f"component {comp} of the field on cell {ci} lives on "
+                    f"{p.cell}, not on the cell's box {box}")
+        arrays = {comp: _coeff_array(_component_poly(field, comp, spec))
+                  for comp in needed}
+        scales = _dof_scales(fam, tuple(box.h(a) for a in range(3)))
+        for dof, f, s, gi in zip(space.ref_dofs, funcs, scales,
+                                 space.cell_maps[ci]):
+            if dof.kind == "coupled":
+                v = s * sum((b * _contract(arrays[comp], fm, tables)
+                             for comp, fm, b in pairings[dof.bubble_index]), _F0)
+            else:
+                v = s * _contract(arrays[dof.component], f, tables)
             if vals[gi] is None:
                 vals[gi] = v
             elif vals[gi] != v:

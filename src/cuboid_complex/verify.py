@@ -297,7 +297,8 @@ def kernel_identification(name: str, k: int, mesh: CuboidMesh) -> dict:
     """Confirm the kernel of the first operator is exactly the global fields.
 
     Each expected kernel field is interpolated (shared DOFs must agree),
-    annihilated exactly by the matrix, and the interpolants must be linearly
+    annihilated exactly by the matrix (one exact product with the
+    interpolants as its columns), and the interpolants must be linearly
     independent with count matching the nullity.
     """
     fams, ops, kernel_dim, _ = COMPLEXES[name]
@@ -305,9 +306,13 @@ def kernel_identification(name: str, k: int, mesh: CuboidMesh) -> dict:
     dst = assemble_space(FamilyId(fams[1], k), mesh)
     a1 = operator_matrix(ops[0], src, dst)
     vecs = [interpolate(src, mk) for mk in kernel_field_makers(name)]
-    annihilated = all(all(v == 0 for v in a1.matvec(vec)) for vec in vecs)
     interp = SparseMatrix(len(vecs), src.dimension,
                           [{j: v for j, v in enumerate(vec) if v} for vec in vecs])
+    columns = SparseMatrix(src.dimension, len(vecs))
+    for c, row in enumerate(interp.rows):
+        for j, v in row.items():
+            columns.rows[j][c] = v
+    annihilated = composition_is_zero(a1, columns)
     interp_rank = exact_rank(interp)
     nullity = src.dimension - exact_rank(a1)
     return {

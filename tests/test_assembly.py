@@ -8,19 +8,20 @@ import pytest
 import cuboid_complex
 from cuboid_complex import _exactcore, assembly
 from cuboid_complex.assembly import (
-    COMPLEXES, ConformityError, SparseMatrix, _group_layout, _operator_rows,
-    _reference_block, _sparse_product, assemble_space, interpolate,
-    local_operator_block, operator_matrix, read_matrix_market,
-    reconstruct_local, write_matrix_market,
+    COMPLEXES, ConformityError, SparseMatrix, _dof_factors, _dof_scales,
+    _group_layout, _operator_rows, _reference_block, _sparse_product,
+    assemble_space, interpolate, local_operator_block, operator_matrix,
+    read_matrix_market, reconstruct_local, write_matrix_market,
 )
-from cuboid_complex.elements import (FAMILY_NAMES, FamilyId, family,
-                                     group_dof_matrix, local_dofs, min_order,
-                                     shape_space)
+from cuboid_complex.elements import (FAMILY_NAMES, FamilyId, _bubbles_for,
+                                     apply_dof, family, group_dof_matrix,
+                                     local_dofs, min_order, shape_space)
 from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
 from cuboid_complex.operators import (OPERATORS, MembershipError,
                                       coordinate_field, field_coords,
                                       field_to_coords)
-from cuboid_complex.polytensor import UNIT_BOX, CellBox, TensorPoly
+from cuboid_complex.polytensor import (AXIS_NAMES, UNIT_BOX, CellBox, Degree3,
+                                       TensorPoly)
 from cuboid_complex.verify import exact_rank
 
 F = Fraction
@@ -78,6 +79,42 @@ def _reconstructor(fam: FamilyId, cell: CellBox) -> list[dict[int, Fraction]]:
                 if v:
                     R[off + a][p] = Fraction(v * d, inv_den)
     return R
+
+
+def dof_scale(dof, h):
+    """Physical/reference DOF ratio: entity measure over derivative factors."""
+    s = F(1)
+    for a in dof.entity.free_axes:
+        s *= h[a]
+    for a in range(3):
+        if dof.deriv[a]:
+            s /= h[a] ** dof.deriv[a]
+    return s
+
+
+def component_weight(fam, comp, h):
+    """Weight ``w`` of one component on a cell of shape ``h``, by the table
+    of the assembly module docstring."""
+    base = fam.name.removesuffix("-red")
+    H = h[0] * h[1] * h[2]
+    if base == "u":
+        return F(1)
+    if comp == "diag":
+        return H
+    a, b = AXIS_NAMES.index(comp[0]), AXIS_NAMES.index(comp[-1])
+    if base == "x":
+        return h[a]
+    if base in ("sigma", "phi"):
+        return h[a] * h[b]
+    if base == "xi":
+        return h[a] * H / h[b]
+    if base == "q":
+        return h[a] * H
+    if base == "gamma":
+        return H * H / (h[a] * h[b])
+    if base == "z":
+        return H * H / h[a]
+    raise ValueError(fam.name)
 
 
 def dense(rows, ncols):
@@ -408,3 +445,86 @@ def test_reference_caches_do_not_grow_with_cell_shapes():
     after_first = _reference_cache_sizes()
     curl(second)
     assert _reference_cache_sizes() == after_first
+
+
+_MIN_AND_NEXT = [(name, min_order(name) + dk)
+                 for name in FAMILY_NAMES for dk in (0, 1)]
+
+
+@pytest.mark.parametrize("name,k", _MIN_AND_NEXT)
+def test_dof_factors_equal_scale_over_weight(name, k):
+    """The exponent table gives dof_scale and a = dof_scale / w exactly, at
+    random sides."""
+    fam = family(name, k)
+    rng = random.Random(f"{name}-{k}")
+    for _ in range(3):
+        h = tuple(rng.sample(_SIDES, 3))
+        dofs = local_dofs(fam)
+        assert _dof_scales(fam, h) == [dof_scale(d, h) for d in dofs]
+        assert _dof_factors(fam, h) == [
+            dof_scale(d, h) / component_weight(fam, d.component, h)
+            for d in dofs]
+
+
+def _random_field(fam: FamilyId, box: CellBox, rng: random.Random) -> dict:
+    """Every stored component of the family (zz too, on the traceless ones)
+    at random degrees up to two above the shape space's caps, one of them
+    missing and, on a symmetric family, xy given as yx."""
+    spec = shape_space(fam)
+    comps = sorted(spec.degrees)
+    missing = rng.choice([c for c in comps if c not in ("xy", "zz")]
+                         if len(comps) > 1 else [None])
+    field = {}
+    for comp in comps:
+        if comp == missing:
+            continue
+        deg = Degree3(*(c + rng.randint(0, 2) for c in spec.degrees[comp].caps))
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(deg.dim())]
+        key = "yx" if spec.symmetric and comp == "xy" else comp
+        field[key] = TensorPoly(deg, coeffs, box)
+    return field
+
+
+@pytest.mark.parametrize("name,k", _MIN_AND_NEXT)
+def test_interpolate_equals_apply_dof(name, k):
+    """interpolate (1-D tables contracted with each component's
+    coefficients) equals apply_dof (polynomial calculus) on every DOF, for
+    a field outside the shape space, on the unit cell and on an anisotropic
+    cell with nonzero lo."""
+    fam = family(name, k)
+    spec = shape_space(fam)
+    for mesh in (uniform_unit_mesh(1, 1, 1), _ANISO_MESH):
+        box = mesh.cell_box(0)
+        space = assemble_space(fam, mesh)
+        field = _random_field(fam, box, random.Random(f"{name}-{k}-{box}"))
+        want = [F(0)] * space.dimension
+        for dof, g in zip(local_dofs(fam, box), space.cell_maps[0]):
+            want[g] = apply_dof(dof, field, spec, _bubbles_for(fam))
+        assert interpolate(space, lambda ci, b: field) == want
+        assert any(want)
+
+
+def test_interpolate_rejects_a_multivalued_field():
+    """Negative control: shifting one cell's yy by a constant breaks the
+    agreement at the DOFs the two cells of sigma share."""
+    mesh = uniform_unit_mesh(2, 1, 1)
+    space = assemble_space(family("sigma", 3), mesh)
+    rng = random.Random(11)
+    coeffs = [F(rng.randint(-9, 9)) for _ in range(space.dimension)]
+    local = [reconstruct_local(space, ci, coeffs).comps for ci in range(2)]
+    assert interpolate(space, lambda ci, box: local[ci]) == coeffs
+    box1 = mesh.cell_box(1)
+    shifted = dict(local[1], yy=local[1]["yy"] + TensorPoly(Degree3(0, 0, 0),
+                                                            [1], box1))
+    with pytest.raises(AssertionError, match="field is multivalued at DOF"):
+        interpolate(space, lambda ci, box: shifted if ci else local[0])
+
+
+def test_interpolate_rejects_a_component_off_its_cell():
+    mesh = uniform_unit_mesh(2, 1, 1)
+    space = assemble_space(family("u", 3), mesh)
+    first = mesh.cell_box(0)
+    with pytest.raises(ValueError, match="component s of the field on cell 1"):
+        interpolate(space, lambda ci, box: {
+            "s": TensorPoly(Degree3(1, 0, 0), [1, 2], first)})
