@@ -45,11 +45,13 @@ component ``t`` and a source component ``s`` (Orszag, JCP 37, 1980):
 
 over the stencil terms of ``s`` that land on ``t``.  Only the nonzeros of
 the ``(k+1) x (k+1)`` factors are expanded, in integers over one common
-denominator, and each entry of ``K(1)`` becomes one ``Fraction``.  No
-dense ``R(1)`` of a product group is formed.  An exception group takes
-the identity in place of its 1-D factors, and its dense block or inverse
-is applied to the result.  ``reconstruct_local`` applies
-``(T_x^-1 (x) T_y^-1 (x) T_z^-1) P^T`` as three 1-D passes.
+denominator.  No dense ``R(1)`` of a product group is formed.  An
+exception group takes the identity in place of its 1-D factors, and its
+dense block or inverse is applied to the result as an integer product.
+``K(1)`` is every such block rescaled to the lcm ``D1`` of their
+denominators: integer rows over ``D1``, with no ``Fraction`` per entry.
+``reconstruct_local`` applies ``(T_x^-1 (x) T_y^-1 (x) T_z^-1) P^T`` as
+three 1-D passes.
 
 Under the axis scaling ``x = lo + h t`` every family is affine-equivalent
 to its unit-cell element, so the pipeline runs once per edge and order, on
@@ -102,13 +104,19 @@ trailing functionals.  A coupled DOF of ``xi-red`` is a sum of cell
 moments against the monomials of its bubble triple, each diagonal
 component against its own member.
 
-``K(h)`` is scaled from ``K(1)`` nonzero by nonzero, one ``Fraction`` per
-entry, and the scatter walks only nonzeros.  It asserts conformity
-instead of assuming it: a shared target DOF must receive the identical
-value from every adjacent cell, including the implicit zero from cells
-where the source basis function is not supported.  That second pass walks
-every stored global entry back to each cell's local column, so an entry a
-cell's block leaves out is still compared.
+``K(h)`` is scaled from ``K(1)`` nonzero by nonzero, in integers.  With
+``a_i = n_i / d_i``, the entry ``a_i K(1)_ij / (D1 a_j)`` is stored as
+``r_i K(1)_ij c_j`` over ``den_h = D1 lcm(d) lcm(n)``, where ``r_i = n_i
+lcm(d) / d_i`` runs over the target DOFs and ``c_j = d_j lcm(n) / n_j``
+over the source DOFs.  The scatter rescales each shape's block once by
+``L // den_h``, with ``L`` the lcm of the ``den_h``, so the global matrix
+is integer rows over ``L`` and every comparison is between integers.  It
+walks only nonzeros and asserts conformity instead of assuming it: a
+shared target DOF must receive the identical value from every adjacent
+cell, including the implicit zero from cells where the source basis
+function is not supported.  That second pass walks every stored global
+entry back to each cell's local column, so an entry a cell's block leaves
+out is still compared.
 """
 
 from __future__ import annotations
@@ -286,11 +294,12 @@ class _Unit(NamedTuple):
     ``P``), ``tables`` and ``inverses`` each ``T_a`` and ``T_a^-1`` as
     integer rows over a denominator.  An exception unit is a whole group
     that is not a product; it keeps its DOF block (``dof_rows``, over the
-    unit's coordinates) and the block's exact inverse (``recon_rows``, unit
-    coordinates by the DOFs of ``dofs``, as integer rows over a
-    denominator), and ``dofs`` lists its catalog positions in group order.  ``comps`` gives each component with the
-    offset of its coordinates in the unit and its degree caps; ``offset``
-    places the unit's coordinates in the family's.
+    unit's coordinates, as sparse integer rows over a denominator) and the
+    block's exact inverse (``recon_rows``, unit coordinates by the DOFs of
+    ``dofs``, as integer rows over a denominator), and ``dofs`` lists its
+    catalog positions in group order.  ``comps`` gives each component with
+    the offset of its coordinates in the unit and its degree caps;
+    ``offset`` places the unit's coordinates in the family's.
     """
 
     comps: tuple[tuple[str, int, tuple[int, int, int]], ...]
@@ -298,7 +307,7 @@ class _Unit(NamedTuple):
     dofs: tuple[int, ...]
     tables: tuple | None = None
     inverses: tuple | None = None
-    dof_rows: list | None = None
+    dof_rows: tuple | None = None
     recon_rows: tuple | None = None
 
 
@@ -358,9 +367,11 @@ def _exception_unit(fam: FamilyId, spec, group, positions: list[int],
         grid = spec.degrees[comp]
         comps.append((comp, local, grid.caps))
         local += grid.dim()
+    dof_rows, dens = _exactcore.clear_denominators(
+        [dict(enumerate(row)) for row in mat], common=True)
     return _Unit(
         tuple(comps), off, tuple(positions),
-        dof_rows=[{j: v for j, v in enumerate(row) if v} for row in mat],
+        dof_rows=(dof_rows, dens[0]),
         recon_rows=_int_inverse(mat))
 
 
@@ -464,17 +475,21 @@ def _operator_rows(op_name: str, src: FamilyId, dst: FamilyId
     return rows
 
 
-def _sparse_product(a: list[dict[int, Fraction]],
-                    b: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
-    """Exact product of sparse rational rows through the integer kernel.
+def _scaled(rows: list[dict[int, int]], f: int) -> list[dict[int, int]]:
+    """Sparse integer rows times ``f``."""
+    return rows if f == 1 else [{j: x * f for j, x in r.items()} for r in rows]
 
-    Row ``i`` of the product is row ``i`` of ``a`` times ``b``, so ``a`` is
-    cleared row by row and only ``b`` needs one common denominator.
-    """
-    ia, da = _exactcore.clear_denominators(a)
-    ib, db = _exactcore.clear_denominators(b, common=True)
-    return [{j: Fraction(v, d * db[0]) for j, v in row.items()}
-            for row, d in zip(_exactcore.spmul(ia, ib), da)]
+
+def _over_lcm(pieces, nrows: int) -> tuple[list[dict[int, int]], int]:
+    """``nrows`` integer rows over one denominator from ``pieces`` of
+    ``(row positions, integer rows, denominator)``, each rescaled to the
+    lcm of the denominators; the pieces fill disjoint entries."""
+    common = lcm(*(den for _rmap, _rows, den in pieces))
+    out: list[dict[int, int]] = [{} for _ in range(nrows)]
+    for rmap, rows, den in pieces:
+        for p, row in zip(rmap, _scaled(rows, common // den)):
+            out[p].update(row)
+    return out, common
 
 
 def _axis_factor(left, alpha: int, right, cap_t: int, cap_s: int
@@ -553,15 +568,17 @@ def _kron_sum(terms: tuple, left, right, t_caps: tuple, s_caps: tuple,
 
 @lru_cache(maxsize=None)
 def _reference_block(op_name: str, src: FamilyId, dst: FamilyId
-                     ) -> list[dict[int, Fraction]]:
-    """K(1) = D_dst(1) @ O(1) @ R_src(1) as sparse rows, once per edge and
-    order.
+                     ) -> tuple[list[dict[int, int]], int]:
+    """K(1) = D_dst(1) @ O(1) @ R_src(1) as sparse integer rows over one
+    positive denominator, once per edge and order.
 
     For each target component ``t`` in unit ``U`` and source component
     ``s`` in unit ``V`` the block is ``sum coef * (x)_a (T_t,a @
     Der_a^alpha_a @ T_s,a^-1)`` over the stencil, with the identity in
     place of an exception unit's factors; an exception unit's dense DOF
-    block or inverse is then applied to its (target, source) blocks.
+    block or inverse is then applied to its (target, source) blocks.  Every
+    block is integer rows over its own denominator, rescaled to the lcm of
+    them all.  Returns ``(rows, den)``.
     """
     stencil = _operator_stencil(op_name, src)
     src_spec = shape_space(src)
@@ -572,10 +589,10 @@ def _reference_block(op_name: str, src: FamilyId, dst: FamilyId
                          dst_spec)
     where = {c: (u, local, caps)
              for u in _factor_table(dst) for c, local, caps in u.comps}
-    K: list[dict[int, Fraction]] = [{} for _ in local_dofs(dst)]
+    pieces: list[tuple[Sequence[int], list[dict[int, int]], int]] = []
     memo: dict = {}
     for v in _factor_table(src):
-        pending: dict[int, tuple[_Unit, list[dict[int, Fraction]]]] = {}
+        pending: dict[int, tuple[_Unit, list]] = {}
         for s, s_local, s_caps in v.comps:
             cmap = (v.dofs if v.inverses is not None
                     else range(s_local, s_local + prod(c + 1 for c in s_caps)))
@@ -585,29 +602,26 @@ def _reference_block(op_name: str, src: FamilyId, dst: FamilyId
                 u, t_local, t_caps = where[t]
                 acc, den = _kron_sum(terms, u.tables, v.inverses, t_caps,
                                      s_caps, memo)
+                rows = [{cmap[j]: x for j, x in row.items() if x} for row in acc]
                 if u.tables is not None and v.inverses is not None:
-                    rows, rmap = K, u.dofs
+                    pieces.append((u.dofs, rows, den))
                 else:
-                    rows = pending.setdefault(
-                        id(u), (u, [{} for _ in u.dofs]))[1]
                     rmap = (range(len(acc)) if u.tables is not None
                             else range(t_local, t_local + len(acc)))
-                for i, row in zip(rmap, acc):
-                    out = rows[i]
-                    for j, val in row.items():
-                        if val:
-                            out[cmap[j]] = Fraction(val, den)
-        for u, rows in pending.values():
+                    pending.setdefault(id(u), (u, []))[1].append((rmap, rows, den))
+        for u, parts in pending.values():
+            rows, den = _over_lcm(parts, len(u.dofs))
             if v.inverses is None:
-                inv, den = v.recon_rows
-                rows = _sparse_product(rows, [
-                    {p: Fraction(x, den) for p, x in zip(v.dofs, r) if x}
-                    for r in inv])
+                inv, d = v.recon_rows
+                rows = _exactcore.spmul(rows, [
+                    {p: x for p, x in zip(v.dofs, r) if x} for r in inv])
+                den *= d
             if u.tables is None:
-                rows = _sparse_product(u.dof_rows, rows)
-            for p, row in zip(u.dofs, rows):
-                K[p].update(row)
-    return K
+                drows, d = u.dof_rows
+                rows = _exactcore.spmul(drows, rows)
+                den *= d
+            pieces.append((u.dofs, rows, den))
+    return _over_lcm(pieces, len(local_dofs(dst)))
 
 
 def _dof_scales(fam: FamilyId, h: tuple) -> list[Fraction]:
@@ -621,19 +635,21 @@ def _dof_factors(fam: FamilyId, h: tuple) -> list[Fraction]:
 
 
 def local_operator_block(op_name: str, src: FamilyId, dst: FamilyId,
-                         h: tuple) -> list[dict[int, Fraction]]:
-    """K(h) for a cell of shape ``h`` as sparse rows: target DOFs by source
-    DOFs."""
-    inv_src = [(b.denominator, b.numerator) for b in _dof_factors(src, h)]
-    out = []
-    for a, row in zip(_dof_factors(dst, h), _reference_block(op_name, src, dst)):
-        na, da = a.numerator, a.denominator
-        scaled = {}
-        for j, v in row.items():
-            db, nb = inv_src[j]
-            scaled[j] = Fraction(na * v.numerator * db, da * v.denominator * nb)
-        out.append(scaled)
-    return out
+                         h: tuple) -> tuple[list[dict[int, int]], int]:
+    """K(h) for a cell of shape ``h`` as ``(rows, den)``: sparse integer
+    rows (target DOFs by source DOFs) over ``den = D1 lcm(d) lcm(n)``, see
+    the module docstring."""
+    K1, D1 = _reference_block(op_name, src, dst)
+    a_dst = _dof_factors(dst, h)
+    a_src = _dof_factors(src, h)
+    ld = lcm(*(a.denominator for a in a_dst))
+    ln = lcm(*(b.numerator for b in a_src))
+    c = [b.denominator * (ln // b.numerator) for b in a_src]
+    rows = []
+    for a, row in zip(a_dst, K1):
+        r = a.numerator * (ld // a.denominator)
+        rows.append({j: r * x * c[j] for j, x in row.items()})
+    return rows, D1 * ld * ln
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +657,27 @@ def local_operator_block(op_name: str, src: FamilyId, dst: FamilyId,
 
 
 class SparseMatrix:
-    """Row-sparse exact rational matrix."""
+    """Row-sparse exact rational matrix: integer rows over one positive
+    denominator ``den``, so entry ``(i, j)`` is ``rows[i][j] / den``.
+
+    Every stored value is a nonzero ``int``.  :meth:`from_rational` is the
+    one way in from rational rows.
+    """
 
     def __init__(self, nrows: int, ncols: int,
-                 rows: list[dict[int, Fraction]] | None = None):
+                 rows: list[dict[int, int]] | None = None, den: int = 1):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows if rows is not None else [dict() for _ in range(nrows)]
+        self.den = den
+
+    @classmethod
+    def from_rational(cls, nrows: int, ncols: int,
+                      rows: list[dict[int, Fraction]]) -> SparseMatrix:
+        """The matrix of sparse rational rows, over their least common
+        denominator."""
+        ints, dens = _exactcore.clear_denominators(rows, common=True)
+        return cls(nrows, ncols, ints, dens[0] if dens else 1)
 
     @property
     def nnz(self) -> int:
@@ -659,18 +689,22 @@ class SparseMatrix:
     def to_float_array(self):
         import numpy as np
         a = np.zeros((self.nrows, self.ncols))
+        den = self.den
         for i, r in enumerate(self.rows):
             for j, v in r.items():
-                a[i, j] = float(v)
+                # int true division rounds correctly and takes any size
+                a[i, j] = v / den
         return a
 
     def matvec(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        return [sum((v * vec[j] for j, v in r.items()), _F0) for r in self.rows]
+        return [sum((v * vec[j] for j, v in r.items()), _F0) / self.den
+                for r in self.rows]
 
     def entries(self):
+        den = self.den
         for i, r in enumerate(self.rows):
             for j, v in sorted(r.items()):
-                yield i, j, v
+                yield i, j, Fraction(v, den)
 
 
 class ConformityError(AssertionError):
@@ -693,17 +727,16 @@ def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseM
     if src.mesh is not dst.mesh and src.mesh != dst.mesh:
         raise ValueError("operator endpoints live on different meshes")
     mesh = src.mesh
-    A = SparseMatrix(dst.dimension, src.dimension)
+    shapes = [tuple(box.h(a) for a in range(3))
+              for box in map(mesh.cell_box, range(mesh.num_cells))]
+    # one block per distinct cell shape, freed on return
+    by_shape = {h: local_operator_block(op_name, src.fam, dst.fam, h)
+                for h in dict.fromkeys(shapes)}
+    L = lcm(*(den for _rows, den in by_shape.values()))
+    scaled = {h: _scaled(K, L // den) for h, (K, den) in by_shape.items()}
+    blocks = [scaled[h] for h in shapes]
+    A = SparseMatrix(dst.dimension, src.dimension, den=L)
     rows = A.rows
-    # one scaled block per distinct cell shape, freed on return
-    by_shape: dict[tuple, list[dict[int, Fraction]]] = {}
-    blocks = []
-    for ci in range(mesh.num_cells):
-        box = mesh.cell_box(ci)
-        h = tuple(box.h(a) for a in range(3))
-        if h not in by_shape:
-            by_shape[h] = local_operator_block(op_name, src.fam, dst.fam, h)
-        blocks.append(by_shape[h])
     for ci, K in enumerate(blocks):
         smap = src.cell_maps[ci]
         for gi, krow in zip(dst.cell_maps[ci], K):
@@ -716,7 +749,7 @@ def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseM
                 elif old != v:
                     raise ConformityError(
                         f"cells disagree at target DOF {dst.keys[gi]}: "
-                        f"{old} vs {v}")
+                        f"{Fraction(old, L)} vs {Fraction(v, L)}")
     # second pass: a stored value must be reproduced by every cell that
     # carries both DOFs, including the cells whose block holds an implicit
     # zero there; the stored entries are mapped back to local columns
@@ -725,7 +758,7 @@ def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseM
         for gi, krow in zip(dst.cell_maps[ci], K):
             for gj, stored in rows[gi].items():
                 j = local_col.get(gj)
-                if j is not None and krow.get(j, _F0) != stored:
+                if j is not None and krow.get(j, 0) != stored:
                     raise ConformityError(
                         f"zero/nonzero clash at target DOF {dst.keys[gi]}")
     # adjacency audit: every cell at the target DOF must see the source DOF
@@ -924,7 +957,7 @@ def read_matrix_market(path: str) -> SparseMatrix:
         while line.startswith("%"):
             line = fh.readline()
         nrows, ncols, nnz = (int(t) for t in line.split())
-        mat = SparseMatrix(nrows, ncols)
+        rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
         count = 0
         for line in fh:
             if not line.strip():
@@ -932,8 +965,8 @@ def read_matrix_market(path: str) -> SparseMatrix:
             si, sj, sv = line.split()
             v = Fraction(sv) if rational else Fraction(float(sv))
             if v:
-                mat.rows[int(si) - 1][int(sj) - 1] = v
+                rows[int(si) - 1][int(sj) - 1] = v
             count += 1
         if count != nnz:
             raise ValueError(f"expected {nnz} entries, read {count}")
-    return mat
+    return SparseMatrix.from_rational(nrows, ncols, rows)

@@ -38,8 +38,7 @@ COMPLEX_NAMES = tuple(COMPLEXES)
 
 
 def exact_rank(mat: SparseMatrix) -> int:
-    ints, _ = _exactcore.clear_denominators(mat.rows)
-    rows = [r for r in ints if r]
+    rows = [r for r in mat.rows if r]
     if not rows:
         return 0
     return _exactcore.ff_rank(rows, mat.ncols)
@@ -104,11 +103,9 @@ def certified_ranks(mats: list[SparseMatrix],
 
 
 def composition_is_zero(outer: SparseMatrix, inner: SparseMatrix) -> bool:
-    """Exact test that outer @ inner vanishes (common-denominator integers)."""
-    ia, _ = _exactcore.clear_denominators(outer.rows, common=True)
-    ib, _ = _exactcore.clear_denominators(inner.rows, common=True)
-    prod = _exactcore.spmul(ia, ib)
-    return all(not row for row in prod)
+    """Exact test that outer @ inner vanishes: the product of the integer
+    rows, since the two denominators are nonzero scalars."""
+    return all(not row for row in _exactcore.spmul(outer.rows, inner.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +227,7 @@ def verify_local_complex(name: str, k: int) -> dict:
         raise ValueError(f"complex {name!r} needs k >= {min_k}")
     ids = [FamilyId(f, k) for f in fams]
     dims = [shape_space(f).local_dimension() for f in ids]
-    mats = [SparseMatrix(nrows, ncols, _operator_rows(op, src, dst))
+    mats = [SparseMatrix.from_rational(nrows, ncols, _operator_rows(op, src, dst))
             for op, src, dst, ncols, nrows
             in zip(ops, ids, ids[1:], dims, dims[1:])]
     ranks = [exact_rank(m) for m in mats]
@@ -293,6 +290,17 @@ def kernel_field_makers(name: str):
     return [make(s) for s in rigid]
 
 
+def _as_columns(vecs: list[list[Fraction]], nrows: int) -> SparseMatrix:
+    """The vectors, each of length ``nrows``, as the columns of one
+    matrix."""
+    rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+    for c, vec in enumerate(vecs):
+        for i, v in enumerate(vec):
+            if v:
+                rows[i][c] = v
+    return SparseMatrix.from_rational(nrows, len(vecs), rows)
+
+
 def kernel_identification(name: str, k: int, mesh: CuboidMesh) -> dict:
     """Confirm the kernel of the first operator is exactly the global fields.
 
@@ -305,15 +313,10 @@ def kernel_identification(name: str, k: int, mesh: CuboidMesh) -> dict:
     src = assemble_space(FamilyId(fams[0], k), mesh)
     dst = assemble_space(FamilyId(fams[1], k), mesh)
     a1 = operator_matrix(ops[0], src, dst)
-    vecs = [interpolate(src, mk) for mk in kernel_field_makers(name)]
-    interp = SparseMatrix(len(vecs), src.dimension,
-                          [{j: v for j, v in enumerate(vec) if v} for vec in vecs])
-    columns = SparseMatrix(src.dimension, len(vecs))
-    for c, row in enumerate(interp.rows):
-        for j, v in row.items():
-            columns.rows[j][c] = v
+    columns = _as_columns([interpolate(src, mk)
+                           for mk in kernel_field_makers(name)], src.dimension)
     annihilated = composition_is_zero(a1, columns)
-    interp_rank = exact_rank(interp)
+    interp_rank = exact_rank(columns)
     nullity = src.dimension - exact_rank(a1)
     return {
         "complex": name,
@@ -445,6 +448,7 @@ def div_preimage_check(name: str, k: int, mesh: CuboidMesh,
                 else div_preimage_gradgrad)
     symmetric = name.startswith("elasticity")
     rng = random.Random(seed)
+    targets, preimages = [], []
     for _ in range(samples):
         coeffs = _random_coeffs(q_space.dimension, rng)
         sigma = _preimage_fields(name, q_space, coeffs)
@@ -469,8 +473,15 @@ def div_preimage_check(name: str, k: int, mesh: CuboidMesh,
                         f"preimage component {scomp} jumps across face "
                         f"({normal},{i},{j},{l})")
         _target, pvec = preimage(q_space, coeffs, mat_space)
-        if div_mat.matvec(pvec) != coeffs:
-            raise AssertionError("divergence matrix does not return the target")
+        targets.append(coeffs)
+        preimages.append(pvec)
+    # one integer product div @ P, with the preimages as the columns of P
+    P = _as_columns(preimages, mat_space.dimension)
+    back = SparseMatrix(q_space.dimension, samples,
+                        _exactcore.spmul(div_mat.rows, P.rows), div_mat.den * P.den)
+    T = _as_columns(targets, q_space.dimension)
+    if list(back.entries()) != list(T.entries()):
+        raise AssertionError("divergence matrix does not return the target")
     return {"complex": name, "k": k, "samples": samples, "exact": True}
 
 

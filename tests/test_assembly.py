@@ -9,7 +9,7 @@ import cuboid_complex
 from cuboid_complex import _exactcore, assembly
 from cuboid_complex.assembly import (
     COMPLEXES, ConformityError, SparseMatrix, _dof_factors, _dof_scales,
-    _group_layout, _operator_rows, _reference_block, _sparse_product,
+    _group_layout, _operator_rows, _reference_block,
     assemble_space, interpolate, local_operator_block, operator_matrix,
     read_matrix_market, reconstruct_local, write_matrix_market,
 )
@@ -38,6 +38,14 @@ def frac_mul(a, b):
     ib, db = _exactcore.clear_denominators(b, common=True)
     prod = _exactcore.imat_mul(ia, ib)
     return [[F(v, d * db[0]) for v in row] for row, d in zip(prod, da)]
+
+
+def sparse_mul(a, b):
+    """Exact product of sparse rational rows via the integer kernel."""
+    ia, da = _exactcore.clear_denominators(a)
+    ib, db = _exactcore.clear_denominators(b, common=True)
+    return [{j: F(v, d * db[0]) for j, v in row.items()}
+            for row, d in zip(_exactcore.spmul(ia, ib), da)]
 
 
 def operator_coord_matrix(op, src, dst, cell):
@@ -115,6 +123,11 @@ def component_weight(fam, comp, h):
     if base == "z":
         return H * H / h[a]
     raise ValueError(fam.name)
+
+
+def rational(rows, den):
+    """Integer rows over ``den`` as sparse rational rows."""
+    return [{j: F(v, den) for j, v in row.items()} for row in rows]
 
 
 def dense(rows, ncols):
@@ -224,12 +237,14 @@ def test_clear_denominators_dense_rows():
 
 
 def test_clear_denominators_common_is_product_safe():
-    a = SparseMatrix(2, 2, [{0: F(1, 2)}, {1: F(1, 3)}])
-    rows, dens = _exactcore.clear_denominators(a.rows, common=True)
+    a = [{0: F(1, 2)}, {1: F(1, 3)}]
+    rows, dens = _exactcore.clear_denominators(a, common=True)
     assert dens == [6, 6]
     assert rows == [{0: 3}, {1: 2}]
+    m = SparseMatrix.from_rational(2, 2, a)
+    assert (m.rows, m.den) == (rows, 6)
     # per-row clearing would lose the relative scale between rows
-    per_row, dens = _exactcore.clear_denominators(a.rows)
+    per_row, dens = _exactcore.clear_denominators(a)
     assert per_row == [{0: 1}, {1: 1}]
     assert dens == [2, 3]
     # dict rows drop zero entries
@@ -259,7 +274,7 @@ def test_matrix_market_round_trip(tmp_path):
 
 
 def test_matrix_market_float_mode(tmp_path):
-    m = SparseMatrix(2, 3, [{0: F(1, 3)}, {2: F(-7, 2)}])
+    m = SparseMatrix.from_rational(2, 3, [{0: F(1, 3)}, {2: F(-7, 2)}])
     path = str(tmp_path / "m.mtx")
     write_matrix_market(path, m, float_mode=True)
     back = read_matrix_market(path)
@@ -316,7 +331,9 @@ def test_scaled_block_equals_direct_block(src, op, dst, k):
                             shape_space(d).local_dimension()),
                       frac_mul(operator_coord_matrix(op, s, d, cell),
                                dense(_reconstructor(s, cell), nsrc)))
-    assert dense(local_operator_block(op, s, d, h), nsrc) == direct
+    rows, den = local_operator_block(op, s, d, h)
+    assert den > 0
+    assert dense(rational(rows, den), nsrc) == direct
 
 
 @pytest.mark.parametrize("src,op,dst,k", (
@@ -339,10 +356,49 @@ def test_factored_block_equals_dense_pipeline(src, op, dst, k):
     group_dof_matrix and R from fj_inverse of every group block, entry for
     entry; the gradgrad-reduced edges mix product and exception groups."""
     s, d = family(src, k), family(dst, k)
-    oracle = _sparse_product(
+    oracle = sparse_mul(
         _dof_matrix(d, UNIT_BOX),
-        _sparse_product(_operator_rows(op, s, d), _reconstructor(s, UNIT_BOX)))
-    assert _reference_block(op, s, d) == oracle
+        sparse_mul(_operator_rows(op, s, d), _reconstructor(s, UNIT_BOX)))
+    rows, den = _reference_block(op, s, d)
+    assert den > 0
+    assert rational(rows, den) == oracle
+
+
+def _graded_mesh(seed):
+    """A 2x2x1 mesh with seeded x and y breakpoints and distinct widths on
+    each axis, so each of its four cells has its own shape."""
+    rng = random.Random(seed)
+    mids = sorted({F(p, q) for q in range(2, 8) for p in range(1, q)} - {F(1, 2)})
+    return build_box_mesh([0, rng.choice(mids), 1], [0, rng.choice(mids), 1],
+                          [0, 1])
+
+
+@pytest.mark.parametrize("src,op,dst", _ladder_edges())
+def test_operator_matrix_equals_rational_scatter(src, op, dst):
+    """The integer operator matrix over its denominator equals the scatter
+    of the Fraction blocks D(h) O(h) R(h), built on each cell by the
+    oracle, in pattern and in every value, on a uniform and a graded mesh."""
+    k = min_order(src)
+    s, d = family(src, k), family(dst, k)
+    for mesh in (uniform_unit_mesh(2, 1, 1), _graded_mesh(20260818)):
+        sspace, dspace = assemble_space(s, mesh), assemble_space(d, mesh)
+        A = operator_matrix(op, sspace, dspace)
+        assert A.den > 0
+        assert all(type(v) is int and v for row in A.rows for v in row.values())
+        want = {}
+        for ci in range(mesh.num_cells):
+            cell = mesh.cell_box(ci)
+            O = [{j: v for j, v in enumerate(row) if v}
+                 for row in operator_coord_matrix(op, s, d, cell)]
+            block = sparse_mul(_dof_matrix(d, cell),
+                               sparse_mul(O, _reconstructor(s, cell)))
+            for i, row in enumerate(block):
+                gi = dspace.cell_maps[ci][i]
+                for j, v in row.items():
+                    key = (gi, sspace.cell_maps[ci][j])
+                    assert want.setdefault(key, v) == v
+        assert {(i, j): F(v, A.den) for i, row in enumerate(A.rows)
+                for j, v in row.items()} == want
 
 
 _ANISO_MESH = build_box_mesh([F(1, 2), F(5, 6)], [0, F(7, 4)], [-1, F(-3, 5)])
@@ -381,41 +437,53 @@ def test_operator_rows_check_membership(op, src, dst, message):
 
 def _tamper_one_shared_entry(monkeypatch, change):
     """Assemble gradgrad u -> sigma on a 2x1x1 mesh of two cell shapes after
-    ``change`` has rewritten one nonzero entry of the first cell's block, an
-    entry whose row and column DOFs the second cell shares."""
+    ``change(rows, den, i, j)`` has rewritten the first cell's integer block
+    and returned its denominator; ``(i, j)`` is a nonzero entry whose row
+    and column DOFs the second cell shares."""
     mesh = build_box_mesh([0, F(1, 3), 1], [0, 1], [0, 1])
     src = assemble_space(family("u", 3), mesh)
     dst = assemble_space(family("sigma", 3), mesh)
     h0 = tuple(mesh.cell_box(0).h(a) for a in range(3))
     assert h0 != tuple(mesh.cell_box(1).h(a) for a in range(3))
     real = assembly.local_operator_block
-    block = real("gradgrad", src.fam, dst.fam, h0)
+    block, _den = real("gradgrad", src.fam, dst.fam, h0)
     i, j = next((i, j) for i, row in enumerate(block) for j in row
                 if 1 in dst.dof_cells[dst.cell_maps[0][i]]
                 and 1 in src.dof_cells[src.cell_maps[0][j]])
 
     def tampered(op_name, s, d, h):
-        rows = real(op_name, s, d, h)
+        rows, den = real(op_name, s, d, h)
         if h == h0:
-            change(rows[i], j)
-        return rows
+            den = change(rows, den, i, j)
+        return rows, den
 
     monkeypatch.setattr(assembly, "local_operator_block", tampered)
     operator_matrix("gradgrad", src, dst)
 
 
 def test_conformity_audit_sees_cells_disagree(monkeypatch):
-    def bump(row, j):
-        row[j] += 1
+    def bump(rows, den, i, j):
+        rows[i][j] += 1
+        return den
     with pytest.raises(ConformityError, match="cells disagree"):
         _tamper_one_shared_entry(monkeypatch, bump)
 
 
 def test_conformity_audit_sees_an_implicit_zero(monkeypatch):
-    def drop(row, j):
-        del row[j]
+    def drop(rows, den, i, j):
+        del rows[i][j]
+        return den
     with pytest.raises(ConformityError, match="zero/nonzero clash"):
         _tamper_one_shared_entry(monkeypatch, drop)
+
+
+def test_conformity_audit_sees_a_block_over_another_denominator(monkeypatch):
+    """The first shape's block over twice its denominator halves every
+    value it gives, and the shared entries no longer agree."""
+    def halve(rows, den, i, j):
+        return 2 * den
+    with pytest.raises(ConformityError, match="cells disagree"):
+        _tamper_one_shared_entry(monkeypatch, halve)
 
 
 def _reference_cache_sizes():

@@ -86,10 +86,19 @@ def test_rank_modes_agree():
 
 def test_float_rank_refuses_a_matrix_too_large_to_make_dense():
     huge = SparseMatrix(200_000, 100_000)
-    huge.rows[7][99_999] = Fraction(1)
+    huge.rows[7][99_999] = 1
     with pytest.raises(DenseSizeError, match=r"200000x100000 .* 152588 MiB"):
         float_rank(huge)
     assert issubclass(DenseSizeError, ValueError)
+
+
+def test_float_rank_takes_integers_past_the_float_range():
+    """Entries past 2**1100 over a denominator of the same size are each
+    about 1, 2 or 3; converting either to float alone would overflow."""
+    den = 2**1100 + 1
+    a, b, c = 3 * 2**1100, 2**1100 + 7, 2**1101 - 5
+    m = SparseMatrix(3, 3, [{0: a, 1: b}, {0: 2 * a, 1: 2 * b}, {2: c}], den)
+    assert float_rank(m) == exact_rank(m) == 2
 
 
 def test_certified_ranks_checks_sizes_before_any_exact_rank(monkeypatch):
@@ -97,7 +106,7 @@ def test_certified_ranks_checks_sizes_before_any_exact_rank(monkeypatch):
         raise AssertionError("an exact rank ran before the size check")
 
     monkeypatch.setattr(verify, "exact_rank", never)
-    small = SparseMatrix(2, 2, [{0: F(1)}, {}])
+    small = SparseMatrix.from_rational(2, 2, [{0: F(1)}, {}])
     huge = SparseMatrix(200_000, 100_000)
     with pytest.raises(DenseSizeError):
         certified_ranks([small, huge], "both")
