@@ -1,4 +1,5 @@
-"""Exact integer linear-algebra kernels in pure Python.
+"""Exact integer kernels: fraction-free rank, exact inverse, matrix products,
+and the one helper that clears rational rows to integers.
 
 Conventions:
 

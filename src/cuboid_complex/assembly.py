@@ -134,7 +134,7 @@ from .elements import (DofFunctional, FamilyId, _COMP_POS, _DIAG_COMPS,
                        _axis_table, _bubbles_for, _component_poly,
                        axis_functionals, group_dof_matrix, local_dofs,
                        shape_space)
-from .mesh import ENTITY_RANK, CuboidMesh, _EDGE_SIDES, _VERTEX_CORNERS
+from .mesh import ENTITY_RANK, CuboidMesh
 from .operators import (OPERATORS, PolyField, check_membership,
                         coordinate_field, field_coords)
 from .polytensor import AXIS_NAMES, UNIT_BOX, CellBox, TensorPoly
@@ -169,21 +169,6 @@ def _dof_sort_key(key) -> tuple:
     return (ENTITY_RANK[kind], gid, _COMP_POS[comp], deriv, weight, bub)
 
 
-def cell_entity_ids(mesh: CuboidMesh, ci: int) -> dict[tuple, tuple[str, int]]:
-    """Map the cell-local entity labels onto global (kind, id) pairs."""
-    out: dict[tuple, tuple[str, int]] = {}
-    for corner, (gid, _ref) in zip(_VERTEX_CORNERS, mesh.cell_vertices(ci)):
-        out[("vertex", corner)] = ("vertex", gid)
-    labels = [(axis, sides) for axis in range(3) for sides in _EDGE_SIDES]
-    for (axis, sides), (eaxis, gid, _ref) in zip(labels, mesh.cell_edges(ci)):
-        assert axis == eaxis
-        out[("edge", axis, sides)] = ("edge", gid)
-    for normal, side, gid, _ref in mesh.cell_faces(ci):
-        out[("face", normal, side)] = ("face", gid)
-    out[("cell",)] = ("cell", ci)
-    return out
-
-
 @dataclass
 class GlobalSpace:
     """An assembled finite element space on a cuboid mesh."""
@@ -191,7 +176,6 @@ class GlobalSpace:
     fam: FamilyId
     mesh: CuboidMesh
     keys: list
-    index: dict
     cell_maps: list[list[int]]
     dof_cells: list[tuple[int, ...]]
     ref_dofs: list[DofFunctional]
@@ -206,7 +190,7 @@ def assemble_space(fam: FamilyId, mesh: CuboidMesh) -> GlobalSpace:
     seen: dict = {}
     per_cell_keys: list[list] = []
     for ci in range(mesh.num_cells):
-        ids = cell_entity_ids(mesh, ci)
+        ids = mesh.cell_entity_ids(ci)
         keys = []
         for dof in ref:
             key = dof.dof_key(ids[dof.entity_label])
@@ -221,7 +205,7 @@ def assemble_space(fam: FamilyId, mesh: CuboidMesh) -> GlobalSpace:
     index = {key: i for i, key in enumerate(ordered)}
     cell_maps = [[index[k] for k in keys] for keys in per_cell_keys]
     dof_cells = [tuple(seen[k]) for k in ordered]
-    return GlobalSpace(fam, mesh, ordered, index, cell_maps, dof_cells, ref)
+    return GlobalSpace(fam, mesh, ordered, cell_maps, dof_cells, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +667,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def is_zero(self) -> bool:
-        return all(not r for r in self.rows)
-
     def to_float_array(self):
         import numpy as np
         a = np.zeros((self.nrows, self.ncols))
@@ -695,10 +676,6 @@ class SparseMatrix:
                 # int true division rounds correctly and takes any size
                 a[i, j] = v / den
         return a
-
-    def matvec(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        return [sum((v * vec[j] for j, v in r.items()), _F0) / self.den
-                for r in self.rows]
 
     def entries(self):
         den = self.den

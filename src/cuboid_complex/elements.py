@@ -769,11 +769,20 @@ def _bubbles_for(fam: FamilyId) -> BubbleBasis | None:
 def axis_functionals(dof: DofFunctional) -> tuple[tuple[int, int, int | None], ...]:
     """The three 1-D functionals ``(deriv, weight, side)`` a catalog DOF is
     the product of: ``side`` is None on an axis its entity spans and the
-    frozen end (0 or 1) otherwise."""
-    ext = dof.entity.extent
-    return tuple((dof.deriv[a], dof.weight[a],
-                  None if ext.lo[a] < ext.hi[a] else (1 if ext.lo[a] else 0))
-                 for a in range(3))
+    frozen end (0 or 1) otherwise.  The sides come from the entity label,
+    so a DOF rebound to any cell gives the same functionals."""
+    sides: list[int | None] = [None, None, None]
+    label = dof.entity_label
+    if label[0] == "vertex":
+        sides = list(label[1])
+    elif label[0] == "edge":
+        _, axis, pair = label
+        for o, s in zip(_others(axis), pair):
+            sides[o] = s
+    elif label[0] == "face":
+        _, normal, side = label
+        sides[normal] = side
+    return tuple((dof.deriv[a], dof.weight[a], sides[a]) for a in range(3))
 
 
 def _axis_table(cap: int, d: int, w: int, side: int | None,

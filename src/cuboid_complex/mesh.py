@@ -12,7 +12,9 @@ sequences.  Entities are numbered deterministically:
 Within one cell, the canonical local entity order (8 vertices, 12 edges,
 6 faces, the cell) is position-consistent across cells, and it agrees with
 the relative order of the global ids.  This is what lets one reference DOF
-layout serve every cell.
+layout serve every cell.  :meth:`CuboidMesh.cell_entity_ids` is the one
+place that order lives: it maps each cell-local entity label of the DOF
+catalog to its global (kind, id).
 """
 
 from __future__ import annotations
@@ -132,17 +134,6 @@ class CuboidMesh:
         i, j, l = self.cell_index(ci)
         return CellBox(self._point(i, j, l), self._point(i + 1, j + 1, l + 1))
 
-    def vertex_entity(self, i: int, j: int, l: int) -> EntityRef:
-        p = self._point(i, j, l)
-        return EntityRef("vertex", CellBox(p, p))
-
-    def edge_entity(self, axis: int, i: int, j: int, l: int) -> EntityRef:
-        lo = self._point(i, j, l)
-        top = [i, j, l]
-        top[axis] += 1
-        hi = self._point(*top)
-        return EntityRef("edge", CellBox(lo, hi))
-
     def face_entity(self, normal: int, i: int, j: int, l: int) -> EntityRef:
         lo = self._point(i, j, l)
         top = [i, j, l]
@@ -152,41 +143,37 @@ class CuboidMesh:
         hi = self._point(*top)
         return EntityRef("face", CellBox(lo, hi))
 
-    # -- cell-local entity lists --------------------------------------------------
+    # -- cell-local entity ids ---------------------------------------------------
 
-    def cell_vertices(self, ci: int) -> list[tuple[int, EntityRef]]:
-        i, j, l = self.cell_index(ci)
-        out = []
-        for di, dj, dl in _VERTEX_CORNERS:
-            out.append((self.vertex_id(i + di, j + dj, l + dl),
-                        self.vertex_entity(i + di, j + dj, l + dl)))
-        return out
+    def cell_entity_ids(self, ci: int) -> dict[tuple, tuple[str, int]]:
+        """The cell's 27 local entity labels mapped to global (kind, id).
 
-    def cell_edges(self, ci: int) -> list[tuple[int, int, EntityRef]]:
-        """12 (axis, gid, entity) triples: 4 x-edges, 4 y-edges, 4 z-edges."""
+        Labels, in canonical local order: ``("vertex", corner)`` for the 8
+        corners; ``("edge", axis, sides)`` for the 4 edges along each axis,
+        ``sides`` giving the offsets on the two other axes in increasing
+        order; ``("face", normal, side)`` for the 6 faces; ``("cell",)``.
+        """
         i, j, l = self.cell_index(ci)
-        out = []
+        out: dict[tuple, tuple[str, int]] = {}
+        for corner in _VERTEX_CORNERS:
+            di, dj, dl = corner
+            out[("vertex", corner)] = ("vertex", self.vertex_id(i + di, j + dj, l + dl))
         for axis in range(3):
-            for s1, s2 in _EDGE_SIDES:
+            for sides in _EDGE_SIDES:
+                s1, s2 = sides
                 if axis == 0:
                     idx = (i, j + s1, l + s2)
                 elif axis == 1:
                     idx = (i + s1, j, l + s2)
                 else:
                     idx = (i + s1, j + s2, l)
-                out.append((axis, self.edge_id(axis, *idx), self.edge_entity(axis, *idx)))
-        return out
-
-    def cell_faces(self, ci: int) -> list[tuple[int, int, int, EntityRef]]:
-        """6 (normal, side, gid, entity): x-normal lo/hi, then y, then z."""
-        i, j, l = self.cell_index(ci)
-        out = []
+                out[("edge", axis, sides)] = ("edge", self.edge_id(axis, *idx))
         for normal in range(3):
             for side in (0, 1):
                 idx = [i, j, l]
                 idx[normal] += side
-                out.append((normal, side, self.face_id(normal, *idx),
-                            self.face_entity(normal, *idx)))
+                out[("face", normal, side)] = ("face", self.face_id(normal, *idx))
+        out[("cell",)] = ("cell", ci)
         return out
 
     # -- adjacency ------------------------------------------------------------------

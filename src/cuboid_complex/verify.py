@@ -345,18 +345,16 @@ def _preimage_routes(name: str) -> list[tuple[int, str, int]]:
     return [(0, "xy", 1), (1, "yz", 2), (2, "zx", 0)]
 
 
-def _preimage_fields(name: str, q_space: GlobalSpace,
-                     coeffs: list[Fraction]) -> list[dict[str, TensorPoly]]:
-    """Per-cell matrix components whose row divergence reproduces ``coeffs``.
+def _preimage_fields(name: str, mesh: CuboidMesh,
+                     qfields: list[PolyField]) -> list[dict[str, TensorPoly]]:
+    """Per-cell matrix components whose row divergence reproduces the
+    per-cell target fields ``qfields``.
 
     Each target component is integrated along its designated axis cell by
     cell, carrying the accumulated boundary trace down every cell column so
     traces match across the faces the integration crosses.
     """
-    mesh = q_space.mesh
     shape = mesh.shape
-    qfields = [reconstruct_local(q_space, ci, coeffs)
-               for ci in range(mesh.num_cells)]
     sigma: list[dict[str, TensorPoly]] = [dict() for _ in range(mesh.num_cells)]
     for qa, scomp, axis in _preimage_routes(name):
         o1, o2 = _others(axis)
@@ -382,16 +380,43 @@ def _preimage_fields(name: str, q_space: GlobalSpace,
 
 def _div_preimage(name: str, q_space: GlobalSpace, coeffs: list[Fraction],
                   target: GlobalSpace | None) -> tuple[GlobalSpace, list[Fraction]]:
+    """Build the preimage of ``coeffs`` and check it: the divergence
+    equation per cell, continuity across the faces the integration crosses,
+    conforming interpolation into ``target`` and membership of its shape
+    space."""
     fams, _ops, _kd, _min_k = COMPLEXES[name]
     if q_space.fam.name != fams[3]:
         raise ValueError(
             f"complex {name!r} takes targets in {fams[3]!r}, "
             f"got {q_space.fam.name!r}")
+    mesh = q_space.mesh
     if target is None:
-        target = assemble_space(FamilyId(fams[2], q_space.fam.k), q_space.mesh)
-    sigma = _preimage_fields(name, q_space, coeffs)
+        target = assemble_space(FamilyId(fams[2], q_space.fam.k), mesh)
+    qfields = [reconstruct_local(q_space, ci, coeffs)
+               for ci in range(mesh.num_cells)]
+    sigma = _preimage_fields(name, mesh, qfields)
+    symmetric = name.startswith("elasticity")
+    for ci in range(mesh.num_cells):
+        field = PolyField("matrix", sigma[ci], mesh.cell_box(ci),
+                          symmetric=symmetric)
+        dv = div_rows(field)
+        for a in range(3):
+            if not (dv.vec(a) - qfields[ci].vec(a)).is_zero():
+                raise AssertionError(
+                    f"preimage divergence mismatch, cell {ci} component "
+                    f"{comp_name(a)}")
+    for _qa, scomp, axis in _preimage_routes(name):
+        for normal, i, j, l in mesh.interior_faces():
+            if normal != axis:
+                continue
+            lo_ci, hi_ci = mesh.face_cells(normal, i, j, l)
+            fent = mesh.face_entity(normal, i, j, l)
+            if sigma[lo_ci][scomp].trace(fent) != sigma[hi_ci][scomp].trace(fent):
+                raise AssertionError(
+                    f"preimage component {scomp} jumps across face "
+                    f"({normal},{i},{j},{l})")
     out = interpolate(target, lambda ci, box: sigma[ci])
-    for ci in range(q_space.mesh.num_cells):
+    for ci in range(mesh.num_cells):
         rec = reconstruct_local(target, ci, out)
         for comp, poly in sigma[ci].items():
             if not (rec.component(comp) - poly).is_zero():
@@ -412,9 +437,11 @@ def div_preimage_gradgrad(q_space: GlobalSpace, coeffs: list[Fraction],
     """An explicit traceless-matrix preimage of a discrete vector target.
 
     The off-diagonal components xy, yz, zx are antiderivatives of the target
-    components along y, z, x respectively; the shared-DOF agreement inside
-    :func:`interpolate` certifies the construction is conforming.  Returns
-    the matrix space and the coefficient vector of the preimage.
+    components along y, z, x respectively.  The divergence is checked on
+    every cell, the traces across the crossed faces, and the shared-DOF
+    agreement inside :func:`interpolate` certifies the construction is
+    conforming; a failed check raises ``AssertionError``.  Returns the
+    matrix space and the coefficient vector of the preimage.
     """
     name = "gradgrad" if q_space.fam.name == "q" else "gradgrad-reduced"
     return _div_preimage(name, q_space, coeffs, target)
@@ -444,35 +471,11 @@ def div_preimage_check(name: str, k: int, mesh: CuboidMesh,
     q_space = assemble_space(FamilyId(fams[3], k), mesh)
     mat_space = assemble_space(FamilyId(fams[2], k), mesh)
     div_mat = operator_matrix("div", mat_space, q_space)
-    preimage = (div_preimage_elasticity if name.startswith("elasticity")
-                else div_preimage_gradgrad)
-    symmetric = name.startswith("elasticity")
     rng = random.Random(seed)
     targets, preimages = [], []
     for _ in range(samples):
         coeffs = _random_coeffs(q_space.dimension, rng)
-        sigma = _preimage_fields(name, q_space, coeffs)
-        for ci in range(mesh.num_cells):
-            box = mesh.cell_box(ci)
-            field = PolyField("matrix", sigma[ci], box, symmetric=symmetric)
-            dv = div_rows(field)
-            qf = reconstruct_local(q_space, ci, coeffs)
-            for a in range(3):
-                if not (dv.vec(a) - qf.vec(a)).is_zero():
-                    raise AssertionError(
-                        f"preimage divergence mismatch, cell {ci} component "
-                        f"{comp_name(a)}")
-        for qa, scomp, axis in _preimage_routes(name):
-            for normal, i, j, l in mesh.interior_faces():
-                if normal != axis:
-                    continue
-                lo_ci, hi_ci = mesh.face_cells(normal, i, j, l)
-                fent = mesh.face_entity(normal, i, j, l)
-                if sigma[lo_ci][scomp].trace(fent) != sigma[hi_ci][scomp].trace(fent):
-                    raise AssertionError(
-                        f"preimage component {scomp} jumps across face "
-                        f"({normal},{i},{j},{l})")
-        _target, pvec = preimage(q_space, coeffs, mat_space)
+        _target, pvec = _div_preimage(name, q_space, coeffs, mat_space)
         targets.append(coeffs)
         preimages.append(pvec)
     # one integer product div @ P, with the preimages as the columns of P

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from cuboid_complex.elements import (
-    FAMILY_NAMES, FamilyId, apply_dof, bubble_basis_divT, check_unisolvence,
-    entity_ref_for, family, global_dimension_formula, group_dof_matrix,
-    group_dofs, local_dofs, min_order, shape_space,
+    FAMILY_NAMES, FamilyId, apply_dof, axis_functionals, bubble_basis_divT,
+    check_unisolvence, entity_ref_for, family, global_dimension_formula,
+    group_dof_matrix, group_dofs, local_dofs, min_order, shape_space,
 )
 from cuboid_complex.polytensor import EntityRef, TensorPoly, UNIT_BOX, box
 
@@ -206,6 +206,24 @@ def test_local_dofs_on_a_cell_keeps_the_unit_catalog():
         assert tags(bound) == tags(local_dofs(fam))
         assert all(d.entity == entity_ref_for(d.entity_label, _ANISO)
                    for d in bound)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_rebound_dofs_keep_the_unit_functionals(name):
+    """The 1-D functionals come from the entity label, so rebinding to a
+    cell whose lower corner is off the origin on every axis keeps them.
+
+    On the unit cell a frozen axis sits at the coordinate of its side, so
+    there the extent is the oracle for the sides.
+    """
+    fam = family(name, min_order(name))
+    unit = local_dofs(fam)
+    funcs = [axis_functionals(d) for d in unit]
+    for d, f in zip(unit, funcs):
+        ext = d.entity.extent
+        assert [side for _d, _w, side in f] == [
+            None if ext.lo[a] < ext.hi[a] else int(ext.lo[a]) for a in range(3)]
+    assert [axis_functionals(d) for d in local_dofs(fam, _ANISO)] == funcs
 
 
 def test_global_dimension_formula_spot_values():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from cuboid_complex.elements import (FAMILY_NAMES, entity_ref_for, family,
+                                     local_dofs, min_order)
 from cuboid_complex.mesh import (
     CuboidMesh, build_box_mesh, euler_characteristic, uniform_unit_mesh,
 )
@@ -77,22 +79,34 @@ def test_ids_are_bijective(shape):
 
 
 def test_cell_entity_lists_have_canonical_shape():
+    """27 labels in canonical order, whose ids increase within each kind."""
     mesh = uniform_unit_mesh(2, 2, 2)
     for ci in range(mesh.num_cells):
-        verts = mesh.cell_vertices(ci)
-        edges = mesh.cell_edges(ci)
-        faces = mesh.cell_faces(ci)
-        assert len(verts) == 8 and len(edges) == 12 and len(faces) == 6
-        assert [axis for axis, _gid, _ref in edges] == [0] * 4 + [1] * 4 + [2] * 4
-        assert [(n, s) for n, s, _gid, _ref in faces] == [
-            (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        ids = mesh.cell_entity_ids(ci)
+        labels = list(ids)
+        assert [label[0] for label in labels] == (
+            ["vertex"] * 8 + ["edge"] * 12 + ["face"] * 6 + ["cell"])
+        assert [label[1] for label in labels[8:20]] == [0] * 4 + [1] * 4 + [2] * 4
+        assert labels[20:26] == [("face", n, s) for n in range(3) for s in (0, 1)]
+        assert ids[("cell",)] == ("cell", ci)
+        assert all(k == label[0] for label, (k, _gid) in ids.items())
+        for kind in ("vertex", "edge", "face"):
+            gids = [gid for label, (_k, gid) in ids.items() if label[0] == kind]
+            assert gids == sorted(set(gids))
+
+
+def test_cell_entity_ids_cover_the_catalog_labels():
+    mesh = uniform_unit_mesh(1, 1, 1)
+    labels = {d.entity_label for name in FAMILY_NAMES
+              for d in local_dofs(family(name, min_order(name)))}
+    assert labels == set(mesh.cell_entity_ids(0))
 
 
 def test_shared_face_has_one_id():
     mesh = uniform_unit_mesh(2, 1, 1)
     left, right = 0, 1
-    upper_of_left = [gid for n, s, gid, _ in mesh.cell_faces(left) if (n, s) == (0, 1)]
-    lower_of_right = [gid for n, s, gid, _ in mesh.cell_faces(right) if (n, s) == (0, 0)]
+    upper_of_left = mesh.cell_entity_ids(left)[("face", 0, 1)]
+    lower_of_right = mesh.cell_entity_ids(right)[("face", 0, 0)]
     assert upper_of_left == lower_of_right
 
 
@@ -100,11 +114,38 @@ def test_face_cells_inverts_cell_faces():
     mesh = uniform_unit_mesh(2, 2, 2)
     for ci in range(mesh.num_cells):
         i, j, l = mesh.cell_index(ci)
-        for normal, side, gid, ref in mesh.cell_faces(ci):
-            idx = [i, j, l]
-            idx[normal] += side
-            assert mesh.face_id(normal, *idx) == gid
-            assert ci in mesh.face_cells(normal, *idx)
+        ids = mesh.cell_entity_ids(ci)
+        for normal in range(3):
+            for side in (0, 1):
+                idx = [i, j, l]
+                idx[normal] += side
+                assert ids[("face", normal, side)] == (
+                    "face", mesh.face_id(normal, *idx))
+                assert ci in mesh.face_cells(normal, *idx)
+
+
+_GRADED = build_box_mesh([0, F(1, 3), F(1, 2), 2], [F(-1), F(1, 7), 3],
+                         [0, F(2, 5), 1])
+
+
+@pytest.mark.parametrize("mesh", [uniform_unit_mesh(3, 2, 2), _GRADED],
+                         ids=["uniform-3x2x2", "graded-3x2x2"])
+def test_cell_entity_ids_follow_the_geometry(mesh):
+    """Two (cell, label) pairs get one id exactly when the label names the
+    same entity on both cells' boxes, and each kind's ids are
+    ``0..count-1``."""
+    id_of: dict = {}       # entity -> (kind, gid)
+    entity_of: dict = {}   # (kind, gid) -> entity
+    for ci in range(mesh.num_cells):
+        box = mesh.cell_box(ci)
+        for label, kid in mesh.cell_entity_ids(ci).items():
+            ref = entity_ref_for(label, box)
+            assert ref.kind == kid[0]
+            assert id_of.setdefault(ref, kid) == kid
+            assert entity_of.setdefault(kid, ref) == ref
+    for kind, count in zip(("vertex", "edge", "face", "cell"),
+                           mesh.entity_counts()):
+        assert sorted(gid for k, gid in entity_of if k == kind) == list(range(count))
 
 
 def test_interior_faces():
@@ -135,9 +176,5 @@ def test_cell_box_geometry_nonuniform():
 
 def test_entities_carry_their_extents():
     mesh = uniform_unit_mesh(2, 1, 1)
-    v = mesh.vertex_entity(1, 0, 0)
-    assert v.extent.lo == (F(1, 2), 0, 0) and v.kind == "vertex"
-    e = mesh.edge_entity(0, 1, 0, 0)
-    assert e.extent.lo == (F(1, 2), 0, 0) and e.extent.hi == (1, 0, 0)
     f = mesh.face_entity(0, 1, 0, 0)
     assert f.extent.lo == (F(1, 2), 0, 0) and f.extent.hi == (F(1, 2), 1, 1)

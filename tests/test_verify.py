@@ -179,6 +179,39 @@ def test_div_preimage_rejects_wrong_space():
         div_preimage_gradgrad(z, [F(0)] * z.dimension)
 
 
+def _double_xy(sigma):
+    sigma[0]["xy"] = sigma[0]["xy"] + sigma[0]["xy"]
+
+
+def _shift_zx(sigma):
+    zx = sigma[0]["zx"]
+    sigma[0]["zx"] = zx + TensorPoly.monomial((0, 0, 0), zx.cell)
+
+
+@pytest.mark.parametrize("change,message", [
+    (_double_xy, "preimage divergence mismatch, cell 0 component x"),
+    (_shift_zx, r"preimage component zx jumps across face \(0,1,0,0\)"),
+], ids=["divergence", "trace"])
+def test_div_preimage_checks_its_construction(monkeypatch, change, message):
+    """The public preimage runs the per-cell divergence check and the
+    crossed-face trace check: a doubled ``xy`` breaks the first, and a
+    constant added to ``zx`` on one side of the face its x integration
+    crosses breaks only the second."""
+    real = verify._preimage_fields
+
+    def broken(*args):
+        sigma = real(*args)
+        change(sigma)
+        return sigma
+
+    monkeypatch.setattr(verify, "_preimage_fields", broken)
+    q = assemble_space(family("q", 3), uniform_unit_mesh(2, 1, 1))
+    rng = random.Random(3)
+    coeffs = [F(rng.randint(-9, 9)) for _ in range(q.dimension)]
+    with pytest.raises(AssertionError, match=message):
+        div_preimage_gradgrad(q, coeffs)
+
+
 def test_div_preimage_check_small():
     r = div_preimage_check("gradgrad", 3, uniform_unit_mesh(2, 1, 1), samples=3)
     assert r["exact"] and r["samples"] == 3
