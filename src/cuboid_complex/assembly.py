@@ -111,12 +111,14 @@ lcm(d) / d_i`` runs over the target DOFs and ``c_j = d_j lcm(n) / n_j``
 over the source DOFs.  The scatter rescales each shape's block once by
 ``L // den_h``, with ``L`` the lcm of the ``den_h``, so the global matrix
 is integer rows over ``L`` and every comparison is between integers.  It
-walks only nonzeros and asserts conformity instead of assuming it: a
-shared target DOF must receive the identical value from every adjacent
-cell, including the implicit zero from cells where the source basis
-function is not supported.  That second pass walks every stored global
-entry back to each cell's local column, so an entry a cell's block leaves
-out is still compared.
+walks only nonzeros and keeps the first cell's value at each entry; it
+asserts conformity instead of assuming it.  One audit then walks, for
+each cell and each target DOF it carries, every stored entry of that
+row: the cell must carry the source DOF, its block must hold a value
+there (not an implicit zero) and the value must equal the stored one.
+So a shared target DOF receives the identical value from every cell that
+carries it, with ``cell_maps`` the one record of which cell carries
+which DOF.
 """
 
 from __future__ import annotations
@@ -171,13 +173,14 @@ def _dof_sort_key(key) -> tuple:
 
 @dataclass
 class GlobalSpace:
-    """An assembled finite element space on a cuboid mesh."""
+    """An assembled finite element space on a cuboid mesh: the sorted DOF
+    ``keys``, per cell the global index of each catalog DOF
+    (``cell_maps``), and the unit-cell catalog ``ref_dofs``."""
 
     fam: FamilyId
     mesh: CuboidMesh
     keys: list
     cell_maps: list[list[int]]
-    dof_cells: list[tuple[int, ...]]
     ref_dofs: list[DofFunctional]
 
     @property
@@ -187,25 +190,15 @@ class GlobalSpace:
 
 def assemble_space(fam: FamilyId, mesh: CuboidMesh) -> GlobalSpace:
     ref = local_dofs(fam)
-    seen: dict = {}
-    per_cell_keys: list[list] = []
+    per_cell_keys = []
     for ci in range(mesh.num_cells):
         ids = mesh.cell_entity_ids(ci)
-        keys = []
-        for dof in ref:
-            key = dof.dof_key(ids[dof.entity_label])
-            keys.append(key)
-            cells = seen.get(key)
-            if cells is None:
-                seen[key] = [ci]
-            elif cells[-1] != ci:
-                cells.append(ci)
-        per_cell_keys.append(keys)
-    ordered = sorted(seen, key=_dof_sort_key)
+        per_cell_keys.append([dof.dof_key(ids[dof.entity_label]) for dof in ref])
+    ordered = sorted({k for keys in per_cell_keys for k in keys},
+                     key=_dof_sort_key)
     index = {key: i for i, key in enumerate(ordered)}
     cell_maps = [[index[k] for k in keys] for keys in per_cell_keys]
-    dof_cells = [tuple(seen[k]) for k in ordered]
-    return GlobalSpace(fam, mesh, ordered, cell_maps, dof_cells, ref)
+    return GlobalSpace(fam, mesh, ordered, cell_maps, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -691,9 +684,12 @@ class ConformityError(AssertionError):
 def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseMatrix:
     """Assemble the global operator matrix (target dim by source dim).
 
-    Raises :class:`ConformityError` when two cells report different values
-    for the same (target DOF, source DOF) pair, or when a nonzero column
-    entry is missing a contribution from a cell adjacent to its target DOF.
+    Every cell's block is scattered keeping the first value at each entry,
+    then one audit over ``cell_maps`` checks every stored entry against
+    each cell that carries its target DOF.  Raises
+    :class:`ConformityError` when such a cell does not carry the source DOF
+    (a one-sided contribution), holds an implicit zero there (a
+    zero/nonzero clash) or holds a different value (the cells disagree).
     """
     if (src.fam.name, op_name, dst.fam.name) not in COMPLEX_EDGES:
         raise ValueError(
@@ -719,33 +715,26 @@ def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseM
         for gi, krow in zip(dst.cell_maps[ci], K):
             row = rows[gi]
             for j, v in krow.items():
-                gj = smap[j]
-                old = row.get(gj)
-                if old is None:
-                    row[gj] = v
-                elif old != v:
-                    raise ConformityError(
-                        f"cells disagree at target DOF {dst.keys[gi]}: "
-                        f"{Fraction(old, L)} vs {Fraction(v, L)}")
-    # second pass: a stored value must be reproduced by every cell that
-    # carries both DOFs, including the cells whose block holds an implicit
-    # zero there; the stored entries are mapped back to local columns
+                row.setdefault(smap[j], v)
+    # every cell that carries a target DOF must reproduce its whole stored
+    # row, the stored entries mapped back to the cell's local columns
     for ci, K in enumerate(blocks):
         local_col = {gj: j for j, gj in enumerate(src.cell_maps[ci])}
         for gi, krow in zip(dst.cell_maps[ci], K):
             for gj, stored in rows[gi].items():
                 j = local_col.get(gj)
-                if j is not None and krow.get(j, 0) != stored:
+                if j is None:
+                    raise ConformityError(
+                        f"target DOF {dst.keys[gi]} receives a one-sided "
+                        f"contribution from source DOF {src.keys[gj]}")
+                v = krow.get(j)
+                if v is None:
                     raise ConformityError(
                         f"zero/nonzero clash at target DOF {dst.keys[gi]}")
-    # adjacency audit: every cell at the target DOF must see the source DOF
-    for gi, row in enumerate(rows):
-        ci_set = set(dst.dof_cells[gi])
-        for gj in row:
-            if not ci_set.issubset(src.dof_cells[gj]):
-                raise ConformityError(
-                    f"target DOF {dst.keys[gi]} receives a one-sided "
-                    f"contribution from source DOF {src.keys[gj]}")
+                if v != stored:
+                    raise ConformityError(
+                        f"cells disagree at target DOF {dst.keys[gi]}: "
+                        f"{Fraction(stored, L)} vs {Fraction(v, L)}")
     return A
 
 

@@ -107,10 +107,6 @@ class FamilyId:
             raise ValueError(
                 f"family {self.name!r} requires k >= {_MIN_K[self.name]}, got {self.k}")
 
-    @property
-    def min_k(self) -> int:
-        return _MIN_K[self.name]
-
 
 def family(name: str, k: int) -> FamilyId:
     return FamilyId(name, k)
@@ -882,7 +878,7 @@ def group_dof_matrix(fam: FamilyId, gname: str, cell: CellBox = UNIT_BOX
     return rows
 
 
-def check_unisolvence(fam: FamilyId, cell: CellBox = UNIT_BOX) -> dict:
+def check_unisolvence(fam: FamilyId) -> dict:
     """Exact unisolvency check: the DOF matrix is square and nonsingular.
 
     Works group by group (the matrix is block diagonal), which keeps the
@@ -894,7 +890,7 @@ def check_unisolvence(fam: FamilyId, cell: CellBox = UNIT_BOX) -> dict:
     rank = 0
     square = ndofs == dim
     for g in spec.groups:
-        block = group_dof_matrix(fam, g.name, cell)
+        block = group_dof_matrix(fam, g.name)
         if not block:
             continue
         if len(block) != len(block[0]):
@@ -910,10 +906,6 @@ def check_unisolvence(fam: FamilyId, cell: CellBox = UNIT_BOX) -> dict:
         "square": square,
         "nonsingular": square and rank == dim,
     }
-
-
-def local_dimension(fam: FamilyId) -> int:
-    return shape_space(fam).local_dimension()
 
 
 # ---------------------------------------------------------------------------

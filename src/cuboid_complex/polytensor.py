@@ -51,9 +51,6 @@ class Degree3:
             return 0
         return (self.kx + 1) * (self.ky + 1) * (self.kz + 1)
 
-    def cap(self, axis: int) -> int:
-        return self.caps[axis]
-
     def contains(self, exp: tuple[int, int, int]) -> bool:
         if self.is_empty:
             return False

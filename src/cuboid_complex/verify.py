@@ -25,7 +25,9 @@ from .assembly import (COMPLEXES, GlobalSpace, SparseMatrix, assemble_space,
 from .elements import (FamilyId, comp_name, global_dimension_formula,
                        shape_space, _others)
 from .mesh import CuboidMesh
-from .operators import PolyField, check_identity_curl_symgrad, div_rows
+from .operators import (MembershipError, PolyField,
+                        check_identity_curl_symgrad, div_rows,
+                        field_to_coords)
 from .polytensor import EntityRef, TensorPoly
 
 _F0 = Fraction(0)
@@ -47,6 +49,10 @@ def exact_rank(mat: SparseMatrix) -> int:
 #: the largest dense array, in bytes, the float rank route will allocate
 FLOAT_RANK_MAX_BYTES = 1 << 30
 
+#: singular values at most this fraction of the largest count as zero in
+#: the float rank
+FLOAT_RANK_REL_CUTOFF = 1e-9
+
 
 class DenseSizeError(ValueError):
     """The float rank route refused a matrix too large to make dense."""
@@ -65,7 +71,7 @@ def _check_dense_size(shape: tuple[int, int]) -> None:
             f"use rational arithmetic")
 
 
-def float_rank(mat: SparseMatrix, rel_cutoff: float = 1e-9) -> int:
+def float_rank(mat: SparseMatrix) -> int:
     _check_dense_size((mat.nrows, mat.ncols))
     import numpy as np
     if mat.nnz == 0:
@@ -73,7 +79,7 @@ def float_rank(mat: SparseMatrix, rel_cutoff: float = 1e-9) -> int:
     s = np.linalg.svd(mat.to_float_array(), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int((s > rel_cutoff * s[0]).sum())
+    return int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
 
 
 def certified_ranks(mats: list[SparseMatrix],
@@ -381,17 +387,14 @@ def _preimage_fields(name: str, mesh: CuboidMesh,
 def _div_preimage(name: str, q_space: GlobalSpace, coeffs: list[Fraction],
                   target: GlobalSpace | None) -> tuple[GlobalSpace, list[Fraction]]:
     """Build the preimage of ``coeffs`` and check it: the divergence
-    equation per cell, continuity across the faces the integration crosses,
-    conforming interpolation into ``target`` and membership of its shape
-    space."""
+    equation and membership of the target's shape space per cell,
+    continuity across the faces the integration crosses, and conforming
+    interpolation into ``target``."""
     fams, _ops, _kd, _min_k = COMPLEXES[name]
-    if q_space.fam.name != fams[3]:
-        raise ValueError(
-            f"complex {name!r} takes targets in {fams[3]!r}, "
-            f"got {q_space.fam.name!r}")
     mesh = q_space.mesh
     if target is None:
         target = assemble_space(FamilyId(fams[2], q_space.fam.k), mesh)
+    spec = shape_space(target.fam)
     qfields = [reconstruct_local(q_space, ci, coeffs)
                for ci in range(mesh.num_cells)]
     sigma = _preimage_fields(name, mesh, qfields)
@@ -405,6 +408,14 @@ def _div_preimage(name: str, q_space: GlobalSpace, coeffs: list[Fraction],
                 raise AssertionError(
                     f"preimage divergence mismatch, cell {ci} component "
                     f"{comp_name(a)}")
+        # by unisolvence, membership is exactly what the interpolant
+        # reproduces on the cell
+        try:
+            field_to_coords(field, spec)
+        except MembershipError as exc:
+            raise AssertionError(
+                f"preimage for cell {ci} left the {target.fam.name} shape "
+                f"space: {exc}") from exc
     for _qa, scomp, axis in _preimage_routes(name):
         for normal, i, j, l in mesh.interior_faces():
             if normal != axis:
@@ -415,20 +426,17 @@ def _div_preimage(name: str, q_space: GlobalSpace, coeffs: list[Fraction],
                 raise AssertionError(
                     f"preimage component {scomp} jumps across face "
                     f"({normal},{i},{j},{l})")
-    out = interpolate(target, lambda ci, box: sigma[ci])
-    for ci in range(mesh.num_cells):
-        rec = reconstruct_local(target, ci, out)
-        for comp, poly in sigma[ci].items():
-            if not (rec.component(comp) - poly).is_zero():
-                raise AssertionError(
-                    f"preimage for cell {ci} left the {target.fam.name} "
-                    f"shape space in component {comp}")
-        for comp in rec.comps:
-            if comp not in sigma[ci] and not rec.component(comp).is_zero():
-                raise AssertionError(
-                    f"preimage interpolation produced spurious component "
-                    f"{comp} on cell {ci}")
-    return target, out
+    return target, interpolate(target, lambda ci, box: sigma[ci])
+
+
+def _preimage_complex(names: tuple[str, str], q_space: GlobalSpace) -> str:
+    """The complex of ``names`` whose last family is ``q_space``'s."""
+    for name in names:
+        if COMPLEXES[name][0][3] == q_space.fam.name:
+            return name
+    raise ValueError(
+        f"targets must be in {COMPLEXES[names[0]][0][3]!r} or "
+        f"{COMPLEXES[names[1]][0][3]!r}, got {q_space.fam.name!r}")
 
 
 def div_preimage_gradgrad(q_space: GlobalSpace, coeffs: list[Fraction],
@@ -437,21 +445,24 @@ def div_preimage_gradgrad(q_space: GlobalSpace, coeffs: list[Fraction],
     """An explicit traceless-matrix preimage of a discrete vector target.
 
     The off-diagonal components xy, yz, zx are antiderivatives of the target
-    components along y, z, x respectively.  The divergence is checked on
-    every cell, the traces across the crossed faces, and the shared-DOF
-    agreement inside :func:`interpolate` certifies the construction is
-    conforming; a failed check raises ``AssertionError``.  Returns the
-    matrix space and the coefficient vector of the preimage.
+    components along y, z, x respectively.  The divergence and membership
+    of the matrix shape space are checked on every cell, the traces across
+    the crossed faces, and the shared-DOF agreement inside
+    :func:`interpolate` certifies the construction is conforming; a failed
+    check raises ``AssertionError``.  A target outside ``q`` and ``q-red``
+    raises ``ValueError``.  Returns the matrix space and the coefficient
+    vector of the preimage.
     """
-    name = "gradgrad" if q_space.fam.name == "q" else "gradgrad-reduced"
+    name = _preimage_complex(("gradgrad", "gradgrad-reduced"), q_space)
     return _div_preimage(name, q_space, coeffs, target)
 
 
 def div_preimage_elasticity(q_space: GlobalSpace, coeffs: list[Fraction],
                             target: GlobalSpace | None = None,
                             ) -> tuple[GlobalSpace, list[Fraction]]:
-    """Same construction for the symmetric-matrix spaces, on the diagonal."""
-    name = "elasticity" if q_space.fam.name == "z" else "elasticity-reduced"
+    """Same construction for the symmetric-matrix spaces, on the diagonal,
+    with targets in ``z`` or ``z-red``."""
+    name = _preimage_complex(("elasticity", "elasticity-reduced"), q_space)
     return _div_preimage(name, q_space, coeffs, target)
 
 

@@ -157,9 +157,8 @@ def test_shared_entity_dofs_are_identified():
     space = assemble_space(family("u", 3), mesh)
     # 12 vertices at 8 DOFs each on a mesh with no free edge/face slots at k=3
     assert space.dimension == 96
-    # both cells reference the shared middle wall's vertex DOFs
-    owners = [set(cells) for cells in space.dof_cells]
-    assert any(o == {0, 1} for o in owners)
+    # both cells reference the shared middle wall's 4 vertices, 8 DOFs each
+    assert len(set(space.cell_maps[0]) & set(space.cell_maps[1])) == 32
 
 
 @pytest.mark.parametrize("name,k,shape", [
@@ -451,8 +450,8 @@ def _tamper_one_shared_entry(monkeypatch, change):
     real = assembly.local_operator_block
     block, _den = real("gradgrad", src.fam, dst.fam, h0)
     i, j = next((i, j) for i, row in enumerate(block) for j in row
-                if 1 in dst.dof_cells[dst.cell_maps[0][i]]
-                and 1 in src.dof_cells[src.cell_maps[0][j]])
+                if dst.cell_maps[0][i] in dst.cell_maps[1]
+                and src.cell_maps[0][j] in src.cell_maps[1])
 
     def tampered(op_name, s, d, h):
         rows, den = real(op_name, s, d, h)
@@ -487,6 +486,23 @@ def test_conformity_audit_sees_a_block_over_another_denominator(monkeypatch):
         return 2 * den
     with pytest.raises(ConformityError, match="cells disagree"):
         _tamper_one_shared_entry(monkeypatch, halve)
+
+
+def test_conformity_audit_sees_a_one_sided_contribution(monkeypatch):
+    """A nonzero in the first cell's block at a target DOF both cells carry,
+    from a source DOF only the first cell carries, is stored unopposed by
+    the scatter; the audit finds the second cell without the source DOF."""
+    mesh = build_box_mesh([0, F(1, 3), 1], [0, 1], [0, 1])
+    src = assemble_space(family("u", 3), mesh)
+    own = next(j for j, gj in enumerate(src.cell_maps[0])
+               if gj not in src.cell_maps[1])
+
+    def reach(rows, den, i, j):
+        assert own not in rows[i]
+        rows[i][own] = 1
+        return den
+    with pytest.raises(ConformityError, match="one-sided contribution"):
+        _tamper_one_shared_entry(monkeypatch, reach)
 
 
 def _reference_cache_sizes():

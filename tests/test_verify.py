@@ -175,8 +175,11 @@ def test_div_preimage_zero_is_zero():
 def test_div_preimage_rejects_wrong_space():
     mesh = uniform_unit_mesh(1, 1, 1)
     z = assemble_space(family("z", 2), mesh)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'q' or 'q-red', got 'z'"):
         div_preimage_gradgrad(z, [F(0)] * z.dimension)
+    q = assemble_space(family("q", 3), mesh)
+    with pytest.raises(ValueError, match="'z' or 'z-red', got 'q'"):
+        div_preimage_elasticity(q, [F(0)] * q.dimension)
 
 
 def _double_xy(sigma):
@@ -188,15 +191,22 @@ def _shift_zx(sigma):
     sigma[0]["zx"] = zx + TensorPoly.monomial((0, 0, 0), zx.cell)
 
 
+def _leave_the_space(sigma):
+    xy = sigma[0]["xy"]
+    sigma[0]["xy"] = xy + TensorPoly.monomial((2, 0, 0), xy.cell)
+
+
 @pytest.mark.parametrize("change,message", [
     (_double_xy, "preimage divergence mismatch, cell 0 component x"),
     (_shift_zx, r"preimage component zx jumps across face \(0,1,0,0\)"),
-], ids=["divergence", "trace"])
+    (_leave_the_space, "preimage for cell 0 left the xi shape space"),
+], ids=["divergence", "trace", "membership"])
 def test_div_preimage_checks_its_construction(monkeypatch, change, message):
-    """The public preimage runs the per-cell divergence check and the
-    crossed-face trace check: a doubled ``xy`` breaks the first, and a
-    constant added to ``zx`` on one side of the face its x integration
-    crosses breaks only the second."""
+    """The public preimage runs the per-cell divergence check, the
+    crossed-face trace check and the per-cell membership check: a doubled
+    ``xy`` breaks the first, a constant added to ``zx`` on one side of the
+    face its x integration crosses breaks only the second, and ``x^2``
+    added to ``xy``, past its x degree, breaks only the third."""
     real = verify._preimage_fields
 
     def broken(*args):
