@@ -10,18 +10,23 @@ Conventions:
   :func:`clear_denominators` is the one bridge from rational rows.
 
 ``ff_rank`` and ``fj_inverse`` fix their pivot strategy deterministically,
-so a run is reproducible pivot for pivot.
+so a run is reproducible pivot for pivot.  ``ff_rank`` takes a column
+with one live row as its pivot with no search, from a queue fed whenever a
+column drops to one row; otherwise it compares Markowitz counts over the
+two shortest live rows.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-# How many of the sparsest rows the pivot search inspects per step.  Small
-# enough to keep the search cheap, large enough that the Markowitz count has
-# real candidates to compare.
-_PIVOT_ROWS = 12
+# How many of the shortest live rows the Markowitz search compares when no
+# column singleton is queued.  Column singletons come from the queue and
+# row singletons are the shortest rows, so two rows find every count-0
+# pivot; each row more costs a key per entry on every search.
+_PIVOT_ROWS = 2
 
 
 def clear_denominators(rows: list, common: bool = False) -> tuple[list, list[int]]:
@@ -49,16 +54,27 @@ def clear_denominators(rows: list, common: bool = False) -> tuple[list, list[int
     return out, dens
 
 
-def ff_rank(rows: list[dict[int, int]], ncols: int) -> int:
+def ff_rank(rows: list[dict[int, int]], ncols: int,
+            counts: dict | None = None) -> int:
     """Rank of a sparse integer matrix by fraction-free elimination.
 
     Bareiss-style cross-multiplication updates keep every intermediate
     entry an integer; per-row content removal plays the role of the exact
     Bareiss division (the guaranteed divisor always divides the row
-    content, so entries never grow past the classical bound).  Pivots are
-    chosen by Markowitz count among the ``_PIVOT_ROWS`` live rows smallest
-    in ``(length, index)``, with ties broken toward entries of small
-    magnitude and then by (row, column) index so runs are reproducible.
+    content, so entries never grow past the classical bound).
+
+    Pivots are chosen deterministically, so runs are reproducible pivot
+    for pivot:
+
+    * a column with one live row is a pivot of Markowitz count 0 that
+      eliminates nothing, so it needs no search.  The queue ``singles``
+      holds such columns in the order they became so: all of them at the
+      start, then each column whose set of rows drops to one, whether a
+      pivot row left it or an update cancelled its entry.  A queued column
+      that fill has grown again, or that has emptied, is skipped;
+    * otherwise the Markowitz count decides among the ``_PIVOT_ROWS``
+      live rows smallest in ``(length, index)``, with ties broken toward
+      entries of small bit length and then by (row, column) index.
 
     Two structures keep each step proportional to the work it does:
 
@@ -71,6 +87,11 @@ def ff_rank(rows: list[dict[int, int]], ncols: int) -> int:
       ``c``; its size is the Markowitz column count, and popping the pivot
       column yields the rows to eliminate.  Their order does not matter:
       each update reads only the pivot row and the target itself.
+
+    With ``counts`` given, the dict receives ``pivots`` (the rank),
+    ``singleton_pivots`` (pivots taken from the queue), ``entries_written``
+    (nonzeros stored into rows by updates, the fill work) and
+    ``max_pivot_bits`` (the largest pivot's bit length).
     """
     act: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
@@ -83,25 +104,42 @@ def ff_rank(rows: list[dict[int, int]], ncols: int) -> int:
                 col_rows.setdefault(c, set()).add(i)
     heap = [(len(r), i) for i, r in act.items()]
     heapify(heap)
+    singles = deque(c for c, s in col_rows.items() if len(s) == 1)
 
-    rank = 0
+    rank = singleton_pivots = written = max_bits = 0
     while act:
-        shortlist: dict[int, dict[int, int]] = {}
-        while len(shortlist) < _PIVOT_ROWS and heap:
-            n, i = heappop(heap)
-            r = act.get(i)
-            if r is not None and len(r) == n and i not in shortlist:
-                shortlist[i] = r
-        pi, pc = _pick_pivot(shortlist, col_rows)
-        for i, r in shortlist.items():
-            if i != pi:
-                heappush(heap, (len(r), i))
+        pc = -1
+        while singles:
+            c = singles.popleft()
+            s = col_rows.get(c)
+            if s is not None and len(s) == 1:
+                pc = c
+                pi = next(iter(s))
+                singleton_pivots += 1
+                break
+        if pc < 0:
+            shortlist: dict[int, dict[int, int]] = {}
+            while len(shortlist) < _PIVOT_ROWS and heap:
+                n, i = heappop(heap)
+                r = act.get(i)
+                if r is not None and len(r) == n and i not in shortlist:
+                    shortlist[i] = r
+            pi, pc = _pick_pivot(shortlist, col_rows)
+            for i, r in shortlist.items():
+                if i != pi:
+                    heappush(heap, (len(r), i))
 
         prow = act.pop(pi)
         piv = prow[pc]
         for c in prow:
-            col_rows[c].discard(pi)
+            s = col_rows[c]
+            s.discard(pi)
+            if len(s) == 1:
+                singles.append(c)
         rank += 1
+        bits = piv.bit_length()
+        if bits > max_bits:
+            max_bits = bits
 
         for ri in col_rows.pop(pc):
             r = act.pop(ri)
@@ -116,15 +154,22 @@ def ff_rank(rows: list[dict[int, int]], ncols: int) -> int:
                 if w:
                     new[c] = w
                 else:
-                    col_rows[c].discard(ri)
+                    s = col_rows[c]
+                    s.discard(ri)
+                    if len(s) == 1:
+                        singles.append(c)
             for c, pv in prow.items():
                 if c != pc and c not in r:
                     new[c] = -b * pv
                     col_rows[c].add(ri)
             if new:
+                written += len(new)
                 _strip_content(new)
                 act[ri] = new
                 heappush(heap, (len(new), ri))
+    if counts is not None:
+        counts.update(pivots=rank, singleton_pivots=singleton_pivots,
+                      entries_written=written, max_pivot_bits=max_bits)
     return rank
 
 
@@ -135,7 +180,7 @@ def _pick_pivot(shortlist: dict[int, dict[int, int]],
     for i, r in shortlist.items():
         rc = len(r) - 1
         for c, v in r.items():
-            key = (rc * (len(col_rows[c]) - 1), v.bit_length() if v > 0 else (-v).bit_length(), i, c)
+            key = (rc * (len(col_rows[c]) - 1), v.bit_length(), i, c)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (i, c)
@@ -171,7 +216,7 @@ def fj_inverse(mat: list[list[int]]) -> tuple[list[list[int]], int]:
         for i in range(t, n):
             v = m[i][t]
             if v:
-                key = (v.bit_length() if v > 0 else (-v).bit_length(), i)
+                key = (v.bit_length(), i)
                 if best is None or key < best:
                     best = key
                     p = i

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .elements import FAMILY_NAMES, FamilyId, check_unisolvence, min_order
 from .mesh import CuboidMesh, build_box_mesh
-from .verify import (COMPLEXES, COMPLEX_NAMES, DenseSizeError,
+from .verify import (ARITHMETICS, COMPLEXES, COMPLEX_NAMES, DenseSizeError,
                      complex_spaces, identity_suite, verify_complex,
                      verify_dimensions)
 
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex", required=True, choices=COMPLEX_NAMES)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--arithmetic", default="rational",
-                   choices=("rational", "float", "both"))
+                   choices=ARITHMETICS)
     _add_mesh_arguments(p)
     p.set_defaults(func=_cmd_complex)
 

@@ -54,6 +54,17 @@ FLOAT_RANK_MAX_BYTES = 1 << 30
 FLOAT_RANK_REL_CUTOFF = 1e-9
 
 
+#: the rank routes ``certified_ranks`` and ``verify_complex`` take: the
+#: exact rank, the float SVD, or both with a cross-check
+ARITHMETICS = ("rational", "float", "both")
+
+
+def _check_arithmetic(arithmetic: str) -> None:
+    if arithmetic not in ARITHMETICS:
+        raise ValueError(f"arithmetic must be 'rational', 'float' or "
+                         f"'both', got {arithmetic!r}")
+
+
 class DenseSizeError(ValueError):
     """The float rank route refused a matrix too large to make dense."""
 
@@ -87,9 +98,11 @@ def certified_ranks(mats: list[SparseMatrix],
     """Ranks of the operator matrices under the requested arithmetic.
 
     Returns (ranks, float_ranks); in "both" mode a disagreement raises.
-    A matrix too large for the float route raises :class:`DenseSizeError`
-    before any rank is computed.
+    An ``arithmetic`` not in :data:`ARITHMETICS` raises ``ValueError``, and
+    a matrix too large for the float route raises :class:`DenseSizeError`,
+    both before any rank is computed.
     """
+    _check_arithmetic(arithmetic)
     rational = arithmetic in ("rational", "both")
     floating = arithmetic in ("float", "both")
     if floating:
@@ -175,7 +188,12 @@ def complex_matrices(name: str, spaces: list[GlobalSpace]) -> list[SparseMatrix]
 
 def verify_complex(name: str, k: int, mesh: CuboidMesh,
                    arithmetic: str = "rational") -> ExactnessReport:
-    """Assemble one ladder and verify it is an exact complex."""
+    """Assemble one ladder and verify it is an exact complex.
+
+    An ``arithmetic`` not in :data:`ARITHMETICS` raises ``ValueError``
+    before any assembly.
+    """
+    _check_arithmetic(arithmetic)
     t0 = time.monotonic()
     kernel_dim = COMPLEXES[name][2]
     spaces = complex_spaces(name, k, mesh)

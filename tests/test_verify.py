@@ -125,6 +125,21 @@ def test_verify_complex_checks_sizes_before_assembly(monkeypatch, arithmetic):
                               arithmetic=arithmetic)
 
 
+def test_unknown_arithmetic_is_refused_before_assembly(monkeypatch):
+    def never(*args):
+        raise AssertionError("a space was assembled before the arithmetic "
+                             "check")
+
+    monkeypatch.setattr(verify, "complex_spaces", never)
+    with pytest.raises(ValueError, match="'rational', 'float' or 'both', "
+                                         "got 'Rational'"):
+        verify_complex("gradgrad", 3, uniform_unit_mesh(1, 1, 1),
+                       arithmetic="Rational")
+    small = SparseMatrix.from_rational(1, 1, [{0: F(1)}])
+    with pytest.raises(ValueError, match="got 'exact'"):
+        certified_ranks([small], "exact")
+
+
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 def test_kernel_identification_two_cells(name):
     k = 3 if name.startswith("gradgrad") else 2
