@@ -13,7 +13,8 @@ Conventions:
 so a run is reproducible pivot for pivot.  ``ff_rank`` takes a column
 with one live row as its pivot with no search, from a queue fed whenever a
 column drops to one row; otherwise it compares Markowitz counts over the
-two shortest live rows.
+two shortest live rows.  An update rebuilds a target row only when it
+must scale it; otherwise it touches the pivot row's columns alone.
 """
 
 from __future__ import annotations
@@ -63,6 +64,21 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
     Bareiss division (the guaranteed divisor always divides the row
     content, so entries never grow past the classical bound).
 
+    A target row with entry ``f`` in the pivot column becomes
+    ``a * row - b * prow`` with ``g = gcd(piv, f)``, ``a = piv / g`` and
+    ``b = f / g``, then loses its content.  The update writes only what
+    changes, on one of three paths:
+
+    * a pivot row with one entry only deletes its column from the target:
+      ``b * prow`` is zero elsewhere, and content removal cancels ``a`` up
+      to its sign, which changes no pattern, magnitude or pivot choice;
+    * when ``a == 1`` the target is updated in place, on the pivot row's
+      columns only;
+    * otherwise the target is rebuilt once as ``{c: a * v}``, then updated
+      on the pivot row's columns.
+
+    The rows are copied on entry, so ``rows`` is left as it was.
+
     Pivots are chosen deterministically, so runs are reproducible pivot
     for pivot:
 
@@ -90,7 +106,8 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
 
     With ``counts`` given, the dict receives ``pivots`` (the rank),
     ``singleton_pivots`` (pivots taken from the queue), ``entries_written``
-    (nonzeros stored into rows by updates, the fill work) and
+    (the nonzeros each updated row holds after its update, summed over the
+    updates: a measure of fill that does not depend on the update path) and
     ``max_pivot_bits`` (the largest pivot's bit length).
     """
     act: dict[int, dict[int, int]] = {}
@@ -142,31 +159,39 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
             max_bits = bits
 
         for ri in col_rows.pop(pc):
-            r = act.pop(ri)
+            r = act[ri]
             f = r.pop(pc)
-            g = gcd(piv, f)
-            a = piv // g
-            b = f // g
-            new: dict[int, int] = {}
-            for c, v in r.items():
-                pv = prow.get(c)
-                w = a * v if pv is None else a * v - b * pv
-                if w:
-                    new[c] = w
-                else:
-                    s = col_rows[c]
-                    s.discard(ri)
-                    if len(s) == 1:
-                        singles.append(c)
-            for c, pv in prow.items():
-                if c != pc and c not in r:
-                    new[c] = -b * pv
-                    col_rows[c].add(ri)
-            if new:
-                written += len(new)
-                _strip_content(new)
-                act[ri] = new
-                heappush(heap, (len(new), ri))
+            if len(prow) > 1:
+                g = gcd(piv, f)
+                a = piv // g
+                b = f // g
+                if a != 1:
+                    # scaling writes every entry anyway, and a fresh dict
+                    # is compact: scaling in place keeps grown tables alive
+                    # and raises the memory peak
+                    r = act[ri] = {c: a * v for c, v in r.items()}
+                for c, pv in prow.items():
+                    v = r.get(c)
+                    if v is None:
+                        if c != pc:  # the target's pivot entry is gone
+                            r[c] = -b * pv
+                            col_rows[c].add(ri)
+                        continue
+                    w = v - b * pv
+                    if w:
+                        r[c] = w
+                    else:
+                        del r[c]
+                        s = col_rows[c]
+                        s.discard(ri)
+                        if len(s) == 1:
+                            singles.append(c)
+            if r:
+                written += len(r)
+                _strip_content(r)
+                heappush(heap, (len(r), ri))
+            else:
+                del act[ri]
     if counts is not None:
         counts.update(pivots=rank, singleton_pivots=singleton_pivots,
                       entries_written=written, max_pivot_bits=max_bits)

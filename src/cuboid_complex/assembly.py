@@ -118,7 +118,9 @@ row: the cell must carry the source DOF, its block must hold a value
 there (not an implicit zero) and the value must equal the stored one.
 So a shared target DOF receives the identical value from every cell that
 carries it, with ``cell_maps`` the one record of which cell carries
-which DOF.
+which DOF.  The audit is one premise of the composition certificate:
+``verify.verify_complex`` proves ``A2 @ A1 == 0`` from ``K2(1) @ K1(1) ==
+0`` and this audit, with no global product.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Exact integer kernels against a slow Fraction elimination oracle."""
 
+import copy
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -302,17 +304,23 @@ FILL_2X2X2 = {
 }
 
 
+@cache
+def ladder_matrices_2x2x2(name):
+    """The three operator matrices of a ladder at its minimum order on the
+    uniform 2x2x2 mesh, assembled once per test run."""
+    spaces = complex_spaces(name, COMPLEXES[name][3], uniform_unit_mesh(2, 2, 2))
+    return tuple(complex_matrices(name, spaces))
+
+
 def test_rank_fill_budget_on_2x2x2_ladders():
     # Two shortlisted rows offer fewer candidates than twelve, so some
     # pivots differ and a matrix's fill moves by a percent or two either
     # way (-4.4% to +1.2% here); a worse pivot rule moves it by far more.
     # So each matrix may exceed the old count by at most 2%, and the sum
     # over all twelve may not exceed the old sum.
-    mesh = uniform_unit_mesh(2, 2, 2)
     total = 0
     for name, (budget, ranks) in FILL_2X2X2.items():
-        spaces = complex_spaces(name, COMPLEXES[name][3], mesh)
-        for i, mat in enumerate(complex_matrices(name, spaces)):
+        for i, mat in enumerate(ladder_matrices_2x2x2(name)):
             counts = {}
             assert _exactcore.ff_rank(mat.rows, mat.ncols, counts) == ranks[i]
             written = counts["entries_written"]
@@ -321,3 +329,93 @@ def test_rank_fill_budget_on_2x2x2_ladders():
         # the divergence is eliminated by column singletons alone
         assert counts["singleton_pivots"] == ranks[2], name
     assert total <= sum(sum(budget) for budget, _ in FILL_2X2X2.values())
+
+
+#: complex -> (entries_written, max_pivot_bits) of ff_rank on its three
+#: operator matrices on uniform 2x2x2, as counted by the update that
+#: rebuilt every target row; an update that writes only what changes must
+#: count the same
+COUNTS_2X2X2 = {
+    "gradgrad": ([2371, 4588, 0], [2, 1, 1]),
+    "gradgrad-reduced": ([166416, 273077, 0], [2, 16, 21]),
+    "elasticity": ([4463, 18721, 0], [2, 2, 1]),
+    "elasticity-reduced": ([4463, 79643, 0], [2, 4, 8]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS_2X2X2))
+def test_rank_counts_frozen_on_2x2x2_ladders(name):
+    written, bits = COUNTS_2X2X2[name]
+    ranks = FILL_2X2X2[name][1]
+    for i, mat in enumerate(ladder_matrices_2x2x2(name)):
+        counts = {}
+        assert _exactcore.ff_rank(mat.rows, mat.ncols, counts) == ranks[i]
+        # the divergence is eliminated by column singletons alone
+        singles = ranks[i] if i == 2 else 0
+        assert counts == {"pivots": ranks[i], "singleton_pivots": singles,
+                          "entries_written": written[i],
+                          "max_pivot_bits": bits[i]}, (name, i)
+
+
+# ff_rank copies its input: ``certified_ranks(..., "both")`` hands the same
+# rows to the float route after the exact one.
+
+def test_rank_leaves_ladder_rows_unchanged():
+    for mat in ladder_matrices_2x2x2("gradgrad-reduced"):
+        before = copy.deepcopy(mat.rows)
+        _exactcore.ff_rank(mat.rows, mat.ncols)
+        assert mat.rows == before
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_leaves_sparse_rows_unchanged(seed):
+    rng = random.Random(600 + seed)
+    rows = sparse_deficient_rows(rng, 80, 30, 10)
+    rows[0] = {c: 6 * v for c, v in rows[0].items()}  # content to remove
+    before = copy.deepcopy(rows)
+    assert _exactcore.ff_rank(rows, 30) == oracle_rank(rows, 30)
+    assert rows == before
+
+
+# One matrix per update path.  No column starts with one row, so the first
+# pivot comes from the Markowitz search.
+
+def test_rank_row_singleton_pivot_only_deletes_its_column():
+    # Row 0 is the row singleton {0: -1} after content removal, so the
+    # first pivot removes column 0 from rows 1 and 2 and changes nothing
+    # else, leaving {1: 4, 2: 6} and {1: 6, 2: 9}.  Their content must
+    # still go: both become {1: 2, 2: 3}, the next pivot is 2 (2 bits, not
+    # the 3 or 4 bits of the raw rows) and it cancels row 2 entirely.
+    rows = [{0: -3}, {0: 1, 1: 4, 2: 6}, {0: 1, 1: 6, 2: 9}]
+    counts = {}
+    assert _exactcore.ff_rank(rows, 3, counts) == oracle_rank(rows, 3) == 2
+    assert counts == {"pivots": 2, "singleton_pivots": 0,
+                      "entries_written": 4, "max_pivot_bits": 2}
+
+
+def test_rank_unit_multiplier_updates_in_place():
+    # Pivot (row 0, column 0) is 1, so row 1 becomes row1 - 3 * row0 in
+    # place: column 1 cancels, which leaves row 2 alone there and queues
+    # column 1; column 2 fills with -3, so column 2, queued when row 0 left
+    # it, has two rows again and is skipped.  Column 3 keeps its entry.
+    # Row 1 then holds {3: 1, 2: -3}, the one update's 2 entries.
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 3, 1: 3, 3: 1}, {1: 1, 2: 1, 3: 1}]
+    counts = {}
+    assert _exactcore.ff_rank(rows, 4, counts) == oracle_rank(rows, 4) == 3
+    assert counts == {"pivots": 3, "singleton_pivots": 2,
+                      "entries_written": 2, "max_pivot_bits": 2}
+
+
+def test_rank_scaled_target_is_rebuilt():
+    # Pivot (row 0, column 0) is 2 and row 1 holds 3 there, so a = 2 and
+    # row 1 is rebuilt as 2 * row1 - 3 * row0 = {3: 2, 2: -3}: column 1
+    # cancels only because the row was scaled first.  Row 3 is then
+    # updated in place by pivot (row 2, column 4), and the last update,
+    # pivot -1 against row 1's 2 (a = -1), rebuilds row 1 again.  The
+    # updates write 2 + 2 + 1 entries.
+    rows = [{0: 2, 1: 4, 2: 1}, {0: 3, 1: 6, 3: 1}, {2: 1, 3: 1, 4: 1},
+            {2: 1, 3: 2, 4: 3}]
+    counts = {}
+    assert _exactcore.ff_rank(rows, 5, counts) == oracle_rank(rows, 5) == 4
+    assert counts == {"pivots": 4, "singleton_pivots": 1,
+                      "entries_written": 5, "max_pivot_bits": 2}

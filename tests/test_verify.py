@@ -1,19 +1,21 @@
 """Verification layer: exactness reports, kernels, preimages, jumps."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from cuboid_complex import verify
+from cuboid_complex import _exactcore, verify
+from cuboid_complex.cli import main as cli_main
 from cuboid_complex.assembly import (SparseMatrix, assemble_space, interpolate,
                                      operator_matrix)
 from cuboid_complex.elements import family
-from cuboid_complex.mesh import uniform_unit_mesh
+from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
 from cuboid_complex.polytensor import TensorPoly
 from cuboid_complex.verify import (
-    COMPLEX_NAMES, DenseSizeError, certified_ranks, continuity_traces,
-    discontinuity_witness,
+    COMPLEX_NAMES, COMPLEXES, DenseSizeError, certified_ranks,
+    composition_is_zero, continuity_traces, discontinuity_witness,
     div_preimage_check, div_preimage_elasticity, div_preimage_gradgrad,
     exact_rank, face_jump, float_rank, identity_suite, jump_check,
     kernel_identification, verify_complex, verify_dimensions,
@@ -138,6 +140,116 @@ def test_unknown_arithmetic_is_refused_before_assembly(monkeypatch):
     small = SparseMatrix.from_rational(1, 1, [{0: F(1)}])
     with pytest.raises(ValueError, match="got 'exact'"):
         certified_ranks([small], "exact")
+
+
+# The composition certificate: verify_complex proves A2 @ A1 == 0 from the
+# unit-cell product K2(1) @ K1(1) (its docstring has the lemma).  The global
+# product is the oracle here.
+
+_GRADED_2X2X1 = build_box_mesh([0, F(1, 3), 1], [0, F(5, 7), F(3, 2)],
+                               [0, F(1, 2)])
+
+LEMMA_CASES = ([(name, uniform_unit_mesh(2, 2, 2)) for name in COMPLEX_NAMES]
+               + [(name, _GRADED_2X2X1) for name in ("gradgrad", "elasticity")]
+               + [("gradgrad", uniform_unit_mesh(4, 3, 3))])
+
+
+def _spy_matrices(monkeypatch) -> list:
+    """Record the operator matrices verify_complex assembles."""
+    built = []
+    real = verify.complex_matrices
+
+    def spy(name, spaces):
+        mats = real(name, spaces)
+        built.append(mats)
+        return mats
+
+    monkeypatch.setattr(verify, "complex_matrices", spy)
+    return built
+
+
+@pytest.mark.parametrize(
+    "name,mesh", LEMMA_CASES,
+    ids=[f"{n}-{'x'.join(map(str, m.shape))}"
+         + ("-graded" if m is _GRADED_2X2X1 else "") for n, m in LEMMA_CASES])
+def test_composition_lemma_agrees_with_the_global_product(monkeypatch, name,
+                                                          mesh):
+    built = _spy_matrices(monkeypatch)
+    rep = verify_complex(name, COMPLEXES[name][3], mesh)
+    (mats,) = built
+    oracle = all(composition_is_zero(mats[i + 1], mats[i]) for i in range(2))
+    assert rep.composition_zero == oracle
+    assert oracle and rep.exact
+
+
+def test_verify_complex_forms_no_global_product(monkeypatch):
+    built = _spy_matrices(monkeypatch)
+    operands = []
+    real = _exactcore.spmul
+
+    def spy(a, b):
+        operands.extend((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(_exactcore, "spmul", spy)
+    rep = verify_complex("gradgrad", 3, uniform_unit_mesh(2, 1, 1))
+    assert rep.composition_zero and rep.exact
+    (mats,) = built
+    assert operands
+    assert not any(x is m.rows for x in operands for m in mats)
+
+
+def _edge_gains_an_entry(monkeypatch, name, k, edge):
+    """Make the reference block of the ladder's edge ``edge`` (0, 1 or 2),
+    as verify_complex reads it, hold one more entry, placed so that the
+    unit-cell product with a neighbouring block gains a nonzero row or
+    column.  The assembled matrices are left alone."""
+    fams, ops = COMPLEXES[name][:2]
+    ids = [family(f, k) for f in fams]
+    real = verify._reference_block
+    blocks = [real(op, src, dst)[0] for op, src, dst in zip(ops, ids, ids[1:])]
+    rows = blocks[edge]
+    if edge:
+        # row 0 gains a column whose row of the previous block is nonzero
+        i = 0
+        j = next(m for m, r in enumerate(blocks[edge - 1])
+                 if r and m not in rows[0])
+    else:
+        # a row the next block reads gains a column
+        i = next(m for r in blocks[1] for m in r)
+        j = next(m for r in rows for m in r if m not in rows[i])
+
+    def patched(op, src, dst):
+        if (op, src, dst) != (ops[edge], ids[edge], ids[edge + 1]):
+            return real(op, src, dst)
+        broken = list(rows)
+        broken[i] = {**rows[i], j: 1}
+        return broken, real(op, src, dst)[1]
+
+    monkeypatch.setattr(verify, "_reference_block", patched)
+
+
+@pytest.mark.parametrize("edge", [0, 1, 2])
+def test_broken_reference_composition_is_not_certified(monkeypatch, capsys,
+                                                       edge):
+    _edge_gains_an_entry(monkeypatch, "gradgrad", 3, edge)
+    rep = verify_complex("gradgrad", 3, uniform_unit_mesh(1, 1, 1))
+    assert rep.composition_zero is False
+    assert rep.exact is False
+    assert rep.ranks == [60, 144, 54]
+    code = cli_main(["complex", "--complex", "gradgrad", "--k", "3",
+                     "--mesh", "1,1,1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["composition_zero"] is False and out["exact"] is False
+
+
+def test_reduced_gradgrad_4x4x4_stays_exact():
+    # a scale guard on the composition certificate and the rank kernel
+    rep = verify_complex("gradgrad-reduced", 3, uniform_unit_mesh(4, 4, 4))
+    assert rep.dims == [1000, 6630, 9090, 3456]
+    assert rep.ranks == [996, 5634, 3456]
+    assert rep.composition_zero and rep.exact
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
