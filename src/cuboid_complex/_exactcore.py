@@ -1,5 +1,6 @@
 """Exact integer kernels: fraction-free rank, exact inverse, matrix products,
-and the one helper that clears rational rows to integers.
+singleton deletion, and the one helper that clears rational rows to
+integers.
 
 Conventions:
 
@@ -221,6 +222,39 @@ def _strip_content(row: dict[int, int]) -> None:
     if g > 1:
         for c in row:
             row[c] //= g
+
+
+def peel_singletons(rows: list[dict[int, int]],
+                    ncols: int) -> tuple[int, list[int], list[int]]:
+    """Delete row and column singletons, cascading, with no arithmetic:
+    ``(deleted, core_rows, core_cols)``, ``rank = deleted + rank(core)``.
+    Columns are lines ``0..ncols-1`` and row ``i`` is line ``ncols + i``, so
+    a row's dict lists its crossing lines as it stands.  Each line keeps a
+    live count and the sum of its live crossing lines, so a singleton's one
+    entry is that sum.  A count of 0 marks a deleted or empty line."""
+    cross: list = [[] for _ in range(ncols)] + rows
+    for i, r in enumerate(rows, ncols):
+        for c in r:
+            cross[c].append(i)
+    live = [len(x) for x in cross]
+    sums = [sum(x) for x in cross]
+    stack = [x for x, m in enumerate(live) if m == 1]
+    deleted = 0
+    while stack:
+        x = stack.pop()
+        if live[x] != 1:
+            continue
+        y = sums[x]  # every other line crossing x is deleted already
+        live[x] = live[y] = 0
+        deleted += 1
+        for z in cross[y]:
+            if live[z]:
+                live[z] -= 1
+                sums[z] -= y
+                if live[z] == 1:
+                    stack.append(z)
+    return (deleted, [i - ncols for i in range(ncols, len(cross)) if live[i]],
+            [c for c in range(ncols) if live[c]])
 
 
 def fj_inverse(mat: list[list[int]]) -> tuple[list[list[int]], int]:

@@ -662,14 +662,16 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def to_float_array(self):
+    def to_float_array(self, rows, cols):
+        """The dense float submatrix on the index lists ``rows``, ``cols``."""
         import numpy as np
-        a = np.zeros((self.nrows, self.ncols))
-        den = self.den
-        for i, r in enumerate(self.rows):
-            for j, v in r.items():
-                # int true division rounds correctly and takes any size
-                a[i, j] = v / den
+        at = {j: k for k, j in enumerate(cols)}
+        a = np.zeros((len(rows), len(cols)))
+        for k, i in enumerate(rows):
+            for j, v in self.rows[i].items():
+                if j in at:
+                    # int true division rounds correctly and takes any size
+                    a[k, at[j]] = v / self.den
         return a
 
     def entries(self):

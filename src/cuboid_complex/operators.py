@@ -56,15 +56,6 @@ def scalar_field(p: TensorPoly) -> PolyField:
     return PolyField("scalar", {"s": p}, p.cell)
 
 
-def vector_field(comps: Mapping[str, TensorPoly], cell: CellBox) -> PolyField:
-    return PolyField("vector", dict(comps), cell)
-
-
-def matrix_field(comps: Mapping[str, TensorPoly], cell: CellBox,
-                 symmetric: bool = False) -> PolyField:
-    return PolyField("matrix", dict(comps), cell, symmetric)
-
-
 def gradgrad(f: PolyField) -> PolyField:
     """Hessian of a scalar field, stored with canonical symmetric keys."""
     u = f.scalar()
@@ -136,10 +127,6 @@ def div_rows(f: PolyField) -> PolyField:
         s = s + f.mat(a, 2).differentiate(2)
         out[comp_name(a)] = s
     return PolyField("vector", out, f.cell)
-
-
-def trace_field(f: PolyField) -> TensorPoly:
-    return f.mat(0, 0) + f.mat(1, 1) + f.mat(2, 2)
 
 
 def check_identity_curl_symgrad(v: PolyField) -> tuple[PolyField, PolyField]:

@@ -152,11 +152,6 @@ class EntityRef:
         return self.extent.measure()
 
 
-def vertex_entity(point) -> EntityRef:
-    p = tuple(Fraction(c) for c in point)
-    return EntityRef("vertex", CellBox(p, p))
-
-
 class TensorPoly:
     """A polynomial on an axis-aligned cell, in reference coordinates.
 

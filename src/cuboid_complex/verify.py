@@ -8,7 +8,10 @@ continuity of the advertised traces, and the commutation identities tying
 the row-wise curl to gradients of the vector curl.
 
 Rank certification is dual-route on request: fraction-free elimination
-over the integers and a floating SVD must report the same number.
+over the integers and a float route must report the same number.  A row or
+column with one nonzero, at ``(i, j)``, gives ``rank(A) = 1 + rank(A minus
+row i and column j)`` in any field, so the float route deletes such
+singletons exactly, cascading, and takes an SVD of the core alone.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ def exact_rank(mat: SparseMatrix) -> int:
 #: the largest dense array, in bytes, the float rank route will allocate
 FLOAT_RANK_MAX_BYTES = 1 << 30
 
-#: singular values at most this fraction of the largest count as zero in
-#: the float rank
+#: singular values at most this fraction of the core's largest count as
+#: zero in the float rank
 FLOAT_RANK_REL_CUTOFF = 1e-9
 
 
@@ -83,14 +86,20 @@ def _check_dense_size(shape: tuple[int, int]) -> None:
 
 
 def float_rank(mat: SparseMatrix) -> int:
+    """Rank of ``mat``: singletons deleted exactly, plus the core's SVD rank.
+
+    Singular values at most :data:`FLOAT_RANK_REL_CUTOFF` times the core's
+    largest count as zero.  An empty core makes no dense array.  The size
+    guard reads the full shape and runs before any deletion.
+    """
     _check_dense_size((mat.nrows, mat.ncols))
+    deleted, rows, cols = _exactcore.peel_singletons(mat.rows, mat.ncols)
+    if not rows:
+        return deleted
     import numpy as np
-    if mat.nnz == 0:
-        return 0
-    s = np.linalg.svd(mat.to_float_array(), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
+    s = np.linalg.svd(mat.to_float_array(rows, cols), compute_uv=False)
+    # s is descending and nonnegative, so s[0] == 0 counts nothing
+    return deleted + int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
 
 
 def certified_ranks(mats: list[SparseMatrix],
@@ -176,6 +185,7 @@ class ExactnessReport:
             "mesh": ",".join(str(n) for n in self.mesh_shape),
             "dims": self.dims,
             "ranks": self.ranks,
+            "ranks_float": self.ranks_float,
             "composition_zero": self.composition_zero,
             "exact": self.exact,
             "cohomology_dim": self.cohomology_dim,
@@ -559,56 +569,36 @@ def continuity_traces(family_name: str, normal: int) -> list[tuple[str, tuple[in
     """The (component, derivative) traces a family keeps single-valued
     across an interior face with the given normal."""
     d0 = (0, 0, 0)
-
-    def dn() -> tuple[int, int, int]:
-        e = [0, 0, 0]
-        e[normal] = 1
-        return tuple(e)  # type: ignore[return-value]
-
-    out: list[tuple[str, tuple[int, int, int]]] = []
+    dn = tuple(int(a == normal) for a in range(3))
+    tangent = [a for a in range(3) if a != normal]
     if family_name == "u":
-        return [("s", d0), ("s", dn())]
+        return [("s", d0), ("s", dn)]
     if family_name in ("sigma", "sigma-red", "phi"):
-        for a in range(3):
-            if a != normal:
-                out.append((comp_name(a, a), d0))
-        for a in range(3):
-            for b in range(a + 1, 3):
-                out.append((comp_name(a, b), d0))
+        pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
+        out = ([(comp_name(a, a), d0) for a in tangent]
+               + [(comp_name(a, b), d0) for a, b in pairs])
         if family_name == "phi":
-            for a in range(3):
-                if a != normal:
-                    out.append((comp_name(a, a), dn()))
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    if normal not in (a, b):
-                        out.append((comp_name(a, b), dn()))
+            out += [(comp_name(a, a), dn) for a in tangent]
+            out += [(comp_name(a, b), dn) for a, b in pairs
+                    if normal not in (a, b)]
         return out
     if family_name == "xi":
-        out = [(c, d0) for c in ("xx", "yy", "zz")]
-        for a in range(3):
-            for b in range(3):
-                if a != b and a != normal:
-                    out.append((comp_name(a, b), d0))
-        return out
+        return [(c, d0) for c in ("xx", "yy", "zz")] + [
+            (comp_name(a, b), d0) for a in tangent for b in range(3) if b != a]
     if family_name == "xi-red":
-        out = [(comp_name(normal, normal), d0)]
-        for a in range(3):
-            for b in range(3):
-                if a != b and b == normal:
-                    out.append((comp_name(a, b), d0))
-        return out
+        return [(comp_name(normal, normal), d0)] + [
+            (comp_name(a, normal), d0) for a in tangent]
     if family_name == "x":
         return [(comp_name(a), d0) for a in range(3)]
     if family_name in ("gamma", "gamma-red"):
         out = [(comp_name(min(normal, b), max(normal, b)), d0) for b in range(3)]
         if family_name == "gamma":
-            out.append((comp_name(normal, normal), dn()))
+            out.append((comp_name(normal, normal), dn))
         return out
     if family_name == "z":
         return [(comp_name(normal), d0)]
     if family_name == "q":
-        return [(comp_name(a), d0) for a in range(3) if a != normal]
+        return [(comp_name(a), d0) for a in tangent]
     if family_name in ("q-red", "z-red"):
         return []
     raise ValueError(family_name)
@@ -636,14 +626,9 @@ def face_jump(space: GlobalSpace, coeffs: list[Fraction],
     returned flat, trace by trace.  All zeros proves the jump vanishes on
     the whole face, at every order.
     """
-    normal, i, j, l = face
-    idx = (i, j, l)
-    for a in range(3):
-        hi = space.mesh.shape[a] - (0 if a == normal else 1)
-        lo = 1 if a == normal else 0
-        if not lo <= idx[a] <= hi:
-            raise ValueError(f"face {face} is not interior")
-    lo_ci, hi_ci = space.mesh.face_cells(normal, i, j, l)
+    if tuple(face) not in space.mesh.interior_faces():
+        raise ValueError(f"face {face} is not interior")
+    lo_ci, hi_ci = space.mesh.face_cells(*face)
     lo_field = reconstruct_local(space, lo_ci, coeffs)
     hi_field = reconstruct_local(space, hi_ci, coeffs)
     return _trace_jumps(lo_field, hi_field, space.mesh.face_entity(*face),
@@ -685,24 +670,12 @@ def discontinuity_witness(fam: FamilyId, mesh: CuboidMesh, comp: str,
     space = assemble_space(fam, mesh)
     rng = random.Random(seed)
     coeffs = _random_coeffs(space.dimension, rng)
-    for face in mesh.interior_faces():
-        if face[0] != normal:
-            continue
-        if any(face_jump(space, coeffs, face, [(comp, (0, 0, 0))])):
-            return True
-    return False
+    return any(any(face_jump(space, coeffs, face, [(comp, (0, 0, 0))]))
+               for face in mesh.interior_faces() if face[0] == normal)
 
 
 # ---------------------------------------------------------------------------
 # curl/gradient commutation identities
-
-
-def _fields_equal(f1: PolyField, f2: PolyField) -> bool:
-    for a in range(3):
-        for b in range(3):
-            if not (f1.mat(a, b) - f2.mat(a, b)).is_zero():
-                return False
-    return True
 
 
 def check_curl_identities(u: PolyField) -> bool:
@@ -711,9 +684,9 @@ def check_curl_identities(u: PolyField) -> bool:
     Row-wise curl of the symmetric gradient equals half the transposed
     Jacobian of the curl; the transposed variant drops the transpose.
     """
-    res1, res2 = check_identity_curl_symgrad(u)
-    zero = PolyField("matrix", {}, u.cell)
-    return _fields_equal(res1, zero) and _fields_equal(res2, zero)
+    # each residual holds all nine components
+    return all(p.is_zero() for res in check_identity_curl_symgrad(u)
+               for p in res.comps.values())
 
 
 def random_member_field(fam: FamilyId, cell, rng: random.Random) -> PolyField:

@@ -1,16 +1,22 @@
-"""Exact integer kernels against a slow Fraction elimination oracle."""
+"""Exact integer kernels against a slow Fraction elimination oracle, and the
+float rank route against a full-matrix SVD."""
 
 import copy
 import random
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from cuboid_complex import _exactcore
+from cuboid_complex.assembly import SparseMatrix
 from cuboid_complex.mesh import uniform_unit_mesh
-from cuboid_complex.verify import COMPLEXES, complex_matrices, complex_spaces
+from cuboid_complex.verify import (
+    COMPLEXES, FLOAT_RANK_REL_CUTOFF, certified_ranks, complex_matrices,
+    complex_spaces, exact_rank, float_rank,
+)
 
 
 def oracle_rank(rows, ncols):
@@ -419,3 +425,149 @@ def test_rank_scaled_target_is_rebuilt():
     assert _exactcore.ff_rank(rows, 5, counts) == oracle_rank(rows, 5) == 4
     assert counts == {"pivots": 4, "singleton_pivots": 1,
                       "entries_written": 5, "max_pivot_bits": 2}
+
+
+# The float rank route: singletons deleted exactly, then an SVD of the core.
+# The full-matrix SVD rank that float_rank took before the deletion is the
+# oracle, beside the exact rank.
+
+def oracle_float_rank(mat):
+    """SVD rank of the whole dense matrix, cut off relative to its largest
+    singular value."""
+    if mat.nnz == 0:
+        return 0
+    s = np.linalg.svd(mat.to_float_array(range(mat.nrows), range(mat.ncols)),
+                      compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
+
+
+def sparse_matrix(dense, den=1):
+    return SparseMatrix(len(dense), len(dense[0]), dense_to_rows(dense), den)
+
+
+def assert_float_rank(mat, rank):
+    assert float_rank(mat) == oracle_float_rank(mat) == exact_rank(mat) == rank
+
+
+def test_peel_column_singleton():
+    # column 0 holds one entry, in row 0; the 2x2 core [[3, 4], [6, 8]] has
+    # no singleton left
+    dense = [[1, 2, 0], [0, 3, 4], [0, 6, 8]]
+    mat = sparse_matrix(dense)
+    assert _exactcore.peel_singletons(mat.rows, 3) == (1, [1, 2], [1, 2])
+    assert_float_rank(mat, 2)
+
+
+def test_peel_row_singleton():
+    # row 0 holds one entry, in column 1, which two more rows share
+    dense = [[0, 5, 0], [1, 2, 3], [2, 4, 6]]
+    mat = sparse_matrix(dense)
+    assert _exactcore.peel_singletons(mat.rows, 3) == (1, [1, 2], [0, 2])
+    assert_float_rank(mat, 2)
+
+
+def test_peel_cascade():
+    # Only column 0 starts as a singleton.  Deleting it with row 0 leaves
+    # column 1 to row 1, and deleting those leaves column 2 to row 2; the
+    # core is the singular block on rows and columns 3, 4.
+    dense = [[1, 2, 0, 0, 0],
+             [0, 3, 4, 1, 1],
+             [0, 0, 5, 1, 2],
+             [0, 0, 0, 1, 1],
+             [0, 0, 0, 2, 2]]
+    mat = sparse_matrix(dense)
+    assert _exactcore.peel_singletons(mat.rows, 5) == (3, [3, 4], [3, 4])
+    assert_float_rank(mat, 4)
+
+
+def test_peel_empty_core_makes_nothing_dense(monkeypatch):
+    # upper triangular with an empty row and an empty column: the cascade
+    # deletes every entry, so no SVD runs and no dense array is made
+    dense = [[1, 2, 0, 3], [0, 0, 0, 0], [0, 4, 0, 5], [0, 0, 0, 6]]
+    mat = sparse_matrix(dense, den=7)
+    assert _exactcore.peel_singletons(mat.rows, 4) == (3, [], [])
+    assert oracle_float_rank(mat) == exact_rank(mat) == 3
+
+    def never(*args, **kwargs):
+        raise AssertionError("an empty core was made dense")
+
+    monkeypatch.setattr(SparseMatrix, "to_float_array", never)
+    monkeypatch.setattr(np.linalg, "svd", never)
+    assert float_rank(mat) == 3
+
+
+def test_peel_core_without_singletons():
+    dense = [[1, 2, 0], [3, 4, 5], [0, 6, 7]]
+    mat = sparse_matrix(dense)
+    assert _exactcore.peel_singletons(mat.rows, 3) == (0, [0, 1, 2], [0, 1, 2])
+    assert_float_rank(mat, 3)
+
+
+def with_singleton_chain(dense, ncols, fill, transpose):
+    """``dense`` bordered by ``len(fill)`` new rows and columns that delete
+    as a chain: new column 0 holds one entry, in new row 0, and each
+    deletion leaves the next new column to the next new row alone.  New row
+    ``t`` holds ``fill[t]`` in the old columns.  With ``transpose`` the
+    whole matrix is transposed, so the chain runs over row singletons."""
+    n = len(fill)
+    out = [row + [0] * n for row in dense]
+    for t, extra in enumerate(fill):
+        row = list(extra) + [0] * n
+        row[ncols + t] = t + 1
+        if t + 1 < n:
+            row[ncols + t + 1] = -2
+        out.append(row)
+    if transpose:
+        out = [list(col) for col in zip(*out)]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_matrices, st.data())
+def test_float_rank_property_with_singleton_chains(case, data):
+    dense, ncols = case
+    fill = data.draw(st.lists(
+        st.lists(st.integers(-20, 20), min_size=ncols, max_size=ncols),
+        max_size=4))
+    grown = with_singleton_chain(dense, ncols, fill, data.draw(st.booleans()))
+    mat = sparse_matrix(grown, den=data.draw(st.integers(1, 12)))
+    rank = oracle_rank(dense_to_rows(dense), ncols) + len(fill)
+    assert_float_rank(mat, rank)
+
+
+@pytest.mark.parametrize("name", sorted(FILL_2X2X2))
+def test_float_rank_on_2x2x2_ladders_matches_full_svd(name):
+    ranks = FILL_2X2X2[name][1]
+    for i, mat in enumerate(ladder_matrices_2x2x2(name)):
+        assert float_rank(mat) == oracle_float_rank(mat) == ranks[i], (name, i)
+
+
+#: complex -> the shapes of the cores float_rank hands to the SVD on its
+#: three 2x2x2 operator matrices; the divergence leaves no core
+SVD_SHAPES_2X2X2 = {
+    "gradgrad": [(396, 108), (970, 882)],
+    "gradgrad-reduced": [(780, 108), (1270, 1050)],
+    "elasticity": [(882, 540), (588, 882)],
+    "elasticity-reduced": [(882, 540), (636, 882)],
+}
+
+
+def test_float_route_makes_divergence_cores_empty(monkeypatch):
+    # gradgrad's gradient deletes 108 singleton pairs, and the rows those
+    # leave empty go too, down to a 396x108 core
+    svd = np.linalg.svd
+    shapes = []
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for name, want in SVD_SHAPES_2X2X2.items():
+        shapes.clear()
+        ranks = FILL_2X2X2[name][1]
+        mats = list(ladder_matrices_2x2x2(name))
+        assert certified_ranks(mats, "both") == (ranks, ranks)
+        assert shapes == want, name

@@ -10,8 +10,7 @@ from cuboid_complex.operators import (
     MembershipError, OPERATORS, PolyField, check_identity_curl_symgrad,
     coordinate_field, curl_curl_transpose, curl_rows, curl_transpose,
     curl_vec, div_rows, field_coords, field_to_coords, gradgrad, grad_vec,
-    matrix_field, scalar_field, sym_grad, trace_field, transpose_field,
-    vector_field,
+    scalar_field, sym_grad, transpose_field,
 )
 from cuboid_complex.polytensor import TensorPoly, UNIT_BOX, box
 from cuboid_complex.verify import random_member_field
@@ -25,6 +24,18 @@ def mono(exp, cell=UNIT_BOX, c=1):
 
 def field_is_zero(f):
     return all(p.is_zero() for p in f.comps.values())
+
+
+def vector_field(comps, cell):
+    return PolyField("vector", dict(comps), cell)
+
+
+def matrix_field(comps, cell, symmetric=False):
+    return PolyField("matrix", dict(comps), cell, symmetric)
+
+
+def trace_field(f):
+    return f.mat(0, 0) + f.mat(1, 1) + f.mat(2, 2)
 
 
 def test_gradgrad_of_quadratic():

@@ -7,10 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from cuboid_complex.polytensor import (
     CellBox, Degree3, EntityRef, TensorPoly, UNIT_BOX, box, degree_from_caps,
-    moment, monomial_weight, vertex_entity,
+    moment, monomial_weight,
 )
 
 F = Fraction
+
+
+def vertex_entity(point):
+    p = tuple(F(c) for c in point)
+    return EntityRef("vertex", CellBox(p, p))
 
 
 def test_degree_grid_layout():

@@ -25,7 +25,8 @@ from cuboid_complex.verify import (
 F = Fraction
 
 REPORT_KEYS = {
-    "complex", "k", "mesh", "dims", "ranks", "composition_zero", "exact",
+    "complex", "k", "mesh", "dims", "ranks", "ranks_float",
+    "composition_zero", "exact",
     "cohomology_dim", "elapsed_ms", "arithmetic_mode", "seed",
 }
 
@@ -417,6 +418,9 @@ def test_face_jump_boundary_rejected():
         face_jump(space, [F(0)] * space.dimension, (0, 0, 0, 0), [])
     with pytest.raises(ValueError):
         face_jump(space, [F(0)] * space.dimension, (1, 0, 1, 0), [])
+    # the far boundary face along the normal has one cell too
+    with pytest.raises(ValueError, match="not interior"):
+        face_jump(space, [F(0)] * space.dimension, (0, 2, 0, 0), [])
 
 
 def test_negative_control_sigma_red():
