@@ -11,11 +11,7 @@ Conventions:
   :func:`clear_denominators` is the one bridge from rational rows.
 
 ``ff_rank`` and ``fj_inverse`` fix their pivot strategy deterministically,
-so a run is reproducible pivot for pivot.  ``ff_rank`` takes a column
-with one live row as its pivot with no search, from a queue fed whenever a
-column drops to one row; otherwise it compares Markowitz counts over the
-two shortest live rows.  An update rebuilds a target row only when it
-must scale it; otherwise it touches the pivot row's columns alone.
+so a run is reproducible pivot for pivot.
 """
 
 from __future__ import annotations
@@ -34,13 +30,10 @@ _PIVOT_ROWS = 2
 def clear_denominators(rows: list, common: bool = False) -> tuple[list, list[int]]:
     """Integer rows from rational rows: row ``i`` is ``out[i] / dens[i]``.
 
-    A row is a list of values or a dict mapping column to value; each output
-    row has its input row's type, and dict rows drop zero entries.  Each
-    ``dens[i]`` is the least common denominator of row ``i``, which keeps
-    the rank, every row's kernel and the smallest integers, all that
-    elimination needs.  With ``common`` every ``dens[i]`` is the least
-    common denominator of the whole matrix, so the integer rows can be
-    added and multiplied as they stand.  Returns ``(out, dens)``.
+    A row is a list of values or a dict mapping column to value, kept as
+    such (dict rows drop zeros).  ``dens[i]`` is the least common
+    denominator of row ``i``, or with ``common`` of the whole matrix, so the
+    integer rows can be added and multiplied as they stand.
     """
     dens = [lcm(*(v.denominator for v in (r.values() if isinstance(r, dict) else r)))
             for r in rows]
@@ -60,56 +53,33 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
             counts: dict | None = None) -> int:
     """Rank of a sparse integer matrix by fraction-free elimination.
 
-    Bareiss-style cross-multiplication updates keep every intermediate
-    entry an integer; per-row content removal plays the role of the exact
-    Bareiss division (the guaranteed divisor always divides the row
-    content, so entries never grow past the classical bound).
+    Bareiss-style cross-multiplication keeps every entry an integer, and
+    per-row content removal plays the role of the exact Bareiss division.
+    A target row with entry ``f`` in the pivot column becomes ``a * row -
+    b * prow`` (``g = gcd(piv, f)``, ``a = piv / g``, ``b = f / g``), then
+    loses its content.  The update writes only what changes: a one-entry
+    pivot row only deletes its column (content removal cancels ``a`` up to
+    sign); with ``a == 1`` the target is updated in place on the pivot
+    row's columns; otherwise it is rebuilt once as ``{c: a * v}``, then
+    updated so.  ``rows`` is copied on entry and left as it was.
 
-    A target row with entry ``f`` in the pivot column becomes
-    ``a * row - b * prow`` with ``g = gcd(piv, f)``, ``a = piv / g`` and
-    ``b = f / g``, then loses its content.  The update writes only what
-    changes, on one of three paths:
-
-    * a pivot row with one entry only deletes its column from the target:
-      ``b * prow`` is zero elsewhere, and content removal cancels ``a`` up
-      to its sign, which changes no pattern, magnitude or pivot choice;
-    * when ``a == 1`` the target is updated in place, on the pivot row's
-      columns only;
-    * otherwise the target is rebuilt once as ``{c: a * v}``, then updated
-      on the pivot row's columns.
-
-    The rows are copied on entry, so ``rows`` is left as it was.
-
-    Pivots are chosen deterministically, so runs are reproducible pivot
-    for pivot:
-
-    * a column with one live row is a pivot of Markowitz count 0 that
-      eliminates nothing, so it needs no search.  The queue ``singles``
-      holds such columns in the order they became so: all of them at the
-      start, then each column whose set of rows drops to one, whether a
-      pivot row left it or an update cancelled its entry.  A queued column
-      that fill has grown again, or that has emptied, is skipped;
-    * otherwise the Markowitz count decides among the ``_PIVOT_ROWS``
-      live rows smallest in ``(length, index)``, with ties broken toward
-      entries of small bit length and then by (row, column) index.
-
-    Two structures keep each step proportional to the work it does:
-
-    * ``heap`` holds ``(len(row), index)`` entries.  Every live row has a
-      current entry; an entry is stale once its row is gone or has another
-      length, and stale or repeated entries are skipped when popped.  So
-      the first ``_PIVOT_ROWS`` distinct current entries popped are exactly
-      the smallest ``(length, index)`` pairs of the live rows.
-    * ``col_rows[c]`` is the set of live rows with a nonzero in column
-      ``c``; its size is the Markowitz column count, and popping the pivot
-      column yields the rows to eliminate.  Their order does not matter:
-      each update reads only the pivot row and the target itself.
+    Pivots are deterministic.  A column with one live row (Markowitz count
+    0) needs no search: the queue ``singles`` holds such columns in the
+    order they became so, at the start or when a pivot row left them or an
+    update cancelled an entry, and skips one that fill regrew or that
+    emptied.  Otherwise the Markowitz count decides among the
+    ``_PIVOT_ROWS`` live rows smallest in ``(length, index)``, ties broken
+    toward small bit length, then by (row, column).  ``heap`` holds
+    ``(len(row), index)`` entries, skipped when stale (row gone or another
+    length) or repeated, so the first distinct current entries popped are
+    the smallest.  ``col_rows[c]`` is the set of live rows with a nonzero in
+    column ``c``: its size is the column count, and popping the pivot
+    column yields the rows to eliminate, in any order.
 
     With ``counts`` given, the dict receives ``pivots`` (the rank),
     ``singleton_pivots`` (pivots taken from the queue), ``entries_written``
-    (the nonzeros each updated row holds after its update, summed over the
-    updates: a measure of fill that does not depend on the update path) and
-    ``max_pivot_bits`` (the largest pivot's bit length).
+    (the nonzeros each updated row holds after its update, summed: fill,
+    whatever the update path) and ``max_pivot_bits``.
     """
     act: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}

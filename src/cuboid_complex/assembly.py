@@ -1,57 +1,45 @@
 """Global space assembly and exact operator matrices.
 
 A global space enumerates degrees of freedom over the mesh entities, with
-every shared DOF identified once across adjacent cells.  The assembled
-operator matrix of a differential map between two such spaces is built
-from local blocks, one per cell shape ``h``:
+every shared DOF identified once across adjacent cells.  An assembled
+operator matrix is built from local blocks, one per cell shape ``h``:
 
     K(h) = D_dst(h)  @  O(h)  @  R_src(h)
 
 where ``R_src`` reconstructs monomial coordinates from source DOF values
 (the inverse DOF matrix), ``O`` applies the operator in monomial
-coordinates, and ``D_dst`` evaluates the target DOFs.
-
-``O(1)`` comes from one stencil per operator and source family: the
-operator from ``OPERATORS`` is applied once per independent source
-component, to the probe monomial ``t^P`` at the top corner ``P`` of that
-component's degree grid.  A term at ``t^(P - alpha)`` is the derivative
-``d^alpha``, with coefficient ``value / (P!/(P - alpha)!)``.  Every
-derivative that acts on the space leaves a term at the probe, so column
-``t^e`` is ``sum coef * e!/(e - alpha)! * t^(e - alpha)`` over the stencil.
-The probe column passes the membership checks of ``check_membership``
-(degree grid, symmetric pair, zero trace).  Every other column has the
-probe's derivatives at exponents ``e - alpha <= P - alpha``, each scaled
-by the same factor in every output component, so it passes too.
+coordinates (one stencil per operator and source family,
+``_operator_stencil``), and ``D_dst`` evaluates the target DOFs.
 
 The reference pipeline is sum-factorised.  Every DOF that is not coupled
 is a product of three 1-D functionals (a value or first derivative at an
-end point, or a moment against ``t^w``).  A component group is a *product
-group* when, for each independent component, its DOFs are exactly
-``F_x x F_y x F_z`` with ``|F_a| = cap_a + 1`` distinct 1-D functionals on
-axis ``a``.  That component's DOF block is then ``P (T_x (x) T_y (x) T_z)``
-for a row permutation ``P`` and square 1-D tables ``T_a``, and its inverse
-is ``(T_x^-1 (x) T_y^-1 (x) T_z^-1) P^T`` (Van Loan, JCAM 123, 2000).  The
-factor table (``_factor_table``, once per family and order) stores ``P``,
-each ``T_a`` and its exact inverse.  At k = min..min+2, 168 of the 180
-groups are product groups.  The 12 others are, at each order, the three
-off-diagonal groups of ``sigma-red`` and the diagonal group of ``xi-red``
-(the coupled bubble DOFs); they keep their dense block from
-``group_dof_matrix`` and its inverse from ``fj_inverse``.
+end point, or a moment against ``t^w``).  ``elements.group_forms`` splits
+each group into blocks, which ``_factor_table`` (once per family and
+order) holds factored (Van Loan, JCAM 123, 2000), in integers:
+
+* a *product* block, one component with DOFs exactly ``F_x x F_y x F_z``
+  and ``|F_a| = cap_a + 1``, is ``P (T_x (x) T_y (x) T_z)`` for a row
+  permutation ``P`` and square 1-D tables ``T_a``;
+* a *fibred* block (an off-diagonal ``sigma-red`` component) has a grid
+  ``F_a x F_b`` and, per pair ``(i, j)``, its own ``cap_c + 1``
+  functionals ``G_ij`` on the third axis: ``P diag_ij(T_c,G_ij) (T_a (x)
+  T_b (x) I)``, so its inverse needs 1-D inverses only;
+* the *coupled* block (the ``xi-red`` diagonal) is ``[[M11, 0], [M21,
+  G]]`` in coordinates ``[C; B]`` with ``B`` the bubble basis, inverted
+  by block substitution with only ``M11`` and ``G`` inverted.
 
 A derivative is a product of 1-D derivative matrices, so for a target
 component ``t`` and a source component ``s`` (Orszag, JCP 37, 1980):
 
     K(1)[t, s] = sum coef * (x)_a (T_t,a @ Der_a^alpha_a @ T_s,a^-1)
 
-over the stencil terms of ``s`` that land on ``t``.  Only the nonzeros of
-the ``(k+1) x (k+1)`` factors are expanded, in integers over one common
-denominator.  No dense ``R(1)`` of a product group is formed.  An
-exception group takes the identity in place of its 1-D factors, and its
-dense block or inverse is applied to the result as an integer product.
-``K(1)`` is every such block rescaled to the lcm ``D1`` of their
-denominators: integer rows over ``D1``, with no ``Fraction`` per entry.
-``reconstruct_local`` applies ``(T_x^-1 (x) T_y^-1 (x) T_z^-1) P^T`` as
-three 1-D passes.
+over the stencil terms of ``s`` that land on ``t``, with the identity on
+a fibre axis and on every axis of the coupled block.  Only the nonzeros of
+the 1-D factors are expanded; the rest of each block's DOF matrix and
+inverse follows as sparse integer products, and no dense ``R(1)`` is
+formed.  ``K(1)`` is integer rows over one denominator ``D1``.
+``reconstruct_local`` applies the same factors, the 1-D inverses as one
+pass per axis.
 
 Under the axis scaling ``x = lo + h t`` every family is affine-equivalent
 to its unit-cell element, so the pipeline runs once per edge and order, on
@@ -60,14 +48,14 @@ the unit cell, and every cell shape follows from the exact identity
     K(h) = diag(a_dst(h))  @  K(1)  @  diag(1 / a_src(h)),
     a(dof, h) = dof_scale(dof, h) / w(family, dof.component, h).
 
-``dof_scale`` is the measure of the DOF's entity times ``h^-deriv``, which
-gives ``D(h) = diag(dof_scale) D(1)``.  The component weight ``w`` is what
-one reference unit of a component is worth on the cell, which gives
-``O(h) = diag(1 / w_dst) O(1) diag(w_src)``; down each ladder it is the
-source weight times ``h`` of the differentiated axis.  Both are monomials
-``h_x^m0 h_y^m1 h_z^m2``.  ``dof_scale`` has ``m_a = 1 - deriv_a`` on an
-axis the DOF's entity spans and ``-deriv_a`` on the others.  With
-``H = h_x h_y h_z``, the weight of component ``a`` or ``ab`` is
+``dof_scale``, the measure of the DOF's entity times ``h^-deriv``, gives
+``D(h) = diag(dof_scale) D(1)``.  The component weight ``w``, what one
+reference unit of a component is worth on the cell, gives ``O(h) =
+diag(1 / w_dst) O(1) diag(w_src)``; down each ladder it is the source
+weight times ``h`` of the differentiated axis.  Both are monomials
+``h_x^m0 h_y^m1 h_z^m2``: ``dof_scale`` has ``m_a = 1 - deriv_a`` on an
+axis the DOF's entity spans and ``-deriv_a`` on the others, and with
+``H = h_x h_y h_z`` the weight of component ``a`` or ``ab`` is
 ``H^p h_a^q h_b^r``:
 
     =====================  ===========  ===================================
@@ -83,26 +71,11 @@ axis the DOF's entity spans and ``-deriv_a`` on the others.  With
     z, z-red               (2, -1, 0)   H^2 / h_a
     =====================  ===========  ===================================
 
-The exponent table (``_exponent_table``, once per family and order) holds
-the exponents of ``dof_scale`` and of ``a`` for every catalog DOF; a cell
-shape costs one power product per distinct exponent triple.  The weight is
-constant on each component group, so it commutes with the block-diagonal
-DOF matrices.  Only unit-cell objects are cached: blocks per edge, factor
-and exponent tables per family and stencils per operator and source
-family, each per order.  A reconstruction divides the local DOF values by
-``dof_scale`` and applies ``R(1)``, in integers.
-
-The reverse path, :func:`interpolate`, is sum-factorised too.  On a cell,
-a DOF that is not coupled has the value ``dof_scale * (t_x (x) t_y (x)
-t_z) c``.  Here ``c`` holds the reference coefficients of the field's
-component, cleared to integers, and ``t_a`` is the integer 1-D table at
-``h = 1`` of the DOF's functional on axis ``a``, taken over the
-component's own degree grid.  So the value equals ``apply_dof`` for any
-polynomial, inside the shape space or not.  The contraction runs over z,
-then y, then x, and the DOFs of one cell share the partial sums of their
-trailing functionals.  A coupled DOF of ``xi-red`` is a sum of cell
-moments against the monomials of its bubble triple, each diagonal
-component against its own member.
+The weight is constant on each component group, so it commutes with the
+block-diagonal DOF matrices.  Only unit-cell objects are cached: blocks
+per edge, factor and exponent tables per family and stencils per operator
+and source family, each per order.  A cell shape costs one power product
+per distinct exponent triple (``_exponent_table``).
 
 ``K(h)`` is scaled from ``K(1)`` nonzero by nonzero, in integers.  With
 ``a_i = n_i / d_i``, the entry ``a_i K(1)_ij / (D1 a_j)`` is stored as
@@ -110,17 +83,10 @@ component against its own member.
 lcm(d) / d_i`` runs over the target DOFs and ``c_j = d_j lcm(n) / n_j``
 over the source DOFs.  The scatter rescales each shape's block once by
 ``L // den_h``, with ``L`` the lcm of the ``den_h``, so the global matrix
-is integer rows over ``L`` and every comparison is between integers.  It
-walks only nonzeros and keeps the first cell's value at each entry; it
-asserts conformity instead of assuming it.  One audit then walks, for
-each cell and each target DOF it carries, every stored entry of that
-row: the cell must carry the source DOF, its block must hold a value
-there (not an implicit zero) and the value must equal the stored one.
-So a shared target DOF receives the identical value from every cell that
-carries it, with ``cell_maps`` the one record of which cell carries
-which DOF.  The audit is one premise of the composition certificate:
-``verify.verify_complex`` proves ``A2 @ A1 == 0`` from ``K2(1) @ K1(1) ==
-0`` and this audit, with no global product.
+is integer rows over ``L``, and its audit (:func:`operator_matrix`, one
+premise of the composition certificate of ``verify.verify_complex``)
+compares integers.  The reverse path, :func:`interpolate`, contracts
+integer 1-D tables too.
 """
 
 from __future__ import annotations
@@ -128,16 +94,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import lcm, perm, prod
+from math import lcm, perm
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import _exactcore
 from .elements import (DofFunctional, FamilyId, _COMP_POS, _DIAG_COMPS,
                        _axis_table, _bubbles_for, _component_poly,
-                       axis_functionals, group_dof_matrix, local_dofs,
-                       shape_space)
+                       axis_functionals, group_forms, local_dofs, shape_space,
+                       triangular_blocks)
 from .mesh import ENTITY_RANK, CuboidMesh
 from .operators import (OPERATORS, PolyField, check_membership,
                         coordinate_field, field_coords)
@@ -248,50 +213,27 @@ def _powers(exps: Sequence[tuple[int, int, int]], h: tuple) -> list[Fraction]:
     return out
 
 
-def _group_layout(fam: FamilyId) -> list[tuple[str, list[int], int]]:
-    """Per component group: its name, the catalog positions of its DOFs and
-    the offset of its monomial coordinates."""
-    spec = shape_space(fam)
-    positions: dict[str, list[int]] = {g.name: [] for g in spec.groups}
-    for i, dof in enumerate(local_dofs(fam)):
-        positions[spec.group_of(dof.component).name].append(i)
-    out = []
-    off = 0
-    for g in spec.groups:
-        out.append((g.name, positions[g.name], off))
-        off += len(spec.group_coords(g))
-    return out
-
-
 class _Unit(NamedTuple):
-    """One block of a family's factor table.
-
-    A product unit is one independent component of a product group: its
-    DOFs are exactly ``F_x x F_y x F_z`` for sets ``F_a`` of ``cap_a + 1``
-    distinct 1-D functionals, so its DOF block is ``P (T_x (x) T_y (x) T_z)``.
-    ``dofs`` holds the catalog position of each Kronecker row (that is
-    ``P``), ``tables`` and ``inverses`` each ``T_a`` and ``T_a^-1`` as
-    integer rows over a denominator.  An exception unit is a whole group
-    that is not a product; it keeps its DOF block (``dof_rows``, over the
-    unit's coordinates, as sparse integer rows over a denominator) and the
-    block's exact inverse (``recon_rows``, unit coordinates by the DOFs of
-    ``dofs``, as integer rows over a denominator), and ``dofs`` lists its
-    catalog positions in group order.  ``comps`` gives each component with
-    the offset of its coordinates in the unit and its degree caps;
-    ``offset`` places the unit's coordinates in the family's.
-    """
+    """One block of a family's factor table, from one ``GroupForm``: its
+    DOF matrix is ``P @ Dof @ (T_x (x) T_y (x) T_z)`` and its inverse
+    ``(T_x^-1 (x) T_y^-1 (x) T_z^-1) @ R_1 @ ... @ R_m @ P^T``, with ``P``
+    putting row ``i`` at catalog position ``dofs[i]``.  ``tables`` and
+    ``inverses`` hold the ``T_a`` and ``T_a^-1`` (None: the identity),
+    ``dof_rows`` ``Dof`` (None: the identity) and ``recon`` the ``R_i``, all
+    as integer rows over a denominator.  ``comps`` holds each component's
+    coordinate offset in the unit and caps; ``offset`` is the unit's."""
 
     comps: tuple[tuple[str, int, tuple[int, int, int]], ...]
     offset: int
     dofs: tuple[int, ...]
-    tables: tuple | None = None
-    inverses: tuple | None = None
+    tables: tuple = (None, None, None)
+    inverses: tuple = (None, None, None)
     dof_rows: tuple | None = None
-    recon_rows: tuple | None = None
+    recon: tuple = ()
 
 
-def _int_rows(mat: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    """A dense rational matrix as integer rows over one denominator."""
+def _int_rows(mat: list) -> tuple[list, int]:
+    """Rational rows, dense or sparse, as integer rows over one denominator."""
     rows, dens = _exactcore.clear_denominators(mat, common=True)
     return rows, dens[0]
 
@@ -305,66 +247,84 @@ def _int_inverse(mat: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     return [[v * d for v, d in zip(row, dens)] for row in inv], den
 
 
-def _product_units(spec, group, catalog, positions: list[int],
-                   off: int) -> list[_Unit] | None:
-    """The group's independent components as product units, or None when
-    the group is not a product group."""
-    if any(catalog[p].kind == "coupled"
-           or catalog[p].component not in group.independent for p in positions):
-        return None
-    units = []
-    for comp in group.independent:
-        caps = spec.degrees[comp].caps
-        mine = [p for p in positions if catalog[p].component == comp]
-        funcs = {axis_functionals(catalog[p]): p for p in mine}
-        axes = [list(dict.fromkeys(f[a] for f in funcs)) for a in range(3)]
-        # distinct triples, as many as F_x x F_y x F_z has: they are all of it
-        if (len(funcs) != len(mine) or len(mine) != prod(c + 1 for c in caps)
-                or any(len(axes[a]) != caps[a] + 1 for a in range(3))):
-            return None
-        tables = [[_axis_table(caps[a], *f, Fraction(1)) for f in axes[a]]
-                  for a in range(3)]
-        units.append(_Unit(
-            ((comp, 0, caps),), off, tuple(funcs[f] for f in product(*axes)),
-            tables=tuple(_int_rows(t) for t in tables),
-            inverses=tuple(_int_inverse(t) for t in tables)))
-        off += len(mine)
-    return units
+def _block_diag(blocks, lines: list[Sequence[int]]) -> tuple[list, int]:
+    """Square blocks of ``(integer rows, denominator)`` as one sparse matrix
+    over one denominator, block ``i`` on the indices ``lines[i]``."""
+    den = lcm(*(d for _rows, d in blocks))
+    out: list[dict[int, int]] = [{} for _ in range(sum(map(len, lines)))]
+    for line, (rows, d) in zip(lines, blocks):
+        for i, row in zip(line, rows):
+            out[i] = {line[j]: v * (den // d) for j, v in enumerate(row) if v}
+    return out, den
 
 
-def _exception_unit(fam: FamilyId, spec, group, positions: list[int],
-                    off: int) -> _Unit:
-    """A group that is not a product: its DOF block and exact inverse."""
-    mat = group_dof_matrix(fam, group.name)
-    if len(mat) != len(mat[0]):
-        raise AssertionError(
-            f"{fam.name} k={fam.k} group {group.name}: DOF matrix "
-            f"{len(mat)}x{len(mat[0])} is not square")
-    comps = []
-    local = 0
-    for comp in group.independent:
-        grid = spec.degrees[comp]
-        comps.append((comp, local, grid.caps))
-        local += grid.dim()
-    dof_rows, dens = _exactcore.clear_denominators(
-        [dict(enumerate(row)) for row in mat], common=True)
-    return _Unit(
-        tuple(comps), off, tuple(positions),
-        dof_rows=(dof_rows, dens[0]),
-        recon_rows=_int_inverse(mat))
+def _fibred_unit(spec, form, off: int) -> _Unit:
+    """A product or fibred block: 1-D tables and inverses, the identity on a
+    fibre axis, and there ``Dof`` and ``R_1`` block diagonal by fibre."""
+    comp = form.comps[0]
+    caps = spec.degrees[comp].caps
+    n = [c + 1 for c in caps]
+    tables: list = [None] * 3
+    inverses, dof_rows, recon = tables[:], None, ()
+    for a, lists in enumerate(form.axes):
+        tabs = [[_axis_table(caps[a], *f, Fraction(1)) for f in fl] for fl in lists]
+        if len(tabs) == 1:
+            tables[a], inverses[a] = _int_rows(tabs[0]), _int_inverse(tabs[0])
+            continue
+        stride = (n[1] * n[2], n[2], 1)
+        x, y = (o for o in range(3) if o != a)
+        lines = [[i * stride[x] + j * stride[y] + m * stride[a] for m in range(n[a])]
+                 for i in range(n[x]) for j in range(n[y])]
+        dof_rows = _block_diag([_int_rows(t) for t in tabs], lines)
+        recon = (_block_diag([_int_inverse(t) for t in tabs], lines),)
+    return _Unit(((comp, 0, caps),), off, form.dofs, tuple(tables),
+                 tuple(inverses), dof_rows, recon)
+
+
+def _coupled_unit(fam: FamilyId, spec, form, off: int) -> _Unit:
+    """A coupled block by block substitution: with ``D E = [[M11, 0],
+    [M21, G]]`` (``elements.triangular_blocks``) its inverse is ``E @
+    diag(I, G^-1) @ [[I, 0], [-M21, I]] @ diag(M11^-1, I)``, so only
+    ``M11`` and ``G`` are inverted."""
+    blocks = triangular_blocks(fam, form)
+    if blocks is None:
+        raise AssertionError(f"{fam.name} k={fam.k}: the coupled DOF block "
+                             f"is not block triangular")
+    D, E, T, npiv = blocks
+    n = len(D)
+    dense = [[r.get(j, _F0) for j in range(n)] for r in T]
+    ginv, gd = _int_inverse([r[npiv:] for r in dense[npiv:]])
+    minv, md = _int_inverse([r[:npiv] for r in dense[:npiv]])
+    m21, d = _int_rows([r[:npiv] for r in dense[npiv:]])
+    recon = (_int_rows(E),
+             ([{t: gd} for t in range(npiv)]
+              + [{npiv + j: v for j, v in enumerate(r) if v} for r in ginv], gd),
+             ([{t: d} for t in range(npiv)]
+              + [{**{t: -v for t, v in enumerate(r) if v}, npiv + i: d}
+                 for i, r in enumerate(m21)], d),
+             ([{j: v for j, v in enumerate(r) if v} for r in minv]
+              + [{t: md} for t in range(npiv, n)], md))
+    grid = spec.degrees[form.comps[0]]   # one grid for the whole diagonal
+    comps = tuple((c, i * grid.dim(), grid.caps) for i, c in enumerate(form.comps))
+    return _Unit(comps, off, form.dofs,
+                 dof_rows=_int_rows([dict(enumerate(r)) for r in D]), recon=recon)
 
 
 @lru_cache(maxsize=None)
 def _factor_table(fam: FamilyId) -> tuple[_Unit, ...]:
-    """The unit-cell DOF blocks in factored form, once per family and order:
-    a product unit per independent component of each product group and an
-    exception unit per other group, in coordinate order."""
+    """The unit-cell DOF blocks in factored form, once per family and
+    order, one unit per ``GroupForm``, in coordinate order."""
     spec = shape_space(fam)
-    catalog = local_dofs(fam)
     units: list[_Unit] = []
-    for group, (_name, positions, off) in zip(spec.groups, _group_layout(fam)):
-        units.extend(_product_units(spec, group, catalog, positions, off)
-                     or [_exception_unit(fam, spec, group, positions, off)])
+    off = 0
+    for gname, forms in group_forms(fam).items():
+        if forms is None:
+            raise AssertionError(f"{fam.name} k={fam.k} group {gname}: DOF "
+                                 f"block of no known structure")
+        for form in forms:
+            units.append(_coupled_unit(fam, spec, form, off) if form.axes is None
+                         else _fibred_unit(spec, form, off))
+            off += len(form.dofs)
     return tuple(units)
 
 
@@ -383,13 +343,13 @@ def _operator_stencil(op_name: str, src: FamilyId
     ``OPERATORS[op_name]`` is applied once per independent source component
     ``c``, to the coordinate field of the probe monomial ``t^P`` at the top
     corner ``P`` of the component's degree grid.  Each output term at
-    exponent ``P - alpha`` is one derivative ``d^alpha`` of the probe, and
-    its value divided by ``P!/(P - alpha)!`` is that derivative's constant
-    coefficient.  Every derivative that does not vanish on some ``t^e`` of
-    the grid leaves a term at the probe, so the stencil is complete.
-    Returns ``{c: {output key: ((alpha, coef), ...)}}``; a symmetric output
-    also carries its transposed keys, as :meth:`PolyField.component` reads
-    them.
+    exponent ``P - alpha`` is one derivative ``d^alpha`` of the probe, with
+    constant coefficient its value over ``P!/(P - alpha)!``; every
+    derivative not vanishing on the grid leaves one.  If the probe column
+    passes :func:`check_membership`, so does every column ``t^e``: it has
+    the probe's derivatives at ``e - alpha``, each scaled by one factor in
+    every output component.  Returns ``{c: {output key: ((alpha, coef),
+    ...)}}``, a symmetric output with its transposed keys too.
     """
     spec = shape_space(src)
     op = OPERATORS[op_name]
@@ -499,19 +459,16 @@ def _kron_sum(terms: tuple, left, right, t_caps: tuple, s_caps: tuple,
               memo: dict) -> tuple[list[dict[int, int]], int]:
     """``sum coef * (x)_a (left_a @ Der_a^alpha_a @ right_a)`` over the
     stencil ``terms`` of one (target, source) component pair, as integer
-    rows over one common denominator.
-
-    Only the nonzeros of the 1-D factors are expanded.  ``left`` and
-    ``right`` are per-axis factors or None for the identity; ``memo`` keeps
-    the 1-D factors of one edge.
+    rows over one common denominator, expanding only the nonzeros of the
+    1-D factors.  ``left_a``/``right_a`` None is the identity; ``memo``
+    keeps the 1-D factors of one edge.
     """
     scaled = []
     for alpha, coef in terms:
         mats = []
         den = coef.denominator
         for a in range(3):
-            la = left[a] if left else None
-            ra = right[a] if right else None
+            la, ra = left[a], right[a]
             key = (id(la), alpha[a], id(ra), t_caps[a], s_caps[a])
             if key not in memo:
                 memo[key] = _axis_factor(la, alpha[a], ra, t_caps[a], s_caps[a])
@@ -551,19 +508,17 @@ def _reference_block(op_name: str, src: FamilyId, dst: FamilyId
     """K(1) = D_dst(1) @ O(1) @ R_src(1) as sparse integer rows over one
     positive denominator, once per edge and order.
 
-    For each target component ``t`` in unit ``U`` and source component
-    ``s`` in unit ``V`` the block is ``sum coef * (x)_a (T_t,a @
-    Der_a^alpha_a @ T_s,a^-1)`` over the stencil, with the identity in
-    place of an exception unit's factors; an exception unit's dense DOF
-    block or inverse is then applied to its (target, source) blocks.  Every
-    block is integer rows over its own denominator, rescaled to the lcm of
-    them all.  Returns ``(rows, den)``.
+    For target unit ``U`` and source unit ``V`` the block is ``P_U @ Dof_U
+    @ (sum coef * (x)_a (T_t,a @ Der_a^alpha_a @ T_s,a^-1)) @ R_V,1 @ ...
+    @ P_V^T`` over the stencil terms of each component pair (``_Unit``).
+    Every block is integer rows over its own denominator, rescaled to the
+    lcm of them all.  Returns ``(rows, den)``.
     """
     stencil = _operator_stencil(op_name, src)
     src_spec = shape_space(src)
     dst_spec = shape_space(dst)
     for comp, terms in stencil.items():
-        # the probe column stands for every column (module docstring)
+        # the probe column stands for every column (_operator_stencil)
         check_membership(_stencil_column(terms, src_spec.degrees[comp].caps),
                          dst_spec)
     where = {c: (u, local, caps)
@@ -571,34 +526,31 @@ def _reference_block(op_name: str, src: FamilyId, dst: FamilyId
     pieces: list[tuple[Sequence[int], list[dict[int, int]], int]] = []
     memo: dict = {}
     for v in _factor_table(src):
-        pending: dict[int, tuple[_Unit, list]] = {}
+        blocks: dict[int, tuple[_Unit, list]] = {}
+        # columns go to their catalog positions now if no factor follows
+        cmap = range(len(v.dofs)) if v.recon else v.dofs
         for s, s_local, s_caps in v.comps:
-            cmap = (v.dofs if v.inverses is not None
-                    else range(s_local, s_local + prod(c + 1 for c in s_caps)))
             for t, terms in stencil[s].items():
                 if not terms or t not in where:
                     continue
                 u, t_local, t_caps = where[t]
                 acc, den = _kron_sum(terms, u.tables, v.inverses, t_caps,
                                      s_caps, memo)
-                rows = [{cmap[j]: x for j, x in row.items() if x} for row in acc]
-                if u.tables is not None and v.inverses is not None:
-                    pieces.append((u.dofs, rows, den))
-                else:
-                    rmap = (range(len(acc)) if u.tables is not None
-                            else range(t_local, t_local + len(acc)))
-                    pending.setdefault(id(u), (u, []))[1].append((rmap, rows, den))
-        for u, parts in pending.values():
-            rows, den = _over_lcm(parts, len(u.dofs))
-            if v.inverses is None:
-                inv, d = v.recon_rows
-                rows = _exactcore.spmul(rows, [
-                    {p: x for p, x in zip(v.dofs, r) if x} for r in inv])
+                rows = [{cmap[s_local + j]: x for j, x in row.items() if x}
+                        for row in acc]
+                blocks.setdefault(id(u), (u, []))[1].append(
+                    (range(t_local, t_local + len(acc)), rows, den))
+        for u, parts in blocks.values():
+            whole = len(parts) == 1 and parts[0][0] == range(len(u.dofs))
+            rows, den = parts[0][1:] if whole else _over_lcm(parts, len(u.dofs))
+            if u.dof_rows is not None:
+                rows = _exactcore.spmul(u.dof_rows[0], rows)
+                den *= u.dof_rows[1]
+            for f, d in v.recon:
+                rows = _exactcore.spmul(rows, f)
                 den *= d
-            if u.tables is None:
-                drows, d = u.dof_rows
-                rows = _exactcore.spmul(drows, rows)
-                den *= d
+            if v.recon:
+                rows = [{v.dofs[j]: x for j, x in row.items()} for row in rows]
             pieces.append((u.dofs, rows, den))
     return _over_lcm(pieces, len(local_dofs(dst)))
 
@@ -772,18 +724,16 @@ def reconstruct_local(space: GlobalSpace, ci: int,
              for g, s in zip(space.cell_maps[ci], _dof_scales(space.fam, h))]
     coords = [_F0] * spec.local_dimension()
     for u in _factor_table(space.fam):
-        # applied in integers to the unit's cleared DOF values
+        # R_m, ..., R_1 on the cleared DOF values, then one pass per T_a^-1
         (vec,), (den,) = _exactcore.clear_denominators([[local[p] for p in u.dofs]])
-        if u.inverses is None:
-            inv, d = u.recon_rows
-            vec = [sum(map(mul, row, vec)) for row in inv]
+        for rows, d in reversed(u.recon):
+            vec = [sum(x * vec[j] for j, x in row.items()) for row in rows]
             den *= d
-        else:
-            # (T_x^-1 (x) T_y^-1 (x) T_z^-1) P^T by three axis passes
-            shape = tuple(len(m) for m, _d in u.inverses)
-            for axis, (m, d) in enumerate(u.inverses):
-                vec = _axis_pass(vec, m, shape, axis)
-                den *= d
+        shape = tuple(c + 1 for c in u.comps[0][2])
+        for axis, inv in enumerate(u.inverses):
+            if inv is not None:
+                vec = _axis_pass(vec, inv[0], shape, axis)
+                den *= inv[1]
         for i, v in enumerate(vec):
             coords[u.offset + i] = Fraction(v, den)
     comps: dict[str, TensorPoly] = {}
@@ -796,8 +746,7 @@ def reconstruct_local(space: GlobalSpace, ci: int,
             off += n
     if spec.traceless:
         comps["zz"] = -(comps["xx"] + comps["yy"])
-    kind = spec.kind
-    return PolyField(kind, comps, box, symmetric=spec.symmetric)
+    return PolyField(spec.kind, comps, box, symmetric=spec.symmetric)
 
 
 def _coeff_array(p: TensorPoly | None) -> tuple | None:
@@ -850,7 +799,8 @@ def interpolate(space: GlobalSpace,
 
     ``make_field(ci, box)`` returns the field on cell ``ci`` as components
     on ``box``, of any degrees; a missing component counts as zero.  Every
-    DOF value equals ``elements.apply_dof`` on the cell (module docstring).
+    DOF value equals ``elements.apply_dof`` on the cell; a coupled DOF is
+    a sum of cell moments against the monomials of its bubble triple.
     Shared DOFs are evaluated from each adjacent cell and must agree; a
     mismatch means the supplied field is not single-valued.  Raises
     ``ValueError`` for a component that does not live on its cell's box.

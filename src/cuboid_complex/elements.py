@@ -26,11 +26,8 @@ list of :class:`DofFunctional`.  DOFs attach to reference-cell entities;
 derivative multi-indices never exceed one per axis, weights are monomials
 in entity-normalized coordinates.  The traceless families store the
 diagonal as the two independent components (xx, yy); zz is their negative
-sum wherever it is needed.
-
-Component patterns are generated parametrically in the axes, which bakes
-in the cyclic x -> y -> z -> x covariance instead of asserting it after
-the fact.
+sum.  Component patterns are generated parametrically in the axes, which
+bakes in the cyclic x -> y -> z -> x covariance.
 """
 
 from __future__ import annotations
@@ -39,7 +36,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping
+from math import lcm, prod
+from typing import Iterable, Mapping, NamedTuple
 
 from . import _exactcore
 from .mesh import _EDGE_SIDES, _VERTEX_CORNERS
@@ -572,49 +570,38 @@ class BubbleBasis:
         return len(self.triples)
 
 
+def _eliminate(row: dict, f: Fraction, prow: dict) -> None:
+    """``row -= f * prow`` in place, dropping the zeros."""
+    for c, v in prow.items():
+        w = row.get(c, 0) - f * v
+        if w:
+            row[c] = w
+        else:
+            row.pop(c, None)
+
+
 def _nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis of a sparse rational matrix, deterministic RREF."""
-    work = [dict(r) for r in rows if r]
-    pivots: dict[int, dict[int, Fraction]] = {}  # pivot col -> normalized row
-    for r in work:
-        while r:
-            c = min(r)
-            if c in pivots:
-                f = r.pop(c)
-                for cc, v in pivots[c].items():
-                    if cc != c:
-                        w = r.get(cc, Fraction(0)) - f * v
-                        if w:
-                            r[cc] = w
-                        else:
-                            r.pop(cc, None)
-            else:
-                piv = r[c]
-                row = {cc: v / piv for cc, v in r.items()}
-                pivots[c] = row
-                break
-    # back-substitute so each pivot row has zeros in the other pivot columns
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for c2 in sorted(pivots):
-            if c2 > c and c2 in row:
-                f = row.pop(c2)
-                for cc, v in pivots[c2].items():
-                    if cc != c2:
-                        w = row.get(cc, Fraction(0)) - f * v
-                        if w:
-                            row[cc] = w
-                        else:
-                            row.pop(cc, None)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    """Nullspace basis of a sparse rational matrix from its reduced row
+    echelon form, which is unique: per free column, 1 there and minus that
+    column's entry of each pivot row at the row's pivot."""
+    pivots: dict[int, dict[int, Fraction]] = {}   # pivot col -> RREF row
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        for c in [c for c in r if c in pivots]:
+            _eliminate(r, r[c], pivots[c])
+        if r:
+            p = min(r)
+            r = {c: v / r[p] for c, v in r.items()}
+            for other in pivots.values():
+                if p in other:
+                    _eliminate(other, other[p], r)
+            pivots[p] = r
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for pc, row in pivots.items():
-            v = row.get(fc)
-            if v:
-                vec[pc] = -v
+            vec[pc] = -row.get(fc, _F0)
         basis.append(vec)
     return basis
 
@@ -744,15 +731,13 @@ def _deriv_factor_free(e: int, d: int, w: int) -> Fraction:
 # DOF matrices and unisolvency
 
 
-def group_dofs(fam: FamilyId, dofs: list[DofFunctional] | None = None
-               ) -> dict[str, list[DofFunctional]]:
-    """Split the catalog DOF list by component group, preserving order."""
+@lru_cache(maxsize=None)
+def _group_positions(fam: FamilyId) -> dict[str, list[int]]:
+    """The catalog positions of each component group's DOFs, in order."""
     spec = shape_space(fam)
-    if dofs is None:
-        dofs = local_dofs(fam)
-    out: dict[str, list[DofFunctional]] = {g.name: [] for g in spec.groups}
-    for dof in dofs:
-        out[spec.group_of(dof.component).name].append(dof)
+    out: dict[str, list[int]] = {g.name: [] for g in spec.groups}
+    for i, dof in enumerate(_unit_catalog(fam)):
+        out[spec.group_of(dof.component).name].append(i)
     return out
 
 
@@ -799,18 +784,20 @@ def _coupled_row(dof: DofFunctional, grid: Degree3, bubbles: BubbleBasis,
 
     It pairs all three diagonal components with one bubble triple, so with
     zz = -(xx + yy) the weight of xx is ``b_xx - b_zz`` and of yy
-    ``b_yy - b_zz``.
+    ``b_yy - b_zz``.  The moment of ``t^e`` against ``t^f`` is ``prod_a 1 /
+    (e_a + f_a + 1)``, summed in integers over ``L^3``, ``L`` a multiple of
+    every such divisor.
     """
     bxx, byy, bzz = bubbles.triples[dof.bubble_index]
+    L = lcm(*range(1, 2 * max(grid.caps) + 2))
     row = []
     for weight in (bxx - bzz, byy - bzz):
-        terms = list(weight.terms())
-        for exp in grid.exponents():
-            total = Fraction(0)
-            for e2, v in terms:
-                total += v / ((exp[0] + e2[0] + 1) * (exp[1] + e2[1] + 1)
-                              * (exp[2] + e2[2] + 1))
-            row.append(total * measure)
+        exps, coefs = zip(*weight.terms())
+        (ints,), (den,) = _exactcore.clear_denominators([coefs])
+        for e in grid.exponents():
+            total = sum(v * (L // (e[0] + f[0] + 1)) * (L // (e[1] + f[1] + 1))
+                        * (L // (e[2] + f[2] + 1)) for f, v in zip(exps, ints))
+            row.append(Fraction(total, den * L ** 3) * measure)
     return row
 
 
@@ -819,10 +806,9 @@ def group_dof_matrix(fam: FamilyId, gname: str, cell: CellBox = UNIT_BOX
     """DOF-by-coordinate matrix of one component group (square iff unisolvent).
 
     This is the one DOF-matrix builder; the full matrix is block diagonal
-    across the groups.  The reference pipeline of :mod:`.assembly` keeps a
-    product group as its 1-D tables (the same ``_axis_table`` rows) and
-    calls this builder for the other groups; the tests use it as the
-    oracle for the factored form.
+    across the groups.  :mod:`.assembly` keeps product and fibred blocks as
+    their 1-D tables (the same ``_axis_table`` rows) and calls this builder
+    for the coupled block; the tests use it as the oracle.
     Every DOF is a product of 1-D functionals along the three axes, so its
     entry on the monomial ``t^e`` of its own component factors as
     ``t0[e0] * t1[e1] * t2[e2]``, one table per axis over the group's
@@ -841,7 +827,7 @@ def group_dof_matrix(fam: FamilyId, gname: str, cell: CellBox = UNIT_BOX
         width += spec.degrees[c].dim()
     tables: dict[tuple, list[Fraction]] = {}   # 1-D functional -> its table
     rows = []
-    for dof in group_dofs(fam)[gname]:
+    for dof in map(_unit_catalog(fam).__getitem__, _group_positions(fam)[gname]):
         if dof.kind == "coupled":
             rows.append(_coupled_row(dof, spec.degrees["xx"], _bubbles_for(fam),
                                      cell.measure()))
@@ -878,34 +864,162 @@ def group_dof_matrix(fam: FamilyId, gname: str, cell: CellBox = UNIT_BOX
     return rows
 
 
+class GroupForm(NamedTuple):
+    """One block of a group's DOF matrix: its DOFs' catalog positions
+    ``dofs``, and for one component of product DOFs, per axis, the 1-D
+    functionals ``axes[a]``: one list on a Kronecker axis, one per fibre
+    (row-major over the other axes) on a fibre axis, with ``dofs`` in
+    Kronecker order.  A coupled block has ``axes`` None, uncoupled first."""
+
+    comps: tuple[str, ...]
+    dofs: tuple[int, ...]
+    axes: tuple | None = None
+
+
+def _fibred_form(comp: str, caps: tuple, funcs: dict) -> GroupForm | None:
+    """A component's block, ``funcs`` mapping each DOF's 1-D functionals to
+    its position, if fibred along an axis ``c``: the other axes' functionals
+    form a grid ``F_a x F_b`` with ``|F_a| = cap_a + 1`` and each pair
+    carries ``cap_c + 1`` on ``c``, its fibre; a product if all fibres
+    hold the same ones."""
+    n = [cap + 1 for cap in caps]
+    for c in (2, 1, 0):
+        a, b = _others(c)
+        fibres: dict[tuple, list] = {}
+        for f in funcs:
+            fibres.setdefault((f[a], f[b]), []).append(f[c])
+        fa, fb = (list(dict.fromkeys(pair[x] for pair in fibres)) for x in (0, 1))
+        lists = [fibres.get((i, j), []) for i in fa for j in fb]
+        if (len(fa), len(fb)) != (n[a], n[b]) or any(len(g) != n[c] for g in lists):
+            continue
+        if all(set(g) == set(lists[0]) for g in lists):
+            lists = [list(dict.fromkeys(f[c] for f in funcs))]
+        axes: list = [None] * 3
+        axes[a], axes[b], axes[c] = (fa,), (fb,), tuple(lists)
+        dofs = []
+        for idx in product(*map(range, n)):
+            f = [None] * 3
+            f[a], f[b] = fa[idx[a]], fb[idx[b]]
+            # a product's one list serves every fibre
+            f[c] = lists[(idx[a] * n[b] + idx[b]) % len(lists)][idx[c]]
+            dofs.append(funcs[tuple(f)])
+        return GroupForm((comp,), tuple(dofs), tuple(axes))
+    return None
+
+
+@lru_cache(maxsize=None)
+def group_forms(fam: FamilyId) -> dict[str, tuple[GroupForm, ...] | None]:
+    """Each group's blocks, once per family and order: one coupled block
+    for a group with coupled DOFs, else a product or fibred block per
+    component; None for a group of no known structure."""
+    spec = shape_space(fam)
+    catalog = _unit_catalog(fam)
+    out: dict[str, tuple[GroupForm, ...] | None] = {}
+    for g, mine in zip(spec.groups, _group_positions(fam).values()):
+        coupled = [catalog[p].kind == "coupled" for p in mine]
+        if any(coupled):
+            out[g.name] = (GroupForm(g.independent, tuple(
+                p for _c, p in sorted(zip(coupled, mine)))),)
+            continue
+        forms = []
+        for comp in g.independent:
+            own = [p for p in mine if catalog[p].component == comp]
+            funcs = {axis_functionals(catalog[p]): p for p in own}
+            forms.append(len(funcs) == len(own) and _fibred_form(
+                comp, spec.degrees[comp].caps, funcs) or None)
+        out[g.name] = (None if None in forms or sum(len(f.dofs) for f in forms)
+                       != len(mine) else tuple(forms))
+    return out
+
+
+def triangular_blocks(fam: FamilyId, form: GroupForm) -> tuple | None:
+    """A coupled block ``D`` (rows in ``form.dofs`` order) in coordinates
+    ``[C; B]``: ``(D, E, T, npiv)`` with sparse rows ``T = D E = [[M11, 0],
+    [M21, G]]``, or None if it does not take that form.  ``B``, the bubble
+    basis, is in reduced echelon form: each member is 1 on its own free
+    coordinate (its last nonzero), 0 on the others'.  ``E`` is the unit
+    vectors of the ``npiv`` other coordinates, then ``B``.  Uncoupled DOFs
+    vanish on ``B``: vertex values and edge moments of ``xx``/``yy`` (on an
+    edge along x, ``yy`` and ``zz`` vanish) and face moments of the normal
+    component; ``G`` is the Gram matrix of ``B``.  Read afresh per call."""
+    rows = dict(zip(sorted(form.dofs), group_dof_matrix(
+        fam, shape_space(fam).group_of(form.comps[0]).name)))
+    D = [rows[p] for p in form.dofs]
+    basis = [xx.coeffs + yy.coeffs for xx, yy, _zz in _bubbles_for(fam).triples]
+    free = [max(j for j, v in enumerate(b) if v) for b in basis]
+    P = sorted(set(range(len(D[0]))) - set(free))
+    npiv = len(D) - len(basis)
+    if (len(P) != npiv or any(_unit_catalog(fam)[p].kind == "coupled"
+                              for p in form.dofs[:npiv])
+            or any(b[j] != (i == t) for i, b in enumerate(basis)
+                   for t, j in enumerate(free))):
+        return None
+    pos = {j: t for t, j in enumerate(P)}
+    E = [({pos[j]: Fraction(1)} if j in pos else {})
+         | {npiv + t: b[j] for t, b in enumerate(basis) if b[j]} for j in range(len(D[0]))]
+    ints, dens = _exactcore.clear_denominators([dict(enumerate(r)) for r in D])
+    eints, edens = _exactcore.clear_denominators(E, common=True)
+    T = [{j: Fraction(v, d * edens[0]) for j, v in r.items()}
+         for r, d in zip(_exactcore.spmul(ints, eints), dens)]
+    return None if any(max(r, default=0) >= npiv for r in T[:npiv]) else (D, E, T, npiv)
+
+
+def _rank(rows: list, ncols: int) -> int:
+    """The exact rank of rational rows, dense or sparse."""
+    ints, _ = _exactcore.clear_denominators(
+        [dict(enumerate(r)) if isinstance(r, list) else r for r in rows])
+    return _exactcore.ff_rank(ints, ncols)
+
+
+def _form_rank(fam: FamilyId, spec: ShapeSpaceSpec, form: GroupForm) -> int | None:
+    """One block's rank from its factors, or None where their ranks leave
+    it open (see :func:`check_unisolvence`)."""
+    if form.axes is None:
+        blocks = triangular_blocks(fam, form)
+        if blocks is None:
+            return None
+        _D, _E, T, npiv = blocks
+        g = _rank([{j: v for j, v in r.items() if j >= npiv} for r in T[npiv:]], len(T))
+        return _rank(T[:npiv], npiv) + g if g == len(T) - npiv else None
+    caps = spec.degrees[form.comps[0]].caps
+    ranks = [[_rank([_axis_table(caps[a], *f, Fraction(1)) for f in fl], caps[a] + 1)
+              for fl in lists] for a, lists in enumerate(form.axes)]
+    fibre = [a for a in range(3) if len(ranks[a]) > 1]
+    if not fibre:
+        return prod(r for r, in ranks)
+    full = all(ranks[x] == [caps[x] + 1] for x in _others(fibre[0]))
+    return sum(ranks[fibre[0]]) if full else None
+
+
 def check_unisolvence(fam: FamilyId) -> dict:
     """Exact unisolvency check: the DOF matrix is square and nonsingular.
 
-    Works group by group (the matrix is block diagonal), which keeps the
-    exact rank computation small.
+    The matrix is block diagonal over the blocks of :func:`group_forms`,
+    and each block's rank comes from its factors, never from eliminating
+    the block.  A product block is ``P (T_x (x) T_y (x) T_z)`` for a row
+    permutation ``P``, and ``rank(A (x) B) = rank A rank B`` (Van Loan,
+    JCAM 123, 2000), so its rank is the product of its 1-D table ranks.
+    A fibred block is ``P diag_ij(T_c,ij) (T_a (x) T_b (x) I)``: when
+    ``T_a`` and ``T_b`` are nonsingular, its rank is the sum of the fibre
+    tables' ranks.  A coupled block is ``[[M11, 0], [M21, G]]`` after a
+    change of basis (:func:`triangular_blocks`), of rank ``rank M11 + rank
+    G`` when ``G`` is nonsingular.  A block whose factors leave its rank
+    open, or with no known structure, is built by :func:`group_dof_matrix`
+    and eliminated.
     """
     spec = shape_space(fam)
-    dim = spec.local_dimension()
-    ndofs = len(local_dofs(fam))
-    rank = 0
-    square = ndofs == dim
+    dim, ndofs = spec.local_dimension(), len(_unit_catalog(fam))
+    rank, square = 0, ndofs == dim
     for g in spec.groups:
-        block = group_dof_matrix(fam, g.name)
-        if not block:
-            continue
-        if len(block) != len(block[0]):
-            square = False
-        ints, _ = _exactcore.clear_denominators([dict(enumerate(r)) for r in block])
-        rank += _exactcore.ff_rank(ints, len(block[0]))
-    return {
-        "family": fam.name,
-        "k": fam.k,
-        "local_dim": dim,
-        "num_dofs": ndofs,
-        "rank": rank,
-        "square": square,
-        "nonsingular": square and rank == dim,
-    }
+        forms = group_forms(fam)[g.name]
+        ranks = [_form_rank(fam, spec, f) for f in forms or ()]
+        if forms is None or None in ranks:
+            block = group_dof_matrix(fam, g.name)
+            square = square and (not block or len(block) == len(block[0]))
+            ranks = [_rank(block, len(block[0])) if block else 0]
+        rank += sum(ranks)
+    return {"family": fam.name, "k": fam.k, "local_dim": dim, "num_dofs": ndofs,
+            "rank": rank, "square": square, "nonsingular": square and rank == dim}
 
 
 # ---------------------------------------------------------------------------

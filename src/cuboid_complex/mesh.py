@@ -1,20 +1,14 @@
 """Structured cuboid meshes of an axis-aligned box.
 
 The mesh is the tensor product of three strictly increasing breakpoint
-sequences.  Entities are numbered deterministically:
-
-* vertices: lexicographic in (i, j, l) with the z index fastest;
-* edges: all x-directed, then all y-directed, then all z-directed, each
-  block lexicographic;
-* faces: all with normal x (yz-planes), then normal y, then normal z;
-* cells: lexicographic.
-
-Within one cell, the canonical local entity order (8 vertices, 12 edges,
-6 faces, the cell) is position-consistent across cells, and it agrees with
-the relative order of the global ids.  This is what lets one reference DOF
-layout serve every cell.  :meth:`CuboidMesh.cell_entity_ids` is the one
-place that order lives: it maps each cell-local entity label of the DOF
-catalog to its global (kind, id).
+sequences.  Vertices and cells are numbered lexicographically (z index
+fastest); edges all x-directed, then y-, then z-directed, and faces by
+normal x, y, z, each block lexicographic.  Within one cell the local
+entity order (8 vertices, 12 edges, 6 faces, the cell) agrees with the
+relative order of the global ids, which lets one reference DOF layout
+serve every cell.  :meth:`CuboidMesh.cell_entity_ids` is the one place
+that order lives: it maps each local entity label to its global (kind,
+id).
 """
 
 from __future__ import annotations

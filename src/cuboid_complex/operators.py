@@ -6,10 +6,9 @@ Matrix operators act row-wise: ``curl_rows`` takes the curl of each row,
 two; on symmetric input it equals taking the row-wise curl of the transposed
 row-wise curl.  All derivatives are physical (chain factors 1/h per axis).
 
-Fields are plain component dictionaries wrapped in :class:`PolyField`, with
-missing components treated as zero.  The coordinate helpers at the bottom
-translate between fields and the monomial coordinates of a shape space; the
-strict direction doubles as a membership check.
+Fields are component dictionaries in a :class:`PolyField` (a missing one
+is zero).  The coordinate helpers at the bottom translate fields to and
+from shape-space coordinates; the strict direction checks membership.
 """
 
 from __future__ import annotations

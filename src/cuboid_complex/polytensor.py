@@ -2,15 +2,10 @@
 
 A :class:`TensorPoly` stores the coefficients of a polynomial on the tensor
 monomial basis ``t_x^i t_y^j t_z^l`` of the *reference* cube ``[0,1]^3``,
-together with the geometry of the axis-aligned cell it lives on.  Physical
-derivatives and integrals pick up the per-axis chain factors ``1/h`` and
-``h`` from the cell geometry, so all calculus below is exact in
-``fractions.Fraction`` arithmetic.
-
-Mesh entities (vertices, edges, faces, cells) are described by
-:class:`EntityRef`; traces onto entities and moments against weight
-polynomials in entity-normalized coordinates are the building blocks the
-element degrees of freedom are made of.
+together with the axis-aligned cell it lives on; physical derivatives
+and integrals pick up the chain factors ``1/h`` and ``h``, exactly.  Mesh
+entities are :class:`EntityRef`; traces onto them and moments against
+weights in entity-normalized coordinates make up the element DOFs.
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
-"""Computational verification of the discrete complexes.
-
-The checks here are the point of the package: exact unisolvency and
-dimension audits, exact ranks of the assembled operator matrices, zero
-compositions, exactness of the two four-space ladders (full and reduced),
-kernel identification, constructive divergence preimages, interelement
-continuity of the advertised traces, and the commutation identities tying
-the row-wise curl to gradients of the vector curl.
+"""Computational verification of the discrete complexes: exact
+unisolvency and dimension audits, exact ranks of the assembled operator
+matrices, zero compositions, exactness of the two four-space ladders (full
+and reduced), kernel identification, constructive divergence preimages,
+interelement continuity of the advertised traces, and the commutation
+identities tying the row-wise curl to gradients of the vector curl.
 
 Rank certification is dual-route on request: fraction-free elimination
 over the integers and a float route must report the same number.  A row or
@@ -213,25 +211,18 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
     """Assemble one ladder and verify it is an exact complex.
 
     ``composition_zero`` is proved on the unit cell, with no global product.
-    Lemma: if ``K2(1) @ K1(1) == 0`` then the assembled ``A2 @ A1 == 0`` on
-    any mesh, given two premises.
-
-    1. Each cell block is ``K(h) = diag(a_dst(h)) @ K(1) @ diag(1/a_src(h))``
-       (``local_operator_block``), and both edges use the same ``a`` on the
-       middle space, since it is one family.  So ``K2(h) @ K1(h) =
-       diag(a_3) @ K2(1) @ K1(1) @ diag(1/a_1) = 0`` on every cell.
-    2. ``operator_matrix``'s audit passed on ``A1`` and ``A2``, both over
-       the same middle :class:`GlobalSpace`.  Take a target DOF ``i`` of
-       ``A2`` and a cell ``c`` that carries it.  The scatter stores every
-       nonzero of ``c``'s row ``i``, and the audit makes ``c`` carry every
-       ``m`` with ``(A2)_im`` stored and hold that value there.  So, read
-       through ``c``'s ``cell_maps``, row ``i`` of ``A2`` is row ``i`` of
-       ``K2^c``.  Likewise row ``m`` of ``A1`` is row ``m`` of ``K1^c`` for
-       each such ``m``, since ``c`` carries ``m``.
-
-    Together, row ``i`` of ``A2 @ A1`` is a row of ``K2^c @ K1^c = 0``.  A
-    failed audit raises :class:`ConformityError` before this point, and the
-    global product stays in the tests as the oracle.
+    Lemma: if ``K2(1) @ K1(1) == 0`` then ``A2 @ A1 == 0`` on any mesh,
+    given two premises.  (1) Each cell block is ``K(h) = diag(a_dst(h)) @
+    K(1) @ diag(1/a_src(h))`` (``local_operator_block``), with the same
+    ``a`` on the middle space for both edges, so ``K2(h) @ K1(h) = 0`` on
+    every cell.  (2) ``operator_matrix``'s audit passed on ``A1`` and
+    ``A2``, over the same middle :class:`GlobalSpace`: for a target DOF
+    ``i`` of ``A2`` and a cell ``c`` carrying it, the audit makes ``c``
+    carry every ``m`` with ``(A2)_im`` stored and hold that value, so row
+    ``i`` of ``A2`` is row ``i`` of ``K2^c`` read through ``c``'s
+    ``cell_maps``, and likewise row ``m`` of ``A1`` is row ``m`` of
+    ``K1^c``.  So row ``i`` of ``A2 @ A1`` is a row of ``K2^c @ K1^c =
+    0``.  A failed audit raises :class:`ConformityError` before this point.
 
     An ``arithmetic`` not in :data:`ARITHMETICS` raises ``ValueError``
     before any assembly.
@@ -270,14 +261,9 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
 def verify_dimensions(fam: FamilyId, mesh: CuboidMesh) -> dict:
     space = assemble_space(fam, mesh)
     formula = global_dimension_formula(fam, mesh.entity_counts())
-    return {
-        "family": fam.name,
-        "k": fam.k,
-        "mesh": ",".join(str(n) for n in mesh.shape),
-        "formula": formula,
-        "assembled": space.dimension,
-        "match": formula == space.dimension,
-    }
+    return {"family": fam.name, "k": fam.k,
+            "mesh": ",".join(str(n) for n in mesh.shape), "formula": formula,
+            "assembled": space.dimension, "match": formula == space.dimension}
 
 
 def verify_local_complex(name: str, k: int) -> dict:
@@ -306,16 +292,9 @@ def verify_local_complex(name: str, k: int) -> dict:
              and ranks[0] == dims[1] - ranks[1]
              and ranks[1] == dims[2] - ranks[2]
              and ranks[2] == dims[3])
-    return {
-        "complex": name,
-        "k": k,
-        "dims": dims,
-        "ranks": ranks,
-        "alternating_sum": alternating,
-        "composition_zero": comp_zero,
-        "exact": exact and comp_zero,
-        "cohomology_dim": kernel_dim,
-    }
+    return {"complex": name, "k": k, "dims": dims, "ranks": ranks,
+            "alternating_sum": alternating, "composition_zero": comp_zero,
+            "exact": exact and comp_zero, "cohomology_dim": kernel_dim}
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +365,10 @@ def kernel_identification(name: str, k: int, mesh: CuboidMesh) -> dict:
     annihilated = composition_is_zero(a1, columns)
     interp_rank = exact_rank(columns)
     nullity = src.dimension - exact_rank(a1)
-    return {
-        "complex": name,
-        "k": k,
-        "kernel_dim": kernel_dim,
-        "annihilated": annihilated,
-        "interpolant_rank": interp_rank,
-        "nullity": nullity,
-        "identified": annihilated and interp_rank == kernel_dim
-                      and nullity == kernel_dim,
-    }
+    return {"complex": name, "k": k, "kernel_dim": kernel_dim,
+            "annihilated": annihilated, "interpolant_rank": interp_rank,
+            "nullity": nullity, "identified": annihilated
+            and interp_rank == kernel_dim and nullity == kernel_dim}
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +509,13 @@ def div_preimage_check(name: str, k: int, mesh: CuboidMesh,
     exactly per cell, be continuous across the faces its integration axes
     cross, interpolate into the matrix space without shared-DOF conflicts,
     and map back to the target coefficients through the assembled
-    divergence matrix.
+    divergence matrix.  Raises ``ValueError`` for fewer than one sample.
     """
     fams, _ops, _kd, min_k = COMPLEXES[name]
     if k < min_k:
         raise ValueError(f"complex {name!r} needs k >= {min_k}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     q_space = assemble_space(FamilyId(fams[3], k), mesh)
     mat_space = assemble_space(FamilyId(fams[2], k), mesh)
     div_mat = operator_matrix("div", mat_space, q_space)
@@ -637,7 +612,10 @@ def face_jump(space: GlobalSpace, coeffs: list[Fraction],
 
 def jump_check(fam: FamilyId, mesh: CuboidMesh, fields: int = 5,
                seed: int = 20260818) -> dict:
-    """Check the advertised traces of random members on interior faces."""
+    """Check the advertised traces of random members on interior faces.
+    Raises ``ValueError`` for fewer than one field."""
+    if fields < 1:
+        raise ValueError(f"fields must be at least 1, got {fields}")
     space = assemble_space(fam, mesh)
     rng = random.Random(seed)
     faces = mesh.interior_faces()

@@ -51,6 +51,7 @@ FROZEN_LADDERS = {
 FROZEN_HIGH_ORDER = {
     "gradgrad": (6, [343, 1491, 1692, 540], [339, 1152, 540]),
     "elasticity": (5, [882, 1491, 1065, 450], [876, 615, 450]),
+    "elasticity-reduced": (5, [882, 1491, 1065, 450], [876, 615, 450]),
 }
 
 #: traces checked by jump_check per family on the 2x2x2 mesh, 5 fields
@@ -139,8 +140,21 @@ def test_high_order_one_cell_ladders():
         assert rep.exact
         assert rep.arithmetic_mode == "rational"
         print(f"{name} k={k}: {elapsed:.1f}s")
-    print("PASS high order: gradgrad k=6 and elasticity k=5 exact on one "
-          "cell, ranks frozen")
+    print("PASS high order: gradgrad k=6, elasticity and elasticity-reduced "
+          "k=5 exact on one cell, ranks frozen")
+
+
+def test_gradgrad_reduced_k5_one_cell():
+    """The reduced grad-grad ladder two orders above its minimum on one
+    cell: its sigma-red and xi-red blocks are fibred and coupled, not
+    product blocks."""
+    start = time.monotonic()
+    rep = verify_complex("gradgrad-reduced", 5, uniform_unit_mesh(1, 1, 1))
+    elapsed = time.monotonic() - start
+    assert rep.dims == [216, 882, 970, 300]
+    assert rep.ranks == [212, 670, 300]
+    assert rep.exact and rep.composition_zero
+    print(f"PASS gradgrad-reduced k=5 exact on one cell in {elapsed:.1f}s")
 
 
 def test_criterion_5_kernel_is_lowest_order_span():

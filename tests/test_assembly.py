@@ -9,12 +9,12 @@ import cuboid_complex
 from cuboid_complex import _exactcore, assembly
 from cuboid_complex.assembly import (
     COMPLEXES, ConformityError, SparseMatrix, _dof_factors, _dof_scales,
-    _group_layout, _operator_rows, _reference_block,
+    _operator_rows, _reference_block,
     assemble_space, interpolate, local_operator_block, operator_matrix,
     read_matrix_market, reconstruct_local, write_matrix_market,
 )
 from cuboid_complex.elements import (FAMILY_NAMES, FamilyId, _bubbles_for,
-                                     apply_dof, family, group_dof_matrix,
+                                     _group_positions, apply_dof, family, group_dof_matrix,
                                      local_dofs, min_order, shape_space)
 from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
 from cuboid_complex.operators import (OPERATORS, MembershipError,
@@ -56,6 +56,16 @@ def operator_coord_matrix(op, src, dst, cell):
                             dst_spec, strict=True)
             for c, e in field_coords(src_spec)]
     return [list(row) for row in zip(*cols)]
+
+
+def _group_layout(fam: FamilyId):
+    """Per component group: its name, the catalog positions of its DOFs and
+    the offset of its monomial coordinates."""
+    spec = shape_space(fam)
+    off = 0
+    for g, positions in zip(spec.groups, _group_positions(fam).values()):
+        yield g.name, positions, off
+        off += len(spec.group_coords(g))
 
 
 def _dof_matrix(fam: FamilyId, cell: CellBox) -> list[dict[int, Fraction]]:

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from cuboid_complex import _exactcore, elements
 from cuboid_complex.elements import (
     FAMILY_NAMES, FamilyId, apply_dof, axis_functionals, bubble_basis_divT,
     check_unisolvence, entity_ref_for, family, global_dimension_formula,
-    group_dof_matrix, group_dofs, local_dofs, min_order, shape_space,
+    _group_positions, group_dof_matrix, local_dofs, min_order, shape_space,
 )
 from cuboid_complex.polytensor import EntityRef, TensorPoly, UNIT_BOX, box
 
@@ -57,6 +58,53 @@ def test_unisolvent_at_min_order(name):
     r = check_unisolvence(family(name, min_order(name)))
     assert r["square"] and r["nonsingular"]
     assert r["rank"] == r["local_dim"]
+
+
+def dense_unisolvence(fam):
+    """The oracle: every group's DOF block from group_dof_matrix, checked
+    square and eliminated by ff_rank."""
+    spec = shape_space(fam)
+    dim, ndofs = spec.local_dimension(), len(local_dofs(fam))
+    rank, square = 0, ndofs == dim
+    for g in spec.groups:
+        block = group_dof_matrix(fam, g.name)
+        if block:
+            square = square and len(block) == len(block[0])
+            ints, _ = _exactcore.clear_denominators(
+                [dict(enumerate(r)) for r in block])
+            rank += _exactcore.ff_rank(ints, len(block[0]))
+    return {"family": fam.name, "k": fam.k, "local_dim": dim,
+            "num_dofs": ndofs, "rank": rank, "square": square,
+            "nonsingular": square and rank == dim}
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_unisolvence_equals_dense_oracle(name):
+    """The ranks from the 1-D tables and the coupled block's two diagonal
+    blocks equal the eliminated dense blocks, at k = min..min+2."""
+    for k in range(min_order(name), min_order(name) + 3):
+        fam = family(name, k)
+        assert check_unisolvence(fam) == dense_unisolvence(fam)
+
+
+@pytest.mark.parametrize("name,k", [("u", 5), ("sigma-red", 4), ("xi-red", 4)])
+def test_unisolvence_sees_a_singular_table(monkeypatch, name, k):
+    """Negative control: with the moment against t^1 read as the moment
+    against t^0, tables holding both are singular.  The check reports the
+    family singular with the oracle's rank: a product block by its table
+    ranks, sigma-red's fibred blocks (both kinds of factor singular) by
+    elimination, and xi-red's coupled block by rank M11 + rank G."""
+    real = elements._axis_table
+
+    def merged(cap, d, w, side, h):
+        return real(cap, d, 0 if (d, w, side) == (0, 1, None) else w, side, h)
+
+    monkeypatch.setattr(elements, "_axis_table", merged)
+    fam = family(name, k)
+    got = check_unisolvence(fam)
+    assert got == dense_unisolvence(fam)
+    assert got["square"] and not got["nonsingular"]
+    assert got["rank"] < got["local_dim"]
 
 
 def test_family_validation():
@@ -159,7 +207,9 @@ def test_dof_matrix_matches_apply_dof(name, k):
     fam = family(name, k)
     spec = shape_space(fam)
     bubbles = bubble_basis_divT(k) if name == "xi-red" else None
-    by_group = group_dofs(fam, local_dofs(fam, _ANISO))
+    bound = local_dofs(fam, _ANISO)
+    by_group = {g: [bound[p] for p in positions]
+                for g, positions in _group_positions(fam).items()}
     for seed in (1, 2):
         rng = random.Random(seed)
         coords = [F(rng.randint(-5, 5)) for _ in range(spec.local_dimension())]

@@ -355,6 +355,22 @@ def test_div_preimage_check_small():
     assert r["exact"] and r["samples"] == 3
 
 
+def _no_assembly(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("assembled a space")
+    monkeypatch.setattr(verify, "assemble_space", refuse)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_div_preimage_check_refuses_no_samples(monkeypatch, samples):
+    """Zero samples would report exact having checked nothing; the count
+    is refused before any space is assembled."""
+    _no_assembly(monkeypatch)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        div_preimage_check("gradgrad", 3, uniform_unit_mesh(2, 1, 1),
+                           samples=samples)
+
+
 def test_continuity_trace_catalog():
     assert continuity_traces("u", 0) == [("s", (0, 0, 0)), ("s", (1, 0, 0))]
     assert continuity_traces("q-red", 1) == []
@@ -368,6 +384,15 @@ def test_continuity_trace_catalog():
 def test_jump_check_sigma_small():
     r = jump_check(family("sigma", 3), uniform_unit_mesh(2, 1, 1), fields=2)
     assert r["continuous"]
+
+
+@pytest.mark.parametrize("fields", [0, -1])
+def test_jump_check_refuses_no_fields(monkeypatch, fields):
+    """Zero fields would report continuous having checked no trace; the
+    count is refused before any space is assembled."""
+    _no_assembly(monkeypatch)
+    with pytest.raises(ValueError, match="fields must be at least 1"):
+        jump_check(family("sigma", 3), uniform_unit_mesh(2, 1, 1), fields=fields)
 
 
 def test_face_jump_shared_derivative_moments():
