@@ -614,16 +614,18 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def to_float_array(self, rows, cols):
-        """The dense float submatrix on the index lists ``rows``, ``cols``."""
+    @staticmethod
+    def to_float_array(rows, cols, dens):
+        """The dense float array of integer ``rows`` (dicts mapping column
+        to value) with row ``k`` over ``dens[k]``; ``cols`` lists every
+        column the rows hold, in the array's order."""
         import numpy as np
         at = {j: k for k, j in enumerate(cols)}
         a = np.zeros((len(rows), len(cols)))
-        for k, i in enumerate(rows):
-            for j, v in self.rows[i].items():
-                if j in at:
-                    # int true division rounds correctly and takes any size
-                    a[k, at[j]] = v / self.den
+        for k, (r, d) in enumerate(zip(rows, dens)):
+            for j, v in r.items():
+                # int true division rounds correctly and takes any size
+                a[k, at[j]] = v / d
         return a
 
     def entries(self):

@@ -8,8 +8,15 @@ identities tying the row-wise curl to gradients of the vector curl.
 Rank certification is dual-route on request: fraction-free elimination
 over the integers and a float route must report the same number.  A row or
 column with one nonzero, at ``(i, j)``, gives ``rank(A) = 1 + rank(A minus
-row i and column j)`` in any field, so the float route deletes such
-singletons exactly, cascading, and takes an SVD of the core alone.
+row i and column j)`` in any field (the singleton lemma).  A column with two
+nonzeros, ``a`` in row ``i`` and ``b`` in row ``j``, becomes a singleton
+under the invertible row operation ``row_j <- (a/g) row_j - (b/g) row_i``,
+``g = gcd(a, b)``, so it too goes with row ``i`` (the doubleton lemma; a
+row with two nonzeros is the same step on columns).  The float route
+deletes both kinds exactly, cascading, and takes an SVD of the core alone,
+each core row divided by its largest ``|entry|``: a positive row scaling
+keeps the rank and restores the singular-value gap that combined rows of
+unequal size would shrink.
 """
 
 from __future__ import annotations
@@ -84,18 +91,22 @@ def _check_dense_size(shape: tuple[int, int]) -> None:
 
 
 def float_rank(mat: SparseMatrix) -> int:
-    """Rank of ``mat``: singletons deleted exactly, plus the core's SVD rank.
+    """Rank of ``mat``: singletons and doubletons deleted exactly
+    (:func:`_exactcore.peel_doubletons`), plus the core's SVD rank.
 
-    Singular values at most :data:`FLOAT_RANK_REL_CUTOFF` times the core's
-    largest count as zero.  An empty core makes no dense array.  The size
-    guard reads the full shape and runs before any deletion.
+    Each core row is divided by its largest ``|entry|`` before the SVD,
+    which keeps the rank, and singular values at most
+    :data:`FLOAT_RANK_REL_CUTOFF` times the largest count as zero.  An
+    empty core makes no dense array.  The size guard reads the full shape
+    and runs before any deletion.
     """
     _check_dense_size((mat.nrows, mat.ncols))
-    deleted, rows, cols = _exactcore.peel_singletons(mat.rows, mat.ncols)
+    deleted, rows, cols = _exactcore.peel_doubletons(mat.rows, mat.ncols)
     if not rows:
         return deleted
     import numpy as np
-    s = np.linalg.svd(mat.to_float_array(rows, cols), compute_uv=False)
+    dens = [max(map(abs, r.values())) for r in rows]
+    s = np.linalg.svd(mat.to_float_array(rows, cols, dens), compute_uv=False)
     # s is descending and nonnegative, so s[0] == 0 counts nothing
     return deleted + int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
 

@@ -427,17 +427,17 @@ def test_rank_scaled_target_is_rebuilt():
                       "entries_written": 5, "max_pivot_bits": 2}
 
 
-# The float rank route: singletons deleted exactly, then an SVD of the core.
-# The full-matrix SVD rank that float_rank took before the deletion is the
-# oracle, beside the exact rank.
+# The float rank route: singletons and doubletons deleted exactly, then an
+# SVD of the row-scaled core.  The unscaled full-matrix SVD rank that
+# float_rank took before any deletion is the oracle, beside the exact rank.
 
 def oracle_float_rank(mat):
     """SVD rank of the whole dense matrix, cut off relative to its largest
     singular value."""
     if mat.nnz == 0:
         return 0
-    s = np.linalg.svd(mat.to_float_array(range(mat.nrows), range(mat.ncols)),
-                      compute_uv=False)
+    a = mat.to_float_array(mat.rows, range(mat.ncols), [mat.den] * mat.nrows)
+    s = np.linalg.svd(a, compute_uv=False)
     if s[0] == 0.0:
         return 0
     return int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
@@ -452,33 +452,37 @@ def assert_float_rank(mat, rank):
 
 
 def test_peel_column_singleton():
-    # column 0 holds one entry, in row 0; the 2x2 core [[3, 4], [6, 8]] has
-    # no singleton left
+    # column 0 holds one entry and goes with row 0; that leaves
+    # [[3, 4], [6, 8]], where column 1 is a doubleton: row 2 - 2 * row 1
+    # is empty, column 1 goes with row 1 and column 2 is left empty
     dense = [[1, 2, 0], [0, 3, 4], [0, 6, 8]]
     mat = sparse_matrix(dense)
-    assert _exactcore.peel_singletons(mat.rows, 3) == (1, [1, 2], [1, 2])
+    assert _exactcore.peel_doubletons(mat.rows, 3) == (2, [], [])
     assert_float_rank(mat, 2)
 
 
 def test_peel_row_singleton():
-    # row 0 holds one entry, in column 1, which two more rows share
+    # row 0 holds one entry, in column 1, which two more rows share; that
+    # leaves [[1, 3], [2, 6]], where row 2 is a doubleton: column 2 -
+    # 3 * column 0 is empty, row 2 goes with column 0 and row 1 is empty
     dense = [[0, 5, 0], [1, 2, 3], [2, 4, 6]]
     mat = sparse_matrix(dense)
-    assert _exactcore.peel_singletons(mat.rows, 3) == (1, [1, 2], [0, 2])
+    assert _exactcore.peel_doubletons(mat.rows, 3) == (2, [], [])
     assert_float_rank(mat, 2)
 
 
 def test_peel_cascade():
     # Only column 0 starts as a singleton.  Deleting it with row 0 leaves
-    # column 1 to row 1, and deleting those leaves column 2 to row 2; the
-    # core is the singular block on rows and columns 3, 4.
+    # column 1 to row 1, and deleting those leaves column 2 to row 2.  The
+    # singular block on rows and columns 3, 4 is all doubletons, and one
+    # combination (row 4 - 2 * row 3) empties it.
     dense = [[1, 2, 0, 0, 0],
              [0, 3, 4, 1, 1],
              [0, 0, 5, 1, 2],
              [0, 0, 0, 1, 1],
              [0, 0, 0, 2, 2]]
     mat = sparse_matrix(dense)
-    assert _exactcore.peel_singletons(mat.rows, 5) == (3, [3, 4], [3, 4])
+    assert _exactcore.peel_doubletons(mat.rows, 5) == (4, [], [])
     assert_float_rank(mat, 4)
 
 
@@ -487,7 +491,7 @@ def test_peel_empty_core_makes_nothing_dense(monkeypatch):
     # deletes every entry, so no SVD runs and no dense array is made
     dense = [[1, 2, 0, 3], [0, 0, 0, 0], [0, 4, 0, 5], [0, 0, 0, 6]]
     mat = sparse_matrix(dense, den=7)
-    assert _exactcore.peel_singletons(mat.rows, 4) == (3, [], [])
+    assert _exactcore.peel_doubletons(mat.rows, 4) == (3, [], [])
     assert oracle_float_rank(mat) == exact_rank(mat) == 3
 
     def never(*args, **kwargs):
@@ -499,10 +503,83 @@ def test_peel_empty_core_makes_nothing_dense(monkeypatch):
 
 
 def test_peel_core_without_singletons():
+    # no singleton, but rows 0 and 2 and columns 0 and 2 are doubletons,
+    # and their deletion leaves no core
     dense = [[1, 2, 0], [3, 4, 5], [0, 6, 7]]
     mat = sparse_matrix(dense)
-    assert _exactcore.peel_singletons(mat.rows, 3) == (0, [0, 1, 2], [0, 1, 2])
+    assert _exactcore.peel_doubletons(mat.rows, 3) == (3, [], [])
     assert_float_rank(mat, 3)
+
+
+def test_peel_core_without_short_lines():
+    # every row and column holds three entries, so nothing goes
+    dense = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+    mat = sparse_matrix(dense)
+    assert _exactcore.peel_doubletons(mat.rows, 3) == (
+        0, dense_to_rows(dense), [0, 1, 2])
+    assert_float_rank(mat, 3)
+
+
+# One matrix per doubleton path; every other row and column holds three
+# entries or more, so the core that is left is the one shown.
+
+def test_peel_column_doubleton():
+    # Column 0 holds 4 in row 0 and 6 in row 1 (g = 2), and row 0 is the
+    # shorter, so row 1 becomes 2 * row 1 - 3 * row 0 = [0, 7, 9, 13] and
+    # column 0 goes with row 0.
+    dense = [[4, 1, 1, 1], [6, 5, 6, 8], [0, 1, 2, 3], [0, 2, 1, 7],
+             [0, 1, 1, 1]]
+    mat = sparse_matrix(dense)
+    core = [{1: 7, 2: 9, 3: 13}, {1: 1, 2: 2, 3: 3}, {1: 2, 2: 1, 3: 7},
+            {1: 1, 2: 1, 3: 1}]
+    assert _exactcore.peel_doubletons(mat.rows, 4) == (1, core, [1, 2, 3])
+    assert_float_rank(mat, 4)
+
+
+def test_peel_row_doubleton():
+    # The transpose of the column case: row 0 holds 4 in column 0 and 6 in
+    # column 1, so column 1 becomes 2 * column 1 - 3 * column 0 and row 0
+    # goes with column 0.
+    dense = [list(col) for col in zip(*[[4, 1, 1, 1], [6, 5, 6, 8],
+                                         [0, 1, 2, 3], [0, 2, 1, 7],
+                                         [0, 1, 1, 1]])]
+    mat = sparse_matrix(dense)
+    core = [{1: 7, 2: 1, 3: 2, 4: 1}, {1: 9, 2: 2, 3: 1, 4: 1},
+            {1: 13, 2: 3, 3: 7, 4: 1}]
+    assert _exactcore.peel_doubletons(mat.rows, 5) == (1, core, [1, 2, 3, 4])
+    assert_float_rank(mat, 4)
+
+
+def test_peel_combination_cancels_a_row():
+    # Column 0 holds 1 in row 0 and 2 in row 1 = 2 * row 0, so the
+    # combination row 1 - 2 * row 0 is empty and row 1 leaves the core
+    # without a deletion of its own.
+    dense = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 2], [0, 1, 3, 1],
+             [0, 2, 1, 5]]
+    mat = sparse_matrix(dense)
+    core = [{1: 1, 2: 1, 3: 2}, {1: 1, 2: 3, 3: 1}, {1: 2, 2: 1, 3: 5}]
+    assert _exactcore.peel_doubletons(mat.rows, 4) == (1, core, [1, 2, 3])
+    assert_float_rank(mat, 4)
+
+
+def test_peel_doubleton_leaves_a_singleton():
+    # Column 0 holds 1 in rows 0 and 1, and row 0 is the shorter, so row 1
+    # becomes row 1 - row 0 = {4: 5}, then {4: 1} without its content.  It
+    # must be queued again: it is a singleton now and goes with column 4,
+    # which leaves rows 2 and 3 with three entries each.
+    dense = [[1, 1, 1, 1, 0], [1, 1, 1, 1, 5], [0, 1, 2, 3, 1],
+             [0, 2, 1, 1, 1], [0, 1, 3, 2, 0]]
+    mat = sparse_matrix(dense)
+    core = [{1: 1, 2: 2, 3: 3}, {1: 2, 2: 1, 3: 1}, {1: 1, 2: 3, 3: 2}]
+    assert _exactcore.peel_doubletons(mat.rows, 5) == (2, core, [1, 2, 3])
+    assert_float_rank(mat, 5)
+
+
+def test_peel_leaves_its_input_alone():
+    rows = dense_to_rows([[4, 1, 1, 1], [6, 5, 6, 8], [0, 1, 2, 3]])
+    before = copy.deepcopy(rows)
+    _exactcore.peel_doubletons(rows, 4)
+    assert rows == before
 
 
 def with_singleton_chain(dense, ncols, fill, transpose):
@@ -537,6 +614,56 @@ def test_float_rank_property_with_singleton_chains(case, data):
     assert_float_rank(mat, rank)
 
 
+def with_doubleton_chain(rows, ncols, fill, link, transpose):
+    """Sparse ``rows`` bordered by ``n = len(fill)`` new rows and ``n + 1``
+    new columns, each a doubleton or empty.  With ``n > 1``, new column
+    ``t < n`` holds 1 in new row ``t`` and -1 in the next, cyclically: the
+    new rows add up to zero there, so the last combination cancels only if
+    every one before it was exact.  New column ``n`` holds ``link[1]`` in
+    old row ``link[0]`` and 1 in new row 0.  New row ``t`` holds
+    ``fill[t]`` in the old columns.  With ``transpose`` the whole matrix
+    is transposed, so the chain runs over row doubletons.  Returns
+    ``(rows, ncols)``."""
+    n = len(fill)
+    out = [dict(r) for r in rows] + [dict(extra) for extra in fill]
+    new = out[len(rows):]
+    for t in range(n if n > 1 else 0):
+        new[t][ncols + t] = 1
+        new[(t + 1) % n][ncols + t] = -1
+    if n:
+        out[link[0] % len(rows)][ncols + n] = link[1]
+        new[0][ncols + n] = 1
+    width = ncols + n + 1
+    if not transpose:
+        return out, width
+    cols = [{} for _ in range(width)]
+    for i, r in enumerate(out):
+        for j, v in r.items():
+            cols[j][i] = v
+    return cols, len(out)
+
+
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+@given(sparse_tall_matrices, st.data())
+def test_float_rank_property_with_doubleton_chains(case, data):
+    rows, copies, ncols = case
+    for src, scale in copies:
+        rows.append({c: scale * v for c, v in rows[src % len(rows)].items()
+                     if scale})
+    fill = data.draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1),
+                        st.integers(-6, 6).filter(bool), max_size=6),
+        max_size=6))
+    link = data.draw(st.tuples(st.integers(0, 10 ** 6),
+                               st.integers(-6, 6).filter(bool)))
+    grown, width = with_doubleton_chain(rows, ncols, fill, link,
+                                        data.draw(st.booleans()))
+    mat = SparseMatrix(len(grown), width, grown,
+                       data.draw(st.integers(1, 12)))
+    assert float_rank(mat) == oracle_float_rank(mat) == exact_rank(mat)
+
+
 @pytest.mark.parametrize("name", sorted(FILL_2X2X2))
 def test_float_rank_on_2x2x2_ladders_matches_full_svd(name):
     ranks = FILL_2X2X2[name][1]
@@ -545,29 +672,52 @@ def test_float_rank_on_2x2x2_ladders_matches_full_svd(name):
 
 
 #: complex -> the shapes of the cores float_rank hands to the SVD on its
-#: three 2x2x2 operator matrices; the divergence leaves no core
+#: three 2x2x2 operator matrices; the divergence leaves no core, and the
+#: elasticity curlcurlt matrices (588x882, 636x882) have no row or column
+#: with two entries or fewer, so they go to the SVD whole
 SVD_SHAPES_2X2X2 = {
-    "gradgrad": [(396, 108), (970, 882)],
-    "gradgrad-reduced": [(780, 108), (1270, 1050)],
-    "elasticity": [(882, 540), (588, 882)],
-    "elasticity-reduced": [(882, 540), (636, 882)],
+    "gradgrad": [(90, 30), (472, 447)],
+    "gradgrad-reduced": [(378, 30), (880, 633)],
+    "elasticity": [(144, 30), (588, 882)],
+    "elasticity-reduced": [(144, 30), (636, 882)],
 }
 
 
-def test_float_route_makes_divergence_cores_empty(monkeypatch):
-    # gradgrad's gradient deletes 108 singleton pairs, and the rows those
-    # leave empty go too, down to a 396x108 core
+def recorded_svds(monkeypatch, name):
+    """``(input, singular values)`` of every SVD ``certified_ranks`` takes
+    on a ladder's 2x2x2 matrices in "both" mode, whose ranks it checks."""
     svd = np.linalg.svd
-    shapes = []
+    calls = []
 
     def recording_svd(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
+        s = svd(a, *args, **kwargs)
+        calls.append((a, s))
+        return s
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    ranks = FILL_2X2X2[name][1]
+    mats = list(ladder_matrices_2x2x2(name))
+    assert certified_ranks(mats, "both") == (ranks, ranks)
+    monkeypatch.undo()
+    return calls
+
+
+def test_float_route_makes_divergence_cores_empty(monkeypatch):
+    # gradgrad's gradient deletes 186 singletons and doubletons, and the
+    # rows those leave empty go too, down to a 90x30 core
     for name, want in SVD_SHAPES_2X2X2.items():
-        shapes.clear()
-        ranks = FILL_2X2X2[name][1]
-        mats = list(ladder_matrices_2x2x2(name))
-        assert certified_ranks(mats, "both") == (ranks, ranks)
+        shapes = [a.shape for a, _ in recorded_svds(monkeypatch, name)]
         assert shapes == want, name
+
+
+def test_float_route_cores_keep_a_singular_value_gap(monkeypatch):
+    # Combined rows differ in size by orders of magnitude; scaled to a
+    # largest |entry| of 1 every kept singular value is at least 0.15 of
+    # the largest, while unscaled the gradgrad-reduced curl core keeps one
+    # at 3.5e-3.  The first value dropped is rounding noise.
+    for name in sorted(FILL_2X2X2):
+        for a, s in recorded_svds(monkeypatch, name):
+            rank = int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
+            assert s[rank - 1] >= 1e-2 * s[0], (name, a.shape)
+            if rank < len(s):
+                assert s[rank] <= 1e-12 * s[0], (name, a.shape)

@@ -1,11 +1,15 @@
 """Verification layer: exactness reports, kernels, preimages, jumps."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cuboid_complex
 from cuboid_complex import _exactcore, verify
 from cuboid_complex.cli import main as cli_main
 from cuboid_complex.assembly import (SparseMatrix, assemble_space, interpolate,
@@ -102,6 +106,21 @@ def test_float_rank_takes_integers_past_the_float_range():
     a, b, c = 3 * 2**1100, 2**1100 + 7, 2**1101 - 5
     m = SparseMatrix(3, 3, [{0: a, 1: b}, {0: 2 * a, 1: 2 * b}, {2: c}], den)
     assert float_rank(m) == exact_rank(m) == 2
+
+
+def test_rational_route_never_imports_numpy():
+    """Only the float route needs numpy, and a fresh interpreter pays about
+    0.15 s to import it (2-vCPU VM), so a rational run must not."""
+    code = ("import sys\n"
+            "from cuboid_complex import uniform_unit_mesh, verify_complex\n"
+            "rep = verify_complex('gradgrad', 3, uniform_unit_mesh(1, 1, 1))\n"
+            "print(rep.exact, 'numpy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cuboid_complex.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_certified_ranks_checks_sizes_before_any_exact_rank(monkeypatch):
