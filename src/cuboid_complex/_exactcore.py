@@ -1,6 +1,6 @@
-"""Exact integer kernels: fraction-free rank, exact inverse, matrix products,
-singleton and doubleton deletion, and the one helper that clears rational
-rows to integers.
+"""Exact integer kernels: fraction-free rank, reduced echelon form and
+inverse, matrix products, singleton and doubleton deletion, and the one
+helper that clears rational rows to integers.
 
 Conventions:
 
@@ -10,7 +10,7 @@ Conventions:
 * every routine is exact.  Callers keep track of denominators themselves;
   :func:`clear_denominators` is the one bridge from rational rows.
 
-``ff_rank`` and ``fj_inverse`` fix their pivot strategy deterministically,
+``ff_rank`` and ``ff_rref`` fix their pivot strategy deterministically,
 so a run is reproducible pivot for pivot.
 """
 
@@ -274,51 +274,69 @@ def peel_doubletons(rows: list[dict[int, int]],
             [c for c in range(ncols) if lines[c]])
 
 
-def fj_inverse(mat: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Exact inverse of a square integer matrix.
+def ff_rref(mat: list[list[int]],
+            ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form of a dense integer matrix by one-step
+    fraction-free Gauss-Jordan elimination (Bareiss), in which every
+    division is exact.
 
-    Runs one-step fraction-free Gauss-Jordan elimination on ``[mat | I]``.
-    Every division is exact; on return the left block has been reduced to
-    ``den * I`` and the right block ``num`` satisfies ``mat^-1 = num / den``.
-    Raises ``ZeroDivisionError`` if the matrix is singular.
+    Pivots are sought left to right in the first ``ncols`` columns, in the
+    row of least bit length, then index; later columns ride along.
+    Returns ``(rows, pivots, den)``: ``rows[t] / den`` is row ``t`` of the
+    (unique) reduced echelon form, with its leading 1 in column
+    ``pivots[t]``, and the rows after the pivot rows are zero in the first
+    ``ncols`` columns.  ``mat`` is left as it was.
     """
-    n = len(mat)
-    width = 2 * n
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    nrows = len(mat)
+    m = list(mat)  # rows are replaced, never written in place
+    pivots: list[int] = []
     prev = 1
-    for t in range(n):
+    for c in range(ncols):
+        t = len(pivots)
         p = -1
         best = None
-        for i in range(t, n):
-            v = m[i][t]
+        for i in range(t, nrows):
+            v = m[i][c]
             if v:
                 key = (v.bit_length(), i)
                 if best is None or key < best:
                     best = key
                     p = i
         if p < 0:
-            raise ZeroDivisionError("matrix is singular")
+            continue
         if p != t:
             m[t], m[p] = m[p], m[t]
-        piv = m[t][t]
         mt = m[t]
-        for i in range(n):
+        piv = mt[c]
+        for i in range(nrows):
             if i == t:
                 continue
-            mi = m[i]
-            f = mi[t]
+            # column c cancels: piv * f - f * piv, or piv * 0
+            f = m[i][c]
             if f:
-                for j in range(width):
-                    if j != t:
-                        mi[j] = (piv * mi[j] - f * mt[j]) // prev
-            elif prev != 1 or piv != 1:
-                for j in range(width):
-                    if j != t:
-                        mi[j] = piv * mi[j] // prev
-            mi[t] = 0
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], mt)]
+            elif piv == -prev:
+                # the usual rescale between unit pivots, at half the cost
+                m[i] = [-a for a in m[i]]
+            elif piv != prev:
+                m[i] = [piv * a // prev for a in m[i]]
         prev = piv
-    num = [row[n:] for row in m]
-    return num, prev
+        pivots.append(c)
+    return m, pivots, prev
+
+
+def fj_inverse(mat: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Exact inverse of a square integer matrix, ``mat^-1 = num / den``,
+    from :func:`ff_rref` of ``[mat | I]``.  Raises ``ZeroDivisionError`` if
+    the matrix is singular.
+    """
+    n = len(mat)
+    rows, pivots, den = ff_rref(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(mat)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in rows], den
 
 
 def imat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -870,24 +870,33 @@ def write_matrix_market(path: str, mat: SparseMatrix, float_mode: bool = False,
 
 
 def read_matrix_market(path: str) -> SparseMatrix:
+    """Load a coordinate Matrix Market file.  An entry whose 1-based index
+    lies outside the declared shape, or that repeats an earlier ``(i, j)``,
+    raises ``ValueError`` naming its line."""
     with open(path) as fh:
-        header = fh.readline()
+        lines = enumerate(fh, 1)
+        _, header = next(lines)
         if not header.startswith("%%MatrixMarket matrix coordinate"):
             raise ValueError("not a coordinate MatrixMarket file")
         rational = "rational" in header
-        line = fh.readline()
+        _, line = next(lines)
         while line.startswith("%"):
-            line = fh.readline()
+            _, line = next(lines)
         nrows, ncols, nnz = (int(t) for t in line.split())
+        # zeros are stored too, so a repeat shows; from_rational drops them
         rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
         count = 0
-        for line in fh:
+        for lineno, line in lines:
             if not line.strip():
                 continue
             si, sj, sv = line.split()
-            v = Fraction(sv) if rational else Fraction(float(sv))
-            if v:
-                rows[int(si) - 1][int(sj) - 1] = v
+            i, j = int(si) - 1, int(sj) - 1
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError(f"line {lineno}: entry ({si}, {sj}) is "
+                                 f"outside the {nrows}x{ncols} matrix")
+            if j in rows[i]:
+                raise ValueError(f"line {lineno}: entry ({si}, {sj}) repeats")
+            rows[i][j] = Fraction(sv) if rational else Fraction(float(sv))
             count += 1
         if count != nnz:
             raise ValueError(f"expected {nnz} entries, read {count}")

@@ -570,42 +570,6 @@ class BubbleBasis:
         return len(self.triples)
 
 
-def _eliminate(row: dict, f: Fraction, prow: dict) -> None:
-    """``row -= f * prow`` in place, dropping the zeros."""
-    for c, v in prow.items():
-        w = row.get(c, 0) - f * v
-        if w:
-            row[c] = w
-        else:
-            row.pop(c, None)
-
-
-def _nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Nullspace basis of a sparse rational matrix from its reduced row
-    echelon form, which is unique: per free column, 1 there and minus that
-    column's entry of each pivot row at the row's pivot."""
-    pivots: dict[int, dict[int, Fraction]] = {}   # pivot col -> RREF row
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        for c in [c for c in r if c in pivots]:
-            _eliminate(r, r[c], pivots[c])
-        if r:
-            p = min(r)
-            r = {c: v / r[p] for c, v in r.items()}
-            for other in pivots.values():
-                if p in other:
-                    _eliminate(other, other[p], r)
-            pivots[p] = r
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pc, row in pivots.items():
-            vec[pc] = -row.get(fc, _F0)
-        basis.append(vec)
-    return basis
-
-
 @lru_cache(maxsize=None)
 def bubble_basis_divT(k: int) -> BubbleBasis:
     """Construct the coupled-diagonal bubble basis at order ``k`` (k >= 3).
@@ -619,39 +583,44 @@ def bubble_basis_divT(k: int) -> BubbleBasis:
     exps = list(grid.exponents())
     idx = {e: i for i, e in enumerate(exps)}
     n = len(exps)  # unknowns per component; components are (xx, yy)
-    one = Fraction(1)
-    rows: list[dict[int, Fraction]] = []
+    rows: list[list[int]] = []
 
-    def zero_trace_rows(comp_offset: int, axis: int, negate_sum: bool) -> None:
+    def zero_trace_rows(offsets: tuple[int, ...], axis: int) -> None:
+        # the traces at 0 and at 1 along ``axis`` of the sum of the
+        # components starting at ``offsets``
         o1, o2 = _others(axis)
         for e1 in range(k):
             for e2 in range(k):
-                row0: dict[int, Fraction] = {}
-                row1: dict[int, Fraction] = {}
+                row0 = [0] * (2 * n)
+                row1 = [0] * (2 * n)
                 for ea in range(k):
                     e = [0, 0, 0]
                     e[axis] = ea
                     e[o1] = e1
                     e[o2] = e2
                     i = idx[tuple(e)]
-                    if negate_sum:
-                        # constraint on zz = -(xx + yy): both components enter
-                        for off in (0, n):
-                            if ea == 0:
-                                row0[off + i] = one
-                            row1[off + i] = one
-                    else:
+                    for off in offsets:
                         if ea == 0:
-                            row0[comp_offset + i] = one
-                        row1[comp_offset + i] = one
+                            row0[off + i] = 1
+                        row1[off + i] = 1
                 rows.append(row0)
                 rows.append(row1)
 
-    zero_trace_rows(0, 0, False)      # xx vanishes at x = 0, 1
-    zero_trace_rows(n, 1, False)      # yy vanishes at y = 0, 1
-    zero_trace_rows(0, 2, True)       # zz = -(xx+yy) vanishes at z = 0, 1
+    zero_trace_rows((0,), 0)          # xx vanishes at x = 0, 1
+    zero_trace_rows((n,), 1)          # yy vanishes at y = 0, 1
+    zero_trace_rows((0, n), 2)        # zz = -(xx+yy) vanishes at z = 0, 1
 
-    basis = _nullspace(rows, 2 * n)
+    # the reduced echelon form is unique, so is this basis: per free
+    # column, 1 there and minus that column's entry of each pivot row at
+    # the row's pivot
+    red, pivots, den = _exactcore.ff_rref(rows, 2 * n)
+    basis = []
+    for fc in sorted(set(range(2 * n)) - set(pivots)):
+        vec = [_F0] * (2 * n)
+        vec[fc] = Fraction(1)
+        for pc, row in zip(pivots, red):
+            vec[pc] = Fraction(-row[fc], den)
+        basis.append(vec)
     expected = 2 * (k - 2) ** 2 * (k + 1)
     if len(basis) != expected:
         raise AssertionError(

@@ -8,7 +8,7 @@ row-wise curl.  All derivatives are physical (chain factors 1/h per axis).
 
 Fields are component dictionaries in a :class:`PolyField` (a missing one
 is zero).  The coordinate helpers at the bottom translate fields to and
-from shape-space coordinates; the strict direction checks membership.
+from shape-space coordinates; the way into coordinates checks membership.
 """
 
 from __future__ import annotations
@@ -227,16 +227,14 @@ def check_membership(comps: Mapping[str, Mapping[tuple[int, int, int], Fraction]
                         f"component {comp}: term {e} outside degree grid {grid}")
 
 
-def field_to_coords(f: PolyField, spec: ShapeSpaceSpec,
-                    strict: bool = True) -> list[Fraction]:
-    """Coordinates of a field in a shape space, verifying membership
-    (:func:`check_membership`) when ``strict``."""
-    if strict:
-        comps = {key: dict(p.terms()) for key, p in f.comps.items()}
-        if f.symmetric:
-            for key in list(comps):
-                comps.setdefault(key[::-1], comps[key])
-        check_membership(comps, spec)
+def field_to_coords(f: PolyField, spec: ShapeSpaceSpec) -> list[Fraction]:
+    """Coordinates of a field in a shape space, after verifying membership
+    (:func:`check_membership`)."""
+    comps = {key: dict(p.terms()) for key, p in f.comps.items()}
+    if f.symmetric:
+        for key in list(comps):
+            comps.setdefault(key[::-1], comps[key])
+    check_membership(comps, spec)
     out: list[Fraction] = []
     for g in spec.groups:
         for comp in g.independent:

@@ -5,6 +5,12 @@ and reduced), kernel identification, constructive divergence preimages,
 interelement continuity of the advertised traces, and the commutation
 identities tying the row-wise curl to gradients of the vector curl.
 
+A ladder is certified one edge at a time: each operator matrix is
+assembled, ranked by every requested route (:func:`certified_ranks`) and
+released before the next is assembled.  In "both" mode a rank disagreement
+raises ``AssertionError`` naming the edge, such as ``curl: sigma -> xi``,
+and both ranks.
+
 Rank certification is dual-route on request: fraction-free elimination
 over the integers and a float route must report the same number.  A row or
 column with one nonzero, at ``(i, j)``, gives ``rank(A) = 1 + rank(A minus
@@ -111,32 +117,27 @@ def float_rank(mat: SparseMatrix) -> int:
     return deleted + int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
 
 
-def certified_ranks(mats: list[SparseMatrix],
-                    arithmetic: str) -> tuple[list[int], list[int] | None]:
-    """Ranks of the operator matrices under the requested arithmetic.
+def certified_ranks(mat: SparseMatrix, arithmetic: str,
+                    edge: str = "matrix") -> tuple[int, int | None]:
+    """``(rank, float rank)`` of one matrix by the routes ``arithmetic``
+    names, the float rank ``None`` unless it is "both".
 
-    Returns (ranks, float_ranks); in "both" mode a disagreement raises.
-    An ``arithmetic`` not in :data:`ARITHMETICS` raises ``ValueError``, and
-    a matrix too large for the float route raises :class:`DenseSizeError`,
-    both before any rank is computed.
+    The float route runs first, so :func:`float_rank`'s guard refuses a
+    matrix too large to make dense before any exact work.  In "both" mode a
+    disagreement raises ``AssertionError`` naming ``edge`` and both ranks.
+    An ``arithmetic`` not in :data:`ARITHMETICS` raises ``ValueError``.
     """
     _check_arithmetic(arithmetic)
-    rational = arithmetic in ("rational", "both")
-    floating = arithmetic in ("float", "both")
-    if floating:
-        for m in mats:
-            _check_dense_size((m.nrows, m.ncols))
-    ranks_r = None
-    ranks_f = None
-    if rational:
-        ranks_r = [exact_rank(m) for m in mats]
-    if floating:
-        ranks_f = [float_rank(m) for m in mats]
-    if rational and floating and ranks_r != ranks_f:
-        raise AssertionError(
-            f"rank cross-check failed: rational {ranks_r} vs float {ranks_f}")
-    return (ranks_r if ranks_r is not None else ranks_f,  # type: ignore[return-value]
-            ranks_f if rational else None)
+    if arithmetic == "rational":
+        return exact_rank(mat), None
+    rank_f = float_rank(mat)
+    if arithmetic == "float":
+        return rank_f, None
+    rank = exact_rank(mat)
+    if rank != rank_f:
+        raise AssertionError(f"rank cross-check failed on {edge}, "
+                             f"rational {rank} vs float {rank_f}")
+    return rank, rank_f
 
 
 def composition_is_zero(outer: SparseMatrix, inner: SparseMatrix) -> bool:
@@ -161,6 +162,16 @@ def _reference_compositions_zero(name: str, k: int) -> bool:
 # exactness of a ladder
 
 
+def _ladder_checks(dims: list[int], ranks: list[int],
+                   kernel_dim: int) -> dict[str, bool]:
+    """The four rank conditions under which a four-space ladder with the
+    given dimensions and operator ranks is exact."""
+    return {"kernel": dims[0] - ranks[0] == kernel_dim,
+            "segment1": ranks[0] == dims[1] - ranks[1],
+            "segment2": ranks[1] == dims[2] - ranks[2],
+            "onto": ranks[2] == dims[3]}
+
+
 @dataclass
 class ExactnessReport:
     complex_name: str
@@ -178,14 +189,9 @@ class ExactnessReport:
     seed: int | None = None
 
     def checks(self) -> dict[str, bool]:
-        d, r = self.dims, self.ranks
-        return {
-            "kernel": d[0] - r[0] == self.kernel_dim_expected,
-            "segment1": r[0] == d[1] - r[1],
-            "segment2": r[1] == d[2] - r[2],
-            "onto": r[2] == d[3],
-            "compositions": self.composition_zero,
-        }
+        return {**_ladder_checks(self.dims, self.ranks,
+                                 self.kernel_dim_expected),
+                "compositions": self.composition_zero}
 
     def to_dict(self) -> dict:
         return {
@@ -211,15 +217,13 @@ def complex_spaces(name: str, k: int, mesh: CuboidMesh) -> list[GlobalSpace]:
     return [assemble_space(FamilyId(f, k), mesh) for f in fams]
 
 
-def complex_matrices(name: str, spaces: list[GlobalSpace]) -> list[SparseMatrix]:
-    ops = COMPLEXES[name][1]
-    return [operator_matrix(op, spaces[i], spaces[i + 1])
-            for i, op in enumerate(ops)]
-
-
 def verify_complex(name: str, k: int, mesh: CuboidMesh,
                    arithmetic: str = "rational") -> ExactnessReport:
-    """Assemble one ladder and verify it is an exact complex.
+    """Assemble one ladder and verify it is an exact complex, one edge at a
+    time: each operator matrix is assembled, ranked by every route
+    ``arithmetic`` asks for and released before the next, so at most one
+    global matrix is alive.  In "both" mode a rank disagreement raises
+    ``AssertionError`` naming the edge, such as ``curl: sigma -> xi``.
 
     ``composition_zero`` is proved on the unit cell, with no global product.
     Lemma: if ``K2(1) @ K1(1) == 0`` then ``A2 @ A1 == 0`` on any mesh,
@@ -233,14 +237,16 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
     ``i`` of ``A2`` is row ``i`` of ``K2^c`` read through ``c``'s
     ``cell_maps``, and likewise row ``m`` of ``A1`` is row ``m`` of
     ``K1^c``.  So row ``i`` of ``A2 @ A1`` is a row of ``K2^c @ K1^c =
-    0``.  A failed audit raises :class:`ConformityError` before this point.
+    0``.  A failed audit raises :class:`ConformityError`, and the report is
+    built only after all three audits.
 
     An ``arithmetic`` not in :data:`ARITHMETICS` raises ``ValueError``
-    before any assembly.
+    before any assembly, and a ladder too large for the float route
+    :class:`DenseSizeError` before any operator matrix.
     """
     _check_arithmetic(arithmetic)
     t0 = time.monotonic()
-    kernel_dim = COMPLEXES[name][2]
+    ops, kernel_dim = COMPLEXES[name][1:3]
     spaces = complex_spaces(name, k, mesh)
     counts = mesh.entity_counts()
     for s in spaces:
@@ -250,14 +256,16 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
                 f"{s.fam.name} k={k}: assembled dimension {s.dimension} "
                 f"!= formula {formula}")
     dims = [s.dimension for s in spaces]
-    if arithmetic in ("float", "both"):
+    if arithmetic != "rational":
         # refuse before paying for the assembly, not after it
-        for i in range(3):
-            _check_dense_size((dims[i + 1], dims[i]))
-    mats = complex_matrices(name, spaces)
-    # the audits that just passed are the lemma's second premise
+        for ncols, nrows in zip(dims, dims[1:]):
+            _check_dense_size((nrows, ncols))
     comp_zero = _reference_compositions_zero(name, k)
-    ranks, ranks_f = certified_ranks(mats, arithmetic)
+    pairs = [certified_ranks(operator_matrix(op, src, dst), arithmetic,
+                             f"{op}: {src.fam.name} -> {dst.fam.name}")
+             for op, src, dst in zip(ops, spaces, spaces[1:])]
+    ranks = [rank for rank, _ in pairs]
+    ranks_f = [rank_f for _, rank_f in pairs] if arithmetic == "both" else None
     report = ExactnessReport(
         complex_name=name, k=k, mesh_shape=mesh.shape, dims=dims,
         ranks=ranks, ranks_float=ranks_f, composition_zero=comp_zero,
@@ -299,10 +307,7 @@ def verify_local_complex(name: str, k: int) -> dict:
     comp_zero = all(composition_is_zero(m2, m1)
                     for m1, m2 in zip(mats, mats[1:]))
     alternating = dims[0] - dims[1] + dims[2] - dims[3]
-    exact = (dims[0] - ranks[0] == kernel_dim
-             and ranks[0] == dims[1] - ranks[1]
-             and ranks[1] == dims[2] - ranks[2]
-             and ranks[2] == dims[3])
+    exact = all(_ladder_checks(dims, ranks, kernel_dim).values())
     return {"complex": name, "k": k, "dims": dims, "ranks": ranks,
             "alternating_sum": alternating, "composition_zero": comp_zero,
             "exact": exact and comp_zero, "cohomology_dim": kernel_dim}

@@ -53,7 +53,7 @@ def operator_coord_matrix(op, src, dst, cell):
     dst_spec = shape_space(dst)
     src_spec = shape_space(src)
     cols = [field_to_coords(OPERATORS[op](coordinate_field(src_spec, c, e, cell)),
-                            dst_spec, strict=True)
+                            dst_spec)
             for c, e in field_coords(src_spec)]
     return [list(row) for row in zip(*cols)]
 
@@ -296,6 +296,23 @@ def test_matrix_market_float_mode(tmp_path):
     assert float(vals[(1, 2)]) == -3.5
 
 
+@pytest.mark.parametrize("entries,message", [
+    (["0 1 1/2"], r"line 5: entry \(0, 1\) is outside the 2x3 matrix"),
+    (["2 4 1/2"], r"line 5: entry \(2, 4\) is outside the 2x3 matrix"),
+    (["3 1 1/2"], r"line 5: entry \(3, 1\) is outside the 2x3 matrix"),
+    (["1 2 1/2", "1 2 3"], r"line 6: entry \(1, 2\) repeats"),
+], ids=["row-zero", "column-past-ncols", "row-past-nrows", "duplicate"])
+def test_matrix_market_refuses_a_bad_entry(tmp_path, entries, message):
+    # a 0 row index used to land in the last row, a column past ncols was
+    # stored, a row past nrows raised IndexError and a repeat overwrote
+    path = tmp_path / "bad.mtx"
+    path.write_text("\n".join(
+        ["%%MatrixMarket matrix coordinate rational general", "% comment",
+         "%", f"2 3 {len(entries)}", *entries]) + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_matrix_market(str(path))
+
+
 def test_conformity_audit_passes_on_every_edge():
     mesh = uniform_unit_mesh(2, 1, 1)
     edges = [
@@ -432,8 +449,7 @@ def test_reconstruct_local_equals_dense_inverse(name):
         values = [coeffs[g] for g in space.cell_maps[0]]
         want = [sum((v * values[j] for j, v in row.items()), F(0))
                 for row in R]
-        got = field_to_coords(reconstruct_local(space, 0, coeffs), spec,
-                              strict=False)
+        got = field_to_coords(reconstruct_local(space, 0, coeffs), spec)
         assert got == want
 
 

@@ -11,7 +11,7 @@ from cuboid_complex.elements import (
     check_unisolvence, entity_ref_for, family, global_dimension_formula,
     _group_positions, group_dof_matrix, local_dofs, min_order, shape_space,
 )
-from cuboid_complex.polytensor import EntityRef, TensorPoly, UNIT_BOX, box
+from cuboid_complex.polytensor import Degree3, EntityRef, TensorPoly, UNIT_BOX, box
 
 F = Fraction
 
@@ -181,6 +181,64 @@ def test_bubble_constraints_exactly():
                 face = EntityRef("face", type(UNIT_BOX)(tuple(map(F, lo)),
                                                         tuple(map(F, hi))))
                 assert comp.trace(face).is_zero()
+
+
+def _unit_face(axis, side):
+    lo, hi = list(UNIT_BOX.lo), list(UNIT_BOX.hi)
+    lo[axis] = hi[axis] = F(side)
+    return EntityRef("face", type(UNIT_BOX)(tuple(lo), tuple(hi)))
+
+
+def oracle_bubble_basis(k):
+    """The bubble basis from its definition: unknowns are the xx then yy
+    coefficients on Q_{k-1}^3 (zz = -(xx + yy)), one constraint per face
+    trace coefficient, taken by ``TensorPoly.trace``, and the nullspace read
+    from a plain Fraction Gauss-Jordan reduced echelon form: per free
+    column, 1 there and minus that column's entry of each pivot row."""
+    exps = list(Degree3(k - 1, k - 1, k - 1).exponents())
+    n = len(exps)
+    rows = {}
+    for j in range(2 * n):
+        mono = TensorPoly.monomial(exps[j % n])
+        for axis, comp in ((0, mono if j < n else None),
+                           (1, None if j < n else mono), (2, -mono)):
+            for side in (0, 1):
+                if comp is not None:
+                    for e, v in comp.trace(_unit_face(axis, side)).terms():
+                        rows.setdefault((axis, side, e), [F(0)] * (2 * n))[j] = v
+    mat = list(rows.values())
+    pivots = []
+    for col in range(2 * n):
+        t = len(pivots)
+        p = next((i for i in range(t, len(mat)) if mat[i][col]), None)
+        if p is None:
+            continue
+        mat[t], mat[p] = mat[p], mat[t]
+        mat[t] = [v / mat[t][col] for v in mat[t]]
+        for i in range(len(mat)):
+            f = mat[i][col]
+            if i != t and f:
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[t])]
+        pivots.append(col)
+    basis = []
+    for fc in (c for c in range(2 * n) if c not in pivots):
+        vec = [F(0)] * (2 * n)
+        vec[fc] = F(1)
+        for row, pc in zip(mat, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_bubble_basis_is_the_reduced_echelon_nullspace(k):
+    # the reduced echelon form is unique, so the basis is too: the integer
+    # elimination must reproduce the Fraction one entry for entry
+    n = k ** 3
+    want = [(vec[:n], vec[n:]) for vec in oracle_bubble_basis(k)]
+    got = [(list(xx.coeffs), list(yy.coeffs))
+           for xx, yy, _zz in bubble_basis_divT(k).triples]
+    assert got == want
 
 
 def test_xired_diagonal_count_identity():

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from cuboid_complex import _exactcore
-from cuboid_complex.assembly import SparseMatrix
+from cuboid_complex.assembly import SparseMatrix, operator_matrix
 from cuboid_complex.mesh import uniform_unit_mesh
 from cuboid_complex.verify import (
-    COMPLEXES, FLOAT_RANK_REL_CUTOFF, certified_ranks, complex_matrices,
-    complex_spaces, exact_rank, float_rank,
+    COMPLEXES, FLOAT_RANK_REL_CUTOFF, certified_ranks, complex_spaces,
+    exact_rank, float_rank,
 )
 
 
@@ -102,6 +102,32 @@ def test_fj_inverse_round_trip():
         for i in range(n):
             for j in range(n):
                 assert prod[i][j] == (den if i == j else 0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ff_rref_equals_the_fraction_reduced_echelon_form(seed):
+    # rank 3 of 5 rows, column 0 empty and column 3 dependent, so two
+    # columns are skipped; the last column is outside the pivot search
+    rng = random.Random(700 + seed)
+    base = random_int_matrix(rng, 3, 6)
+    for row in base:
+        row[0] = 0
+        row[3] = 2 * row[1] - row[2]
+    mat = base + [[a - 3 * b for a, b in zip(base[0], base[2])], [0] * 6]
+    before = copy.deepcopy(mat)
+    rows, pivots, den = _exactcore.ff_rref(mat, 5)
+    assert pivots == [1, 2, 4] and len(rows) == 5
+    want = [[Fraction(v) for v in row] for row in mat]
+    for t, c in enumerate(pivots):
+        p = next(i for i in range(t, 5) if want[i][c])
+        want[t], want[p] = want[p], want[t]
+        want[t] = [v / want[t][c] for v in want[t]]
+        for i in range(5):
+            if i != t and want[i][c]:
+                f = want[i][c]
+                want[i] = [a - f * b for a, b in zip(want[i], want[t])]
+    assert [[Fraction(v, den) for v in row] for row in rows] == want
+    assert mat == before
 
 
 def test_fj_inverse_rejects_singular():
@@ -314,8 +340,10 @@ FILL_2X2X2 = {
 def ladder_matrices_2x2x2(name):
     """The three operator matrices of a ladder at its minimum order on the
     uniform 2x2x2 mesh, assembled once per test run."""
-    spaces = complex_spaces(name, COMPLEXES[name][3], uniform_unit_mesh(2, 2, 2))
-    return tuple(complex_matrices(name, spaces))
+    _fams, ops, _kd, k = COMPLEXES[name]
+    spaces = complex_spaces(name, k, uniform_unit_mesh(2, 2, 2))
+    return tuple(operator_matrix(op, src, dst)
+                 for op, src, dst in zip(ops, spaces, spaces[1:]))
 
 
 def test_rank_fill_budget_on_2x2x2_ladders():
@@ -363,8 +391,9 @@ def test_rank_counts_frozen_on_2x2x2_ladders(name):
                           "max_pivot_bits": bits[i]}, (name, i)
 
 
-# ff_rank copies its input: ``certified_ranks(..., "both")`` hands the same
-# rows to the float route after the exact one.
+# ff_rank copies its input: every test here reads the same cached ladder
+# matrices, and ``certified_ranks(..., "both")`` ranks one matrix by the
+# float route and then the exact one.
 
 def test_rank_leaves_ladder_rows_unchanged():
     for mat in ladder_matrices_2x2x2("gradgrad-reduced"):
@@ -696,8 +725,8 @@ def recorded_svds(monkeypatch, name):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     ranks = FILL_2X2X2[name][1]
-    mats = list(ladder_matrices_2x2x2(name))
-    assert certified_ranks(mats, "both") == (ranks, ranks)
+    for mat, rank in zip(ladder_matrices_2x2x2(name), ranks):
+        assert certified_ranks(mat, "both") == (rank, rank)
     monkeypatch.undo()
     return calls
 

@@ -154,7 +154,7 @@ def test_degree_containment(src, op, dst, k):
     dst_spec = shape_space(family(dst, k))
     for _ in range(3):
         f = random_member_field(family(src, k), UNIT_BOX, rng)
-        field_to_coords(OPERATORS[op](f), dst_spec, strict=True)
+        field_to_coords(OPERATORS[op](f), dst_spec)
 
 
 def test_coordinate_round_trip():
@@ -162,7 +162,7 @@ def test_coordinate_round_trip():
     coords = field_coords(spec)
     rng = random.Random(13)
     f = random_member_field(family("xi", 3), UNIT_BOX, rng)
-    vec = field_to_coords(f, spec, strict=True)
+    vec = field_to_coords(f, spec)
     assert len(vec) == len(coords) == spec.local_dimension()
     g = PolyField("matrix", {}, UNIT_BOX)
     # rebuild from coordinates and compare
@@ -179,12 +179,12 @@ def test_membership_rejections():
     sig = shape_space(family("sigma", 3))
     asym = matrix_field({"xy": mono((0, 0, 0)), "yx": mono((1, 0, 0))}, UNIT_BOX)
     with pytest.raises(MembershipError):
-        field_to_coords(asym, sig, strict=True)
+        field_to_coords(asym, sig)
     xi = shape_space(family("xi", 3))
     traced = matrix_field({"xx": mono((0, 0, 0))}, UNIT_BOX)
     with pytest.raises(MembershipError):
-        field_to_coords(traced, xi, strict=True)
+        field_to_coords(traced, xi)
     overflow = matrix_field({"xy": mono((9, 0, 0)), "yx": mono((9, 0, 0))},
                             UNIT_BOX)
     with pytest.raises(MembershipError):
-        field_to_coords(overflow, sig, strict=True)
+        field_to_coords(overflow, sig)

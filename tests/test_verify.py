@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -88,7 +89,9 @@ def test_rank_modes_agree():
     q = assemble_space(family("q", 3), mesh)
     d = operator_matrix("div", xi, q)
     assert exact_rank(d) == float_rank(d) == 96
-    assert certified_ranks([d], "both") == ([96], [96])
+    assert certified_ranks(d, "both") == (96, 96)
+    assert certified_ranks(d, "rational") == certified_ranks(d, "float") \
+        == (96, None)
 
 
 def test_float_rank_refuses_a_matrix_too_large_to_make_dense():
@@ -128,10 +131,9 @@ def test_certified_ranks_checks_sizes_before_any_exact_rank(monkeypatch):
         raise AssertionError("an exact rank ran before the size check")
 
     monkeypatch.setattr(verify, "exact_rank", never)
-    small = SparseMatrix.from_rational(2, 2, [{0: F(1)}, {}])
     huge = SparseMatrix(200_000, 100_000)
     with pytest.raises(DenseSizeError):
-        certified_ranks([small, huge], "both")
+        certified_ranks(huge, "both")
 
 
 @pytest.mark.parametrize("arithmetic", ["float", "both"])
@@ -159,7 +161,47 @@ def test_unknown_arithmetic_is_refused_before_assembly(monkeypatch):
                        arithmetic="Rational")
     small = SparseMatrix.from_rational(1, 1, [{0: F(1)}])
     with pytest.raises(ValueError, match="got 'exact'"):
-        certified_ranks([small], "exact")
+        certified_ranks(small, "exact")
+
+
+@pytest.mark.parametrize("arithmetic", ["rational", "both"])
+def test_verify_complex_holds_one_matrix_at_a_time(monkeypatch, arithmetic):
+    """Each operator matrix is released once ranked, before the next edge
+    is assembled."""
+    refs = []
+    real = verify.operator_matrix
+
+    def spy(op_name, src, dst):
+        assert all(ref() is None for ref in refs), \
+            f"{op_name} assembled while an earlier matrix is alive"
+        mat = real(op_name, src, dst)
+        refs.append(weakref.ref(mat))
+        return mat
+
+    monkeypatch.setattr(verify, "operator_matrix", spy)
+    rep = verify_complex("gradgrad", 3, uniform_unit_mesh(2, 1, 1),
+                         arithmetic=arithmetic)
+    assert rep.exact and len(refs) == 3
+    assert all(ref() is None for ref in refs)
+
+
+def test_cross_check_failure_names_the_edge(monkeypatch, capsys):
+    real = verify.float_rank
+
+    def off_by_one_on_curl(mat):
+        # the gradgrad k=3 curl, sigma -> xi, is 198x204 on one cell
+        return real(mat) + ((mat.nrows, mat.ncols) == (198, 204))
+
+    monkeypatch.setattr(verify, "float_rank", off_by_one_on_curl)
+    message = "curl: sigma -> xi, rational 144 vs float 145"
+    with pytest.raises(AssertionError, match=message):
+        verify_complex("gradgrad", 3, uniform_unit_mesh(1, 1, 1),
+                       arithmetic="both")
+    code = cli_main(["complex", "--complex", "gradgrad", "--k", "3",
+                     "--arithmetic", "both"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert message in captured.err
 
 
 # The composition certificate: verify_complex proves A2 @ A1 == 0 from the
@@ -175,16 +217,16 @@ LEMMA_CASES = ([(name, uniform_unit_mesh(2, 2, 2)) for name in COMPLEX_NAMES]
 
 
 def _spy_matrices(monkeypatch) -> list:
-    """Record the operator matrices verify_complex assembles."""
+    """Record the operator matrices verify_complex assembles, in order."""
     built = []
-    real = verify.complex_matrices
+    real = verify.operator_matrix
 
-    def spy(name, spaces):
-        mats = real(name, spaces)
-        built.append(mats)
-        return mats
+    def spy(op_name, src, dst):
+        mat = real(op_name, src, dst)
+        built.append(mat)
+        return mat
 
-    monkeypatch.setattr(verify, "complex_matrices", spy)
+    monkeypatch.setattr(verify, "operator_matrix", spy)
     return built
 
 
@@ -196,8 +238,8 @@ def test_composition_lemma_agrees_with_the_global_product(monkeypatch, name,
                                                           mesh):
     built = _spy_matrices(monkeypatch)
     rep = verify_complex(name, COMPLEXES[name][3], mesh)
-    (mats,) = built
-    oracle = all(composition_is_zero(mats[i + 1], mats[i]) for i in range(2))
+    assert len(built) == 3
+    oracle = all(composition_is_zero(built[i + 1], built[i]) for i in range(2))
     assert rep.composition_zero == oracle
     assert oracle and rep.exact
 
@@ -214,9 +256,8 @@ def test_verify_complex_forms_no_global_product(monkeypatch):
     monkeypatch.setattr(_exactcore, "spmul", spy)
     rep = verify_complex("gradgrad", 3, uniform_unit_mesh(2, 1, 1))
     assert rep.composition_zero and rep.exact
-    (mats,) = built
-    assert operands
-    assert not any(x is m.rows for x in operands for m in mats)
+    assert len(built) == 3 and operands
+    assert not any(x is m.rows for x in operands for m in built)
 
 
 def _edge_gains_an_entry(monkeypatch, name, k, edge):
