@@ -614,20 +614,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    @staticmethod
-    def to_float_array(rows, cols, dens):
-        """The dense float array of integer ``rows`` (dicts mapping column
-        to value) with row ``k`` over ``dens[k]``; ``cols`` lists every
-        column the rows hold, in the array's order."""
-        import numpy as np
-        at = {j: k for k, j in enumerate(cols)}
-        a = np.zeros((len(rows), len(cols)))
-        for k, (r, d) in enumerate(zip(rows, dens)):
-            for j, v in r.items():
-                # int true division rounds correctly and takes any size
-                a[k, at[j]] = v / d
-        return a
-
     def entries(self):
         den = self.den
         for i, r in enumerate(self.rows):
@@ -869,16 +855,32 @@ def write_matrix_market(path: str, mat: SparseMatrix, float_mode: bool = False,
                 fh.write(f"{i + 1} {j + 1} {v.numerator}/{v.denominator}\n")
 
 
+#: the Matrix Market header qualifiers :func:`read_matrix_market` reads:
+#: format, field and symmetry
+_MM_QUALIFIERS = (("coordinate",), ("real", "integer", "rational"),
+                  ("general",))
+
+
 def read_matrix_market(path: str) -> SparseMatrix:
-    """Load a coordinate Matrix Market file.  An entry whose 1-based index
-    lies outside the declared shape, or that repeats an earlier ``(i, j)``,
-    raises ``ValueError`` naming its line."""
+    """Load a coordinate Matrix Market file of real, integer or rational
+    entries stored in full (``general``).  Any other qualifier in the
+    header, such as ``symmetric``, ``pattern`` or ``array``, raises
+    ``ValueError`` naming it.  An entry whose 1-based index lies outside
+    the declared shape, or that repeats an earlier ``(i, j)``, raises
+    ``ValueError`` naming its line."""
     with open(path) as fh:
         lines = enumerate(fh, 1)
         _, header = next(lines)
-        if not header.startswith("%%MatrixMarket matrix coordinate"):
-            raise ValueError("not a coordinate MatrixMarket file")
-        rational = "rational" in header
+        words = header.lower().split()
+        if words[:2] != ["%%matrixmarket", "matrix"] or len(words) != 5:
+            raise ValueError("not a MatrixMarket matrix file")
+        bad = [w for w, known in zip(words[2:], _MM_QUALIFIERS)
+               if w not in known]
+        if bad:
+            raise ValueError(f"MatrixMarket {' '.join(bad)} matrices are not "
+                             f"supported, only coordinate real, integer or "
+                             f"rational general ones")
+        rational = words[3] == "rational"
         _, line = next(lines)
         while line.startswith("%"):
             _, line = next(lines)

@@ -19,10 +19,12 @@ nonzeros, ``a`` in row ``i`` and ``b`` in row ``j``, becomes a singleton
 under the invertible row operation ``row_j <- (a/g) row_j - (b/g) row_i``,
 ``g = gcd(a, b)``, so it too goes with row ``i`` (the doubleton lemma; a
 row with two nonzeros is the same step on columns).  The float route
-deletes both kinds exactly, cascading, and takes an SVD of the core alone,
-each core row divided by its largest ``|entry|``: a positive row scaling
-keeps the rank and restores the singular-value gap that combined rows of
-unequal size would shrink.
+deletes both kinds exactly, cascading, and ranks the core alone, each core
+row divided by its largest ``|entry|``: a positive row scaling keeps the
+rank and restores the singular-value gap that combined rows of unequal size
+would shrink.  The core's rank is read from the eigenvalues of its Gram
+matrix on its smaller side, the squares of its singular values, built from
+the sparse rows without making the core dense.
 """
 
 from __future__ import annotations
@@ -64,12 +66,20 @@ def exact_rank(mat: SparseMatrix) -> int:
 FLOAT_RANK_MAX_BYTES = 1 << 30
 
 #: singular values at most this fraction of the core's largest count as
-#: zero in the float rank
-FLOAT_RANK_REL_CUTOFF = 1e-9
+#: zero in the float rank.  It is on the singular-value scale; the Gram
+#: eigenvalues are compared with its square.  The Gram resolves an
+#: eigenvalue only to about 1e-16 of the largest, a singular value only to
+#: its square root, about 1e-8, so the cutoff must sit above that and below
+#: the smallest singular value a row-scaled core keeps: at least 0.08 of
+#: the largest on the four ladders up to 3x3x3 and on a graded mesh
+FLOAT_RANK_REL_CUTOFF = 1e-5
+
+#: columns of the core made dense at a time while its Gram is summed
+_GRAM_SLAB = 128
 
 
 #: the rank routes ``certified_ranks`` and ``verify_complex`` take: the
-#: exact rank, the float SVD, or both with a cross-check
+#: exact rank, the float Gram eigenvalues, or both with a cross-check
 ARITHMETICS = ("rational", "float", "both")
 
 
@@ -96,25 +106,56 @@ def _check_dense_size(shape: tuple[int, int]) -> None:
             f"use rational arithmetic")
 
 
+def _core_gram(rows: list[dict[int, int]], cols: list[int]):
+    """Gram matrix of the core on its smaller side: ``A·Aᵀ`` when it has
+    no more rows than columns, else ``Aᵀ·A``, where row ``k`` of ``A`` is
+    ``rows[k]`` divided by its largest ``|entry|`` and ``cols`` lists the
+    columns the rows hold, in ``A``'s order.  The sum runs over slabs of
+    :data:`_GRAM_SLAB` columns of the longer side, so no ``m×n`` array is
+    made."""
+    import numpy as np
+    at = {j: k for k, j in enumerate(cols)}
+    ri, ci, vals = [], [], []
+    for i, r in enumerate(rows):
+        d = max(map(abs, r.values()))
+        for j, v in r.items():
+            ri.append(i)
+            ci.append(at[j])
+            # int true division rounds correctly and takes any size
+            vals.append(v / d)
+    m, n = len(rows), len(cols)
+    if m > n:
+        ri, ci, m, n = ci, ri, n, m
+    ri, ci, vals = np.array(ri), np.array(ci), np.array(vals)
+    g = np.zeros((m, m))
+    for c0 in range(0, n, _GRAM_SLAB):
+        sel = (ci >= c0) & (ci < c0 + _GRAM_SLAB)
+        b = np.zeros((m, min(_GRAM_SLAB, n - c0)))
+        b[ri[sel], ci[sel] - c0] = vals[sel]
+        g += b @ b.T
+    return g
+
+
 def float_rank(mat: SparseMatrix) -> int:
     """Rank of ``mat``: singletons and doubletons deleted exactly
-    (:func:`_exactcore.peel_doubletons`), plus the core's SVD rank.
+    (:func:`_exactcore.peel_doubletons`), plus the float rank of the core.
 
-    Each core row is divided by its largest ``|entry|`` before the SVD,
-    which keeps the rank, and singular values at most
-    :data:`FLOAT_RANK_REL_CUTOFF` times the largest count as zero.  An
-    empty core makes no dense array.  The size guard reads the full shape
-    and runs before any deletion.
+    Each core row is divided by its largest ``|entry|``, which keeps the
+    rank.  The core's rank is the number of eigenvalues of its Gram matrix
+    on the smaller side (:func:`_core_gram`) above the square of
+    :data:`FLOAT_RANK_REL_CUTOFF` times the largest: those eigenvalues are
+    the squared singular values, so the cutoff stays on the singular-value
+    scale.  An empty core makes no dense array.  The size guard reads the
+    full shape and runs before any deletion.
     """
     _check_dense_size((mat.nrows, mat.ncols))
     deleted, rows, cols = _exactcore.peel_doubletons(mat.rows, mat.ncols)
     if not rows:
         return deleted
     import numpy as np
-    dens = [max(map(abs, r.values())) for r in rows]
-    s = np.linalg.svd(mat.to_float_array(rows, cols, dens), compute_uv=False)
-    # s is descending and nonnegative, so s[0] == 0 counts nothing
-    return deleted + int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
+    # ascending; every core row is nonzero, so the largest is positive
+    lam = np.linalg.eigvalsh(_core_gram(rows, cols))
+    return deleted + int((lam > FLOAT_RANK_REL_CUTOFF ** 2 * lam[-1]).sum())
 
 
 def certified_ranks(mat: SparseMatrix, arithmetic: str,

@@ -313,6 +313,30 @@ def test_matrix_market_refuses_a_bad_entry(tmp_path, entries, message):
         read_matrix_market(str(path))
 
 
+@pytest.mark.parametrize("header,lines,named", [
+    # the two 2x2 files that loaded wrongly: the symmetric one as its lower
+    # triangle, without the mirrored (1, 2), and the pattern one failed on
+    # an unpack of its value-less entries
+    ("coordinate real symmetric", ["2 2 2", "1 1 1.5", "2 1 -2"],
+     "symmetric"),
+    ("coordinate pattern general", ["2 2 2", "1 1", "2 1"], "pattern"),
+    ("coordinate real skew-symmetric", ["2 2 1", "2 1 3"], "skew-symmetric"),
+    ("coordinate complex hermitian", ["2 2 1", "1 1 1 0"],
+     "complex hermitian"),
+    ("coordinate complex general", ["2 2 1", "1 1 1 2"], "complex"),
+    ("array real general", ["2 2", "1", "0", "0", "1"], "array"),
+], ids=["symmetric", "pattern", "skew-symmetric", "hermitian", "complex",
+        "array"])
+def test_matrix_market_refuses_an_unsupported_qualifier(tmp_path, header,
+                                                        lines, named):
+    path = tmp_path / "unsupported.mtx"
+    path.write_text("\n".join([f"%%MatrixMarket matrix {header}", *lines])
+                    + "\n")
+    with pytest.raises(ValueError, match=f"^MatrixMarket {named} matrices "
+                                         f"are not supported"):
+        read_matrix_market(str(path))
+
+
 def test_conformity_audit_passes_on_every_edge():
     mesh = uniform_unit_mesh(2, 1, 1)
     edges = [

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from cuboid_complex import _exactcore
+from cuboid_complex import _exactcore, verify
 from cuboid_complex.assembly import SparseMatrix, operator_matrix
-from cuboid_complex.mesh import uniform_unit_mesh
+from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
 from cuboid_complex.verify import (
     COMPLEXES, FLOAT_RANK_REL_CUTOFF, certified_ranks, complex_spaces,
     exact_rank, float_rank,
@@ -337,13 +337,17 @@ FILL_2X2X2 = {
 
 
 @cache
-def ladder_matrices_2x2x2(name):
-    """The three operator matrices of a ladder at its minimum order on the
-    uniform 2x2x2 mesh, assembled once per test run."""
+def ladder_matrices(name, mesh):
+    """The three operator matrices of a ladder at its minimum order on
+    ``mesh``, assembled once per test run."""
     _fams, ops, _kd, k = COMPLEXES[name]
-    spaces = complex_spaces(name, k, uniform_unit_mesh(2, 2, 2))
+    spaces = complex_spaces(name, k, mesh)
     return tuple(operator_matrix(op, src, dst)
                  for op, src, dst in zip(ops, spaces, spaces[1:]))
+
+
+def ladder_matrices_2x2x2(name):
+    return ladder_matrices(name, uniform_unit_mesh(2, 2, 2))
 
 
 def test_rank_fill_budget_on_2x2x2_ladders():
@@ -456,17 +460,27 @@ def test_rank_scaled_target_is_rebuilt():
                       "entries_written": 5, "max_pivot_bits": 2}
 
 
-# The float rank route: singletons and doubletons deleted exactly, then an
-# SVD of the row-scaled core.  The unscaled full-matrix SVD rank that
-# float_rank took before any deletion is the oracle, beside the exact rank.
+# The float rank route: singletons and doubletons deleted exactly, then the
+# eigenvalues of the row-scaled core's Gram matrix on its smaller side.  The
+# unscaled full-matrix SVD rank that float_rank took before any deletion is
+# the oracle, beside the exact rank.
+
+def dense_array(mat):
+    """The whole matrix as a dense float array."""
+    a = np.zeros((mat.nrows, mat.ncols))
+    for i, r in enumerate(mat.rows):
+        for j, v in r.items():
+            # int true division rounds correctly and takes any size
+            a[i, j] = v / mat.den
+    return a
+
 
 def oracle_float_rank(mat):
     """SVD rank of the whole dense matrix, cut off relative to its largest
     singular value."""
     if mat.nnz == 0:
         return 0
-    a = mat.to_float_array(mat.rows, range(mat.ncols), [mat.den] * mat.nrows)
-    s = np.linalg.svd(a, compute_uv=False)
+    s = np.linalg.svd(dense_array(mat), compute_uv=False)
     if s[0] == 0.0:
         return 0
     return int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
@@ -517,7 +531,7 @@ def test_peel_cascade():
 
 def test_peel_empty_core_makes_nothing_dense(monkeypatch):
     # upper triangular with an empty row and an empty column: the cascade
-    # deletes every entry, so no SVD runs and no dense array is made
+    # deletes every entry, so no Gram is built and no eigenvalue taken
     dense = [[1, 2, 0, 3], [0, 0, 0, 0], [0, 4, 0, 5], [0, 0, 0, 6]]
     mat = sparse_matrix(dense, den=7)
     assert _exactcore.peel_doubletons(mat.rows, 4) == (3, [], [])
@@ -526,8 +540,8 @@ def test_peel_empty_core_makes_nothing_dense(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("an empty core was made dense")
 
-    monkeypatch.setattr(SparseMatrix, "to_float_array", never)
-    monkeypatch.setattr(np.linalg, "svd", never)
+    monkeypatch.setattr(verify, "_core_gram", never)
+    monkeypatch.setattr(np.linalg, "eigvalsh", never)
     assert float_rank(mat) == 3
 
 
@@ -547,6 +561,43 @@ def test_peel_core_without_short_lines():
     assert _exactcore.peel_doubletons(mat.rows, 3) == (
         0, dense_to_rows(dense), [0, 1, 2])
     assert_float_rank(mat, 3)
+
+
+def recorded_eigvalsh(monkeypatch, run):
+    """``(Gram, eigenvalues)`` of every ``np.linalg.eigvalsh`` call made
+    while ``run()`` runs."""
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        lam = eigvalsh(a, *args, **kwargs)
+        calls.append((a, lam))
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("dense,rank,gram", [
+    # wide: row 2 = row 0 + row 1, so the 3x3 Gram on the rows is singular
+    ([[1, 2, 3, 4, 5], [2, 1, 1, 3, 1], [3, 3, 4, 7, 6]], 2, (3, 3)),
+    # tall: row 4 = row 1 + row 2 and row 5 = row 0 + row 2, so the 4x4 Gram
+    # on the columns is singular
+    ([[1, 2, 0, 3], [0, 1, 4, 2], [5, 0, 1, 1], [1, 3, 4, 5], [5, 1, 5, 3],
+      [6, 2, 1, 4]], 3, (4, 4)),
+], ids=["wide", "tall"])
+def test_float_rank_of_a_core_takes_the_gram_on_its_smaller_side(
+        monkeypatch, dense, rank, gram):
+    # every row and column holds three entries or more, so the whole
+    # matrix is the core
+    mat = sparse_matrix(dense, den=3)
+    assert _exactcore.peel_doubletons(mat.rows, mat.ncols) == (
+        0, dense_to_rows(dense), list(range(mat.ncols)))
+    assert_float_rank(mat, rank)
+    calls = recorded_eigvalsh(monkeypatch, lambda: float_rank(mat))
+    assert [a.shape for a, _ in calls] == [gram]
 
 
 # One matrix per doubleton path; every other row and column holds three
@@ -700,53 +751,66 @@ def test_float_rank_on_2x2x2_ladders_matches_full_svd(name):
         assert float_rank(mat) == oracle_float_rank(mat) == ranks[i], (name, i)
 
 
-#: complex -> the shapes of the cores float_rank hands to the SVD on its
-#: three 2x2x2 operator matrices; the divergence leaves no core, and the
-#: elasticity curlcurlt matrices (588x882, 636x882) have no row or column
-#: with two entries or fewer, so they go to the SVD whole
-SVD_SHAPES_2X2X2 = {
-    "gradgrad": [(90, 30), (472, 447)],
-    "gradgrad-reduced": [(378, 30), (880, 633)],
-    "elasticity": [(144, 30), (588, 882)],
-    "elasticity-reduced": [(144, 30), (636, 882)],
+#: complex -> the shapes of the Gram matrices float_rank takes eigenvalues
+#: of on its three 2x2x2 operator matrices, one per core, on the core's
+#: smaller side.  The divergence leaves no core, and the elasticity
+#: curlcurlt matrices (588x882, 636x882) have no row or column with two
+#: entries or fewer, so their Gram is on all their rows.
+GRAM_SHAPES_2X2X2 = {
+    "gradgrad": [(30, 30), (447, 447)],
+    "gradgrad-reduced": [(30, 30), (633, 633)],
+    "elasticity": [(30, 30), (588, 588)],
+    "elasticity-reduced": [(30, 30), (636, 636)],
 }
 
+#: a graded 2x2x1 mesh, every cell of its own shape
+GRADED_2X2X1 = build_box_mesh([0, Fraction(1, 3), 1],
+                              [0, Fraction(5, 7), Fraction(3, 2)],
+                              [0, Fraction(1, 2)])
 
-def recorded_svds(monkeypatch, name):
-    """``(input, singular values)`` of every SVD ``certified_ranks`` takes
-    on a ladder's 2x2x2 matrices in "both" mode, whose ranks it checks."""
-    svd = np.linalg.svd
-    calls = []
 
-    def recording_svd(a, *args, **kwargs):
-        s = svd(a, *args, **kwargs)
-        calls.append((a, s))
-        return s
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    ranks = FILL_2X2X2[name][1]
-    for mat, rank in zip(ladder_matrices_2x2x2(name), ranks):
-        assert certified_ranks(mat, "both") == (rank, rank)
-    monkeypatch.undo()
-    return calls
+def ladder_grams(monkeypatch, name):
+    """``(Gram, eigenvalues)`` of every eigenvalue call ``certified_ranks``
+    makes on a ladder's 2x2x2 matrices in "both" mode, whose ranks it
+    checks."""
+    def run():
+        for mat, rank in zip(ladder_matrices_2x2x2(name), FILL_2X2X2[name][1]):
+            assert certified_ranks(mat, "both") == (rank, rank)
+    return recorded_eigvalsh(monkeypatch, run)
 
 
 def test_float_route_makes_divergence_cores_empty(monkeypatch):
     # gradgrad's gradient deletes 186 singletons and doubletons, and the
-    # rows those leave empty go too, down to a 90x30 core
-    for name, want in SVD_SHAPES_2X2X2.items():
-        shapes = [a.shape for a, _ in recorded_svds(monkeypatch, name)]
-        assert shapes == want, name
+    # rows those leave empty go too, down to a 90x30 core and a 30x30 Gram
+    for name, want in GRAM_SHAPES_2X2X2.items():
+        grams = ladder_grams(monkeypatch, name)
+        assert [a.shape for a, _ in grams] == want, name
 
 
-def test_float_route_cores_keep_a_singular_value_gap(monkeypatch):
+def assert_eigenvalue_gap(grams, kept_floor):
+    """Every eigenvalue ``float_rank`` keeps is at least ``kept_floor`` of
+    the largest, and every one it drops is rounding noise."""
+    for a, lam in grams:
+        top = lam[-1]
+        rank = int((lam > FLOAT_RANK_REL_CUTOFF ** 2 * top).sum())
+        assert lam[-rank] >= kept_floor * top, a.shape
+        assert np.all(abs(lam[:-rank]) <= 1e-12 * top), a.shape
+
+
+def test_float_route_cores_keep_an_eigenvalue_gap(monkeypatch):
     # Combined rows differ in size by orders of magnitude; scaled to a
-    # largest |entry| of 1 every kept singular value is at least 0.15 of
-    # the largest, while unscaled the gradgrad-reduced curl core keeps one
-    # at 3.5e-3.  The first value dropped is rounding noise.
+    # largest |entry| of 1 every kept eigenvalue is at least 0.023 of the
+    # largest, while unscaled the gradgrad-reduced curl core keeps one at
+    # about 1.2e-5.  Those dropped are rounding noise, about 1e-16.
     for name in sorted(FILL_2X2X2):
-        for a, s in recorded_svds(monkeypatch, name):
-            rank = int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
-            assert s[rank - 1] >= 1e-2 * s[0], (name, a.shape)
-            if rank < len(s):
-                assert s[rank] <= 1e-12 * s[0], (name, a.shape)
+        assert_eigenvalue_gap(ladder_grams(monkeypatch, name), 1e-2)
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_float_route_keeps_an_eigenvalue_gap_on_a_graded_mesh(monkeypatch,
+                                                              name):
+    # "both" mode raises if the float rank is not the exact one
+    grams = recorded_eigvalsh(monkeypatch, lambda: [
+        certified_ranks(mat, "both")
+        for mat in ladder_matrices(name, GRADED_2X2X1)])
+    assert_eigenvalue_gap(grams, 1e-3)
