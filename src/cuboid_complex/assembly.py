@@ -867,10 +867,13 @@ def read_matrix_market(path: str) -> SparseMatrix:
     header, such as ``symmetric``, ``pattern`` or ``array``, raises
     ``ValueError`` naming it.  An entry whose 1-based index lies outside
     the declared shape, or that repeats an earlier ``(i, j)``, raises
-    ``ValueError`` naming its line."""
+    ``ValueError`` naming its line, and so does a file without its header
+    or its size line."""
     with open(path) as fh:
         lines = enumerate(fh, 1)
-        _, header = next(lines)
+        _, header = next(lines, (0, ""))
+        if not header:
+            raise ValueError("empty file, no MatrixMarket header line")
         words = header.lower().split()
         if words[:2] != ["%%matrixmarket", "matrix"] or len(words) != 5:
             raise ValueError("not a MatrixMarket matrix file")
@@ -881,9 +884,10 @@ def read_matrix_market(path: str) -> SparseMatrix:
                              f"supported, only coordinate real, integer or "
                              f"rational general ones")
         rational = words[3] == "rational"
-        _, line = next(lines)
-        while line.startswith("%"):
-            _, line = next(lines)
+        line = next((line for _, line in lines
+                     if not line.startswith("%")), None)
+        if line is None:
+            raise ValueError("no size line after the MatrixMarket header")
         nrows, ncols, nnz = (int(t) for t in line.split())
         # zeros are stored too, so a repeat shows; from_rational drops them
         rows: list[dict[int, Fraction]] = [{} for _ in range(nrows)]

@@ -20,15 +20,16 @@ under the invertible row operation ``row_j <- (a/g) row_j - (b/g) row_i``,
 ``g = gcd(a, b)``, so it too goes with row ``i`` (the doubleton lemma; a
 row with two nonzeros is the same step on columns).  The float route
 deletes both kinds exactly, cascading, and ranks the core alone, each core
-row divided by its largest ``|entry|``: a positive row scaling keeps the
-rank and restores the singular-value gap that combined rows of unequal size
-would shrink.  The core's rank is read from the eigenvalues of its Gram
-matrix on its smaller side, the squares of its singular values, built from
-the sparse rows without making the core dense.
+row divided by its largest ``|entry|``, which keeps the rank.  The core is
+eliminated sparsely in IEEE doubles, shortest row first, with threshold
+partial pivoting, and an updated entry is dropped only when it cancels to
+rounding noise relative to its operands.  Nothing is made dense, and the
+route shares no code with the exact elimination.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from dataclasses import dataclass
@@ -62,24 +63,26 @@ def exact_rank(mat: SparseMatrix) -> int:
     return _exactcore.ff_rank(rows, mat.ncols)
 
 
-#: the largest dense array, in bytes, the float rank route will allocate
+#: the largest problem the float rank route takes, in bytes of a dense
+#: ``rows x columns`` array of doubles.  The route makes nothing dense; the
+#: bound is a size limit, and the CLI reports its message
 FLOAT_RANK_MAX_BYTES = 1 << 30
 
-#: singular values at most this fraction of the core's largest count as
-#: zero in the float rank.  It is on the singular-value scale; the Gram
-#: eigenvalues are compared with its square.  The Gram resolves an
-#: eigenvalue only to about 1e-16 of the largest, a singular value only to
-#: its square root, about 1e-8, so the cutoff must sit above that and below
-#: the smallest singular value a row-scaled core keeps: at least 0.08 of
-#: the largest on the four ladders up to 3x3x3 and on a graded mesh
-FLOAT_RANK_REL_CUTOFF = 1e-5
+#: an updated entry ``w = old - m·pv`` of the float elimination is zero
+#: when ``|w| <= FLOAT_RANK_REL_CUTOFF · (|old| + |m·pv|)``, so only a
+#: cancellation is dropped, whatever the entries' size.  On the four
+#: ladders up to 3x3x3 and on graded meshes every cancellation dropped left
+#: at most 2.5e-15 of its operands, rounding noise, and every entry kept at
+#: least 5.6e-3; the cutoff sits near the geometric middle of that gap
+FLOAT_RANK_REL_CUTOFF = 1e-9
 
-#: columns of the core made dense at a time while its Gram is summed
-_GRAM_SLAB = 128
+#: a pivot is at least this fraction of its row's largest ``|entry|``
+#: (threshold partial pivoting)
+_PIVOT_THRESHOLD = 0.1
 
 
 #: the rank routes ``certified_ranks`` and ``verify_complex`` take: the
-#: exact rank, the float Gram eigenvalues, or both with a cross-check
+#: exact rank, the float elimination, or both with a cross-check
 ARITHMETICS = ("rational", "float", "both")
 
 
@@ -90,12 +93,15 @@ def _check_arithmetic(arithmetic: str) -> None:
 
 
 class DenseSizeError(ValueError):
-    """The float rank route refused a matrix too large to make dense."""
+    """The float rank route refused a matrix over its size limit."""
 
 
 def _check_dense_size(shape: tuple[int, int]) -> None:
-    """Raise :class:`DenseSizeError` when the float route cannot take a
-    matrix of ``shape`` (rows, columns)."""
+    """Raise :class:`DenseSizeError` when a matrix of ``shape`` (rows,
+    columns) is over :data:`FLOAT_RANK_MAX_BYTES` as a dense array of
+    doubles.  The float route makes nothing dense, so this bounds the
+    problem size only; the limit and its message are part of the CLI's
+    contract."""
     nrows, ncols = shape
     need = nrows * ncols * 8
     if need > FLOAT_RANK_MAX_BYTES:
@@ -106,56 +112,100 @@ def _check_dense_size(shape: tuple[int, int]) -> None:
             f"use rational arithmetic")
 
 
-def _core_gram(rows: list[dict[int, int]], cols: list[int]):
-    """Gram matrix of the core on its smaller side: ``A·Aᵀ`` when it has
-    no more rows than columns, else ``Aᵀ·A``, where row ``k`` of ``A`` is
-    ``rows[k]`` divided by its largest ``|entry|`` and ``cols`` lists the
-    columns the rows hold, in ``A``'s order.  The sum runs over slabs of
-    :data:`_GRAM_SLAB` columns of the longer side, so no ``m×n`` array is
-    made."""
-    import numpy as np
-    at = {j: k for k, j in enumerate(cols)}
-    ri, ci, vals = [], [], []
+def _core_float_rank(rows: list[dict[int, int]],
+                     record: dict | None = None) -> int:
+    """Rank of the integer ``rows`` by sparse elimination in IEEE doubles,
+    each row first divided by its largest ``|entry|``.
+
+    The pivot row is the shortest live row, from a ``(length, index)``
+    heap whose stale entries are skipped.  Its pivot column is, among its
+    entries of at least :data:`_PIVOT_THRESHOLD` of its largest ``|entry|``,
+    the one whose column has the fewest live rows, then the lowest index
+    (threshold Markowitz; Duff, Erisman and Reid, *Direct Methods for
+    Sparse Matrices*).  Every other row crossing that column loses it, and
+    an updated entry ``w = old - m·pv`` is dropped when ``|w| <=``
+    :data:`FLOAT_RANK_REL_CUTOFF` ``· (|old| + |m·pv|)``.  A row left empty
+    is dependent.  Given a dict as ``record``, it is filled with the
+    pivots, the smallest pivot (rows start at a largest ``|entry|`` of 1),
+    and over the updates of an entry already there the smallest
+    ``|w| / (|old| + |m·pv|)`` kept and the largest dropped.
+    """
+    cut = FLOAT_RANK_REL_CUTOFF
+    live: dict[int, dict[int, float]] = {}
+    col_rows: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
         d = max(map(abs, r.values()))
-        for j, v in r.items():
-            ri.append(i)
-            ci.append(at[j])
-            # int true division rounds correctly and takes any size
-            vals.append(v / d)
-    m, n = len(rows), len(cols)
-    if m > n:
-        ri, ci, m, n = ci, ri, n, m
-    ri, ci, vals = np.array(ri), np.array(ci), np.array(vals)
-    g = np.zeros((m, m))
-    for c0 in range(0, n, _GRAM_SLAB):
-        sel = (ci >= c0) & (ci < c0 + _GRAM_SLAB)
-        b = np.zeros((m, min(_GRAM_SLAB, n - c0)))
-        b[ri[sel], ci[sel] - c0] = vals[sel]
-        g += b @ b.T
-    return g
+        # int true division rounds correctly and takes any size
+        live[i] = {j: v / d for j, v in r.items()}
+        for j in r:
+            col_rows.setdefault(j, set()).add(i)
+    heap = [(len(r), i) for i, r in live.items()]
+    heapq.heapify(heap)
+    recording = record is not None
+    smallest_pivot, kept, dropped = 1.0, 1.0, 0.0
+    pivots = 0
+    while heap:
+        n, i = heapq.heappop(heap)
+        prow = live.get(i)
+        if prow is None or len(prow) != n:
+            continue
+        del live[i]
+        floor = _PIVOT_THRESHOLD * max(map(abs, prow.values()))
+        pc = min((j for j, v in prow.items() if abs(v) >= floor),
+                 key=lambda j: (len(col_rows[j]), j))
+        pv = prow.pop(pc)
+        pivots += 1
+        if recording:
+            smallest_pivot = min(smallest_pivot, abs(pv))
+        for j in prow:
+            col_rows[j].discard(i)
+        targets = col_rows.pop(pc)
+        targets.discard(i)
+        for k in targets:
+            row = live[k]
+            before = len(row)
+            m = row.pop(pc) / pv
+            for j, v in prow.items():
+                mv = m * v
+                old = row.get(j)
+                if old is None:
+                    if mv:
+                        row[j] = -mv
+                        col_rows[j].add(k)
+                    continue
+                w = old - mv
+                scale = abs(old) + abs(mv)
+                if abs(w) <= cut * scale:
+                    del row[j]
+                    col_rows[j].discard(k)
+                    if recording:
+                        dropped = max(dropped, abs(w) / scale)
+                else:
+                    row[j] = w
+                    if recording:
+                        kept = min(kept, abs(w) / scale)
+            if not row:
+                del live[k]
+            elif len(row) != before:
+                heapq.heappush(heap, (len(row), k))
+    if recording:
+        record.update(pivots=pivots, smallest_pivot=smallest_pivot,
+                      smallest_kept=kept, largest_dropped=dropped)
+    return pivots
 
 
 def float_rank(mat: SparseMatrix) -> int:
     """Rank of ``mat``: singletons and doubletons deleted exactly
-    (:func:`_exactcore.peel_doubletons`), plus the float rank of the core.
-
-    Each core row is divided by its largest ``|entry|``, which keeps the
-    rank.  The core's rank is the number of eigenvalues of its Gram matrix
-    on the smaller side (:func:`_core_gram`) above the square of
-    :data:`FLOAT_RANK_REL_CUTOFF` times the largest: those eigenvalues are
-    the squared singular values, so the cutoff stays on the singular-value
-    scale.  An empty core makes no dense array.  The size guard reads the
-    full shape and runs before any deletion.
+    (:func:`_exactcore.peel_doubletons`), plus the rank of the core by
+    sparse elimination in floating point (:func:`_core_float_rank`).  An
+    empty core is not eliminated.  The size guard reads the full shape and
+    runs before any deletion.
     """
     _check_dense_size((mat.nrows, mat.ncols))
-    deleted, rows, cols = _exactcore.peel_doubletons(mat.rows, mat.ncols)
+    deleted, rows, _cols = _exactcore.peel_doubletons(mat.rows, mat.ncols)
     if not rows:
         return deleted
-    import numpy as np
-    # ascending; every core row is nonzero, so the largest is positive
-    lam = np.linalg.eigvalsh(_core_gram(rows, cols))
-    return deleted + int((lam > FLOAT_RANK_REL_CUTOFF ** 2 * lam[-1]).sum())
+    return deleted + _core_float_rank(rows)
 
 
 def certified_ranks(mat: SparseMatrix, arithmetic: str,
@@ -164,7 +214,7 @@ def certified_ranks(mat: SparseMatrix, arithmetic: str,
     names, the float rank ``None`` unless it is "both".
 
     The float route runs first, so :func:`float_rank`'s guard refuses a
-    matrix too large to make dense before any exact work.  In "both" mode a
+    matrix over its size limit before any exact work.  In "both" mode a
     disagreement raises ``AssertionError`` naming ``edge`` and both ranks.
     An ``arithmetic`` not in :data:`ARITHMETICS` raises ``ValueError``.
     """

@@ -313,6 +313,21 @@ def test_matrix_market_refuses_a_bad_entry(tmp_path, entries, message):
         read_matrix_market(str(path))
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty file, no MatrixMarket header line"),
+    ("%%MatrixMarket matrix coordinate rational general\n",
+     "no size line after the MatrixMarket header"),
+    ("%%MatrixMarket matrix coordinate rational general\n% comment\n%\n",
+     "no size line after the MatrixMarket header"),
+], ids=["empty", "header-only", "comments-only"])
+def test_matrix_market_refuses_a_truncated_file(tmp_path, text, message):
+    # each used to raise a bare StopIteration
+    path = tmp_path / "short.mtx"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_matrix_market(str(path))
+
+
 @pytest.mark.parametrize("header,lines,named", [
     # the two 2x2 files that loaded wrongly: the symmetric one as its lower
     # triangle, without the mirrored (1, 2), and the pattern one failed on

@@ -14,8 +14,7 @@ from cuboid_complex import _exactcore, verify
 from cuboid_complex.assembly import SparseMatrix, operator_matrix
 from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
 from cuboid_complex.verify import (
-    COMPLEXES, FLOAT_RANK_REL_CUTOFF, certified_ranks, complex_spaces,
-    exact_rank, float_rank,
+    COMPLEXES, certified_ranks, complex_spaces, exact_rank, float_rank,
 )
 
 
@@ -460,10 +459,13 @@ def test_rank_scaled_target_is_rebuilt():
                       "entries_written": 5, "max_pivot_bits": 2}
 
 
-# The float rank route: singletons and doubletons deleted exactly, then the
-# eigenvalues of the row-scaled core's Gram matrix on its smaller side.  The
-# unscaled full-matrix SVD rank that float_rank took before any deletion is
-# the oracle, beside the exact rank.
+# The float rank route: singletons and doubletons deleted exactly, then a
+# sparse floating-point elimination of the row-scaled core.  The unscaled
+# full-matrix SVD rank is the oracle, beside the exact rank.
+
+#: singular values at most this fraction of the largest count as zero in
+#: the SVD oracle
+ORACLE_REL_CUTOFF = 1e-5
 
 def dense_array(mat):
     """The whole matrix as a dense float array."""
@@ -483,7 +485,7 @@ def oracle_float_rank(mat):
     s = np.linalg.svd(dense_array(mat), compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int((s > FLOAT_RANK_REL_CUTOFF * s[0]).sum())
+    return int((s > ORACLE_REL_CUTOFF * s[0]).sum())
 
 
 def sparse_matrix(dense, den=1):
@@ -529,19 +531,18 @@ def test_peel_cascade():
     assert_float_rank(mat, 4)
 
 
-def test_peel_empty_core_makes_nothing_dense(monkeypatch):
+def test_peel_empty_core_is_not_eliminated(monkeypatch):
     # upper triangular with an empty row and an empty column: the cascade
-    # deletes every entry, so no Gram is built and no eigenvalue taken
+    # deletes every entry, so the float elimination is never called
     dense = [[1, 2, 0, 3], [0, 0, 0, 0], [0, 4, 0, 5], [0, 0, 0, 6]]
     mat = sparse_matrix(dense, den=7)
     assert _exactcore.peel_doubletons(mat.rows, 4) == (3, [], [])
     assert oracle_float_rank(mat) == exact_rank(mat) == 3
 
     def never(*args, **kwargs):
-        raise AssertionError("an empty core was made dense")
+        raise AssertionError("an empty core was eliminated")
 
-    monkeypatch.setattr(verify, "_core_gram", never)
-    monkeypatch.setattr(np.linalg, "eigvalsh", never)
+    monkeypatch.setattr(verify, "_core_float_rank", never)
     assert float_rank(mat) == 3
 
 
@@ -563,41 +564,76 @@ def test_peel_core_without_short_lines():
     assert_float_rank(mat, 3)
 
 
-def recorded_eigvalsh(monkeypatch, run):
-    """``(Gram, eigenvalues)`` of every ``np.linalg.eigvalsh`` call made
-    while ``run()`` runs."""
-    eigvalsh = np.linalg.eigvalsh
+def recorded_eliminations(monkeypatch, run):
+    """``(core shape, record)`` of every float elimination of a core made
+    while ``run()`` runs, the record as :func:`verify._core_float_rank`
+    fills it."""
+    eliminate = verify._core_float_rank
     calls = []
 
-    def recording_eigvalsh(a, *args, **kwargs):
-        lam = eigvalsh(a, *args, **kwargs)
-        calls.append((a, lam))
-        return lam
+    def recording(rows):
+        record = {}
+        rank = eliminate(rows, record)
+        ncols = len(set().union(*rows))
+        calls.append(((len(rows), ncols), record))
+        return rank
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(verify, "_core_float_rank", recording)
     run()
     monkeypatch.undo()
     return calls
 
 
-@pytest.mark.parametrize("dense,rank,gram", [
-    # wide: row 2 = row 0 + row 1, so the 3x3 Gram on the rows is singular
-    ([[1, 2, 3, 4, 5], [2, 1, 1, 3, 1], [3, 3, 4, 7, 6]], 2, (3, 3)),
-    # tall: row 4 = row 1 + row 2 and row 5 = row 0 + row 2, so the 4x4 Gram
-    # on the columns is singular
+@pytest.mark.parametrize("dense,rank", [
+    # wide: row 2 = row 0 + row 1
+    ([[1, 2, 3, 4, 5], [2, 1, 1, 3, 1], [3, 3, 4, 7, 6]], 2),
+    # tall: row 4 = row 1 + row 2 and row 5 = row 0 + row 2
     ([[1, 2, 0, 3], [0, 1, 4, 2], [5, 0, 1, 1], [1, 3, 4, 5], [5, 1, 5, 3],
-      [6, 2, 1, 4]], 3, (4, 4)),
-], ids=["wide", "tall"])
-def test_float_rank_of_a_core_takes_the_gram_on_its_smaller_side(
-        monkeypatch, dense, rank, gram):
+      [6, 2, 1, 4]], 3),
+    # square and singular: row 3 = 2 * row 0 - row 1 + 3 * row 2
+    ([[1, 2, 1, 3], [2, 1, 3, 1], [1, 1, 2, 2], [3, 6, 5, 11]], 3),
+], ids=["wide", "tall", "deficient"])
+def test_float_rank_eliminates_a_whole_core(monkeypatch, dense, rank):
     # every row and column holds three entries or more, so the whole
-    # matrix is the core
+    # matrix is the core, and each pivot of its elimination is one rank
     mat = sparse_matrix(dense, den=3)
     assert _exactcore.peel_doubletons(mat.rows, mat.ncols) == (
         0, dense_to_rows(dense), list(range(mat.ncols)))
     assert_float_rank(mat, rank)
-    calls = recorded_eigvalsh(monkeypatch, lambda: float_rank(mat))
-    assert [a.shape for a, _ in calls] == [gram]
+    calls = recorded_eliminations(monkeypatch, lambda: float_rank(mat))
+    assert [(shape, r["pivots"]) for shape, r in calls] == [
+        ((mat.nrows, mat.ncols), rank)]
+
+
+def test_float_rank_drops_by_relative_size():
+    # Column 3 is 1e-12 of the rest once each row is scaled, and the rank
+    # rests on it: after columns 0-2 are eliminated, the last row holds
+    # only column 3, about 7e-13, and each update there kept at least
+    # 0.087 of its operands, so none was a cancellation.  An absolute
+    # cutoff would drop it.  The unscaled SVD sees a singular value near
+    # 1e-13 of the largest, below its cutoff, so it is no oracle here.
+    e = 10 ** 12
+    dense = [[e, 2 * e, 3 * e, 1], [2 * e, e, e, 2], [e, e, 2 * e, 3],
+             [3 * e, e, 2 * e, 5]]
+    mat = sparse_matrix(dense)
+    assert _exactcore.peel_doubletons(mat.rows, 4)[0] == 0
+    assert float_rank(mat) == exact_rank(mat) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 7), st.integers(1, 5), st.integers(3, 7), st.data())
+def test_float_rank_property_of_products(m, r, n, data):
+    # B (m x r) @ C (r x n) has rank at most r; its entries are sums that
+    # cancel exactly, which floating point sees as rounding noise
+    ints = st.integers(-3, 3)
+    b = data.draw(st.lists(st.lists(ints, min_size=r, max_size=r),
+                           min_size=m, max_size=m))
+    c = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n),
+                           min_size=r, max_size=r))
+    prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)]
+            for row in b]
+    mat = sparse_matrix(prod, den=data.draw(st.integers(1, 12)))
+    assert float_rank(mat) == exact_rank(mat)
 
 
 # One matrix per doubleton path; every other row and column holds three
@@ -751,16 +787,15 @@ def test_float_rank_on_2x2x2_ladders_matches_full_svd(name):
         assert float_rank(mat) == oracle_float_rank(mat) == ranks[i], (name, i)
 
 
-#: complex -> the shapes of the Gram matrices float_rank takes eigenvalues
-#: of on its three 2x2x2 operator matrices, one per core, on the core's
-#: smaller side.  The divergence leaves no core, and the elasticity
-#: curlcurlt matrices (588x882, 636x882) have no row or column with two
-#: entries or fewer, so their Gram is on all their rows.
-GRAM_SHAPES_2X2X2 = {
-    "gradgrad": [(30, 30), (447, 447)],
-    "gradgrad-reduced": [(30, 30), (633, 633)],
-    "elasticity": [(30, 30), (588, 588)],
-    "elasticity-reduced": [(30, 30), (636, 636)],
+#: complex -> the shapes of the cores float_rank eliminates on its three
+#: 2x2x2 operator matrices.  The divergence leaves no core, and the
+#: elasticity curlcurlt matrices (588x882, 636x882) have no row or column
+#: with two entries or fewer, so their core is the whole matrix.
+CORE_SHAPES_2X2X2 = {
+    "gradgrad": [(90, 30), (472, 447)],
+    "gradgrad-reduced": [(378, 30), (880, 633)],
+    "elasticity": [(144, 30), (588, 882)],
+    "elasticity-reduced": [(144, 30), (636, 882)],
 }
 
 #: a graded 2x2x1 mesh, every cell of its own shape
@@ -769,48 +804,48 @@ GRADED_2X2X1 = build_box_mesh([0, Fraction(1, 3), 1],
                               [0, Fraction(1, 2)])
 
 
-def ladder_grams(monkeypatch, name):
-    """``(Gram, eigenvalues)`` of every eigenvalue call ``certified_ranks``
-    makes on a ladder's 2x2x2 matrices in "both" mode, whose ranks it
-    checks."""
+def ladder_eliminations(monkeypatch, name):
+    """``(core shape, record)`` of every float elimination
+    ``certified_ranks`` makes on a ladder's 2x2x2 matrices in "both" mode,
+    whose ranks it checks."""
     def run():
         for mat, rank in zip(ladder_matrices_2x2x2(name), FILL_2X2X2[name][1]):
             assert certified_ranks(mat, "both") == (rank, rank)
-    return recorded_eigvalsh(monkeypatch, run)
+    return recorded_eliminations(monkeypatch, run)
 
 
 def test_float_route_makes_divergence_cores_empty(monkeypatch):
     # gradgrad's gradient deletes 186 singletons and doubletons, and the
-    # rows those leave empty go too, down to a 90x30 core and a 30x30 Gram
-    for name, want in GRAM_SHAPES_2X2X2.items():
-        grams = ladder_grams(monkeypatch, name)
-        assert [a.shape for a, _ in grams] == want, name
+    # rows those leave empty go too, down to a 90x30 core
+    for name, want in CORE_SHAPES_2X2X2.items():
+        calls = ladder_eliminations(monkeypatch, name)
+        assert [shape for shape, _ in calls] == want, name
 
 
-def assert_eigenvalue_gap(grams, kept_floor):
-    """Every eigenvalue ``float_rank`` keeps is at least ``kept_floor`` of
-    the largest, and every one it drops is rounding noise."""
-    for a, lam in grams:
-        top = lam[-1]
-        rank = int((lam > FLOAT_RANK_REL_CUTOFF ** 2 * top).sum())
-        assert lam[-rank] >= kept_floor * top, a.shape
-        assert np.all(abs(lam[:-rank]) <= 1e-12 * top), a.shape
+def assert_cancellation_gap(calls):
+    """Every entry the elimination keeps after an update is at least 1e-3
+    of the update's operands, ``|w| >= 1e-3 · (|old| + |m·pv|)``, every
+    one it drops is rounding noise, at most 1e-12 of them, and every pivot
+    is at least 1e-3 of its row's starting scale."""
+    for shape, record in calls:
+        assert record["smallest_kept"] >= 1e-3, shape
+        assert record["largest_dropped"] <= 1e-12, shape
+        assert record["smallest_pivot"] >= 1e-3, shape
 
 
-def test_float_route_cores_keep_an_eigenvalue_gap(monkeypatch):
-    # Combined rows differ in size by orders of magnitude; scaled to a
-    # largest |entry| of 1 every kept eigenvalue is at least 0.023 of the
-    # largest, while unscaled the gradgrad-reduced curl core keeps one at
-    # about 1.2e-5.  Those dropped are rounding noise, about 1e-16.
+def test_float_route_cores_keep_a_cancellation_gap(monkeypatch):
+    # every kept ratio is at least 0.0196 and every dropped one at most
+    # 8.9e-16 (the gradgrad-reduced curl core), with the cutoff at 1e-9;
+    # the smallest pivot is 0.042 (the elasticity-reduced curlcurlt core)
     for name in sorted(FILL_2X2X2):
-        assert_eigenvalue_gap(ladder_grams(monkeypatch, name), 1e-2)
+        assert_cancellation_gap(ladder_eliminations(monkeypatch, name))
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEXES))
-def test_float_route_keeps_an_eigenvalue_gap_on_a_graded_mesh(monkeypatch,
-                                                              name):
+def test_float_route_keeps_a_cancellation_gap_on_a_graded_mesh(monkeypatch,
+                                                               name):
     # "both" mode raises if the float rank is not the exact one
-    grams = recorded_eigvalsh(monkeypatch, lambda: [
+    calls = recorded_eliminations(monkeypatch, lambda: [
         certified_ranks(mat, "both")
         for mat in ladder_matrices(name, GRADED_2X2X1)])
-    assert_eigenvalue_gap(grams, 1e-3)
+    assert_cancellation_gap(calls)

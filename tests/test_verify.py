@@ -126,6 +126,22 @@ def test_rational_route_never_imports_numpy():
     assert out.stdout.split() == ["True", "False"]
 
 
+def test_float_route_never_imports_numpy():
+    """The float cross-check is a pure-Python elimination, so a "both" run
+    certifies without numpy too."""
+    code = ("import sys\n"
+            "from cuboid_complex import uniform_unit_mesh, verify_complex\n"
+            "rep = verify_complex('gradgrad', 3, uniform_unit_mesh(2, 1, 1),\n"
+            "                     arithmetic='both')\n"
+            "print(rep.exact, 'numpy' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(cuboid_complex.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.split() == ["True", "False"]
+
+
 def test_certified_ranks_checks_sizes_before_any_exact_rank(monkeypatch):
     def never(mat):
         raise AssertionError("an exact rank ran before the size check")
