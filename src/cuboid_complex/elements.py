@@ -293,14 +293,19 @@ def entity_ref_for(label: tuple, cell: CellBox) -> EntityRef:
 
 
 class _DofBuilder:
-    """Accumulates raw DOF tuples for one family on the unit cell."""
+    """Accumulates raw DOF tuples for one family on the unit cell, with one
+    entity per label."""
 
     def __init__(self):
         self.raw: list[DofFunctional] = []
+        self.entities: dict[tuple, EntityRef] = {}
 
     def _add(self, label, component, deriv, weight, kind, bubble_index=-1):
-        self.raw.append(DofFunctional(label, entity_ref_for(label, UNIT_BOX),
-                                      component, deriv, weight, kind, bubble_index))
+        entity = self.entities.get(label)
+        if entity is None:
+            entity = self.entities[label] = entity_ref_for(label, UNIT_BOX)
+        self.raw.append(DofFunctional(label, entity, component, deriv, weight,
+                                      kind, bubble_index))
 
     def at_vertices(self, component: str, derivs: Iterable[tuple[int, int, int]]):
         for corner in _VERTEX_CORNERS:
@@ -544,12 +549,14 @@ def local_dofs(fam: FamilyId, cell: CellBox = UNIT_BOX) -> list[DofFunctional]:
     it matches the relative order of global entity ids on every cell of a
     structured mesh, which is what makes one reference DOF matrix reusable.
     Each call returns a fresh list; off the unit cell every DOF is rebound
-    to its entity on ``cell``.
+    to its entity on ``cell``, one entity per label.
     """
     dofs = _unit_catalog(fam)
     if cell == UNIT_BOX:
         return list(dofs)
-    return [replace(d, entity=entity_ref_for(d.entity_label, cell)) for d in dofs]
+    entities = {label: entity_ref_for(label, cell)
+                for label in {d.entity_label for d in dofs}}
+    return [replace(d, entity=entities[d.entity_label]) for d in dofs]
 
 
 # ---------------------------------------------------------------------------

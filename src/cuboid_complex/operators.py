@@ -239,5 +239,7 @@ def field_to_coords(f: PolyField, spec: ShapeSpaceSpec) -> list[Fraction]:
     for g in spec.groups:
         for comp in g.independent:
             p = f.component(comp)
-            out.extend(p.coeff(e) for e in spec.degrees[comp].exponents())
+            grid = spec.degrees[comp]
+            out.extend(p.coeffs if p.degree == grid
+                       else (p.coeff(e) for e in grid.exponents()))
     return out

@@ -3,7 +3,11 @@
 A :class:`TensorPoly` stores the coefficients of a polynomial on the tensor
 monomial basis ``t_x^i t_y^j t_z^l`` of the *reference* cube ``[0,1]^3``,
 together with the axis-aligned cell it lives on; physical derivatives
-and integrals pick up the chain factors ``1/h`` and ``h``, exactly.  Mesh
+and integrals pick up the chain factors ``1/h`` and ``h``, exactly.  The
+coefficients are always a tuple of ``Fraction``, one per monomial of the
+degree grid, and the calculus works by position on it: along an axis the
+monomials sit at a fixed stride, so derivatives, antiderivatives, traces
+and sums are index arithmetic over that tuple.  Mesh
 entities are :class:`EntityRef`; traces onto them and moments against
 weights in entity-normalized coordinates make up the element DOFs.
 """
@@ -12,6 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from math import prod
 from typing import Iterator
 
 AXIS_NAMES = ("x", "y", "z")
@@ -47,23 +54,23 @@ class Degree3:
         return (self.kx + 1) * (self.ky + 1) * (self.kz + 1)
 
     def contains(self, exp: tuple[int, int, int]) -> bool:
-        if self.is_empty:
-            return False
-        return all(0 <= exp[a] <= self.caps[a] for a in range(3))
+        return (0 <= exp[0] <= self.kx and 0 <= exp[1] <= self.ky
+                and 0 <= exp[2] <= self.kz)
 
-    def exponents(self) -> Iterator[tuple[int, int, int]]:
+    def exponents(self) -> tuple[tuple[int, int, int], ...]:
         """All exponent triples, lexicographic with z fastest."""
-        if self.is_empty:
-            return
-        for i in range(self.kx + 1):
-            for j in range(self.ky + 1):
-                for l in range(self.kz + 1):
-                    yield (i, j, l)
+        return _exponents(self.caps)
 
     def index(self, exp: tuple[int, int, int]) -> int:
         if not self.contains(exp):
             raise IndexError(f"exponent {exp} outside degree grid {self.caps}")
         return (exp[0] * (self.ky + 1) + exp[1]) * (self.kz + 1) + exp[2]
+
+
+@lru_cache(maxsize=None)
+def _exponents(caps: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
+    """The exponent triples of one degree grid, in coefficient order."""
+    return tuple(product(*(range(k + 1) for k in caps)))
 
 
 def degree_from_caps(caps: dict[int, int], default: int) -> Degree3:
@@ -147,50 +154,67 @@ class EntityRef:
         return self.extent.measure()
 
 
+def _placed(terms, degree: Degree3) -> list[Fraction]:
+    """The coefficient list of ``(exponent, Fraction)`` terms on ``degree``."""
+    c = [_ZERO] * degree.dim()
+    for e, v in terms:
+        c[degree.index(e)] = v
+    return c
+
+
 class TensorPoly:
     """A polynomial on an axis-aligned cell, in reference coordinates.
 
     Coefficients are stored densely on the monomial basis of ``degree``,
-    flattened with z fastest.  The ``cell`` geometry is what makes
-    ``differentiate`` and ``moment`` physical rather than merely formal.
+    flattened with z fastest: ``coeffs`` is always a tuple of ``Fraction``
+    of length ``degree.dim()``.  The methods work by position on that
+    tuple, an axis being a stride, and skip zero coefficients; a result
+    is built from Fractions as they come, never converted again.  The
+    ``cell`` geometry is what makes ``differentiate`` and ``moment``
+    physical rather than merely formal.
     """
 
     __slots__ = ("degree", "coeffs", "cell")
 
     def __init__(self, degree: Degree3, coeffs, cell: CellBox = UNIT_BOX):
         self.degree = degree
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
         if len(self.coeffs) != degree.dim():
             raise ValueError("coefficient count does not match degree grid")
         self.cell = cell
+
+    @classmethod
+    def _of(cls, degree: Degree3, coeffs: tuple, cell: CellBox) -> "TensorPoly":
+        """A result from a ready tuple of ``degree.dim()`` Fractions."""
+        p = object.__new__(cls)
+        p.degree, p.coeffs, p.cell = degree, coeffs, cell
+        return p
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def zero(cls, degree: Degree3, cell: CellBox = UNIT_BOX) -> "TensorPoly":
-        return cls(degree, [0] * degree.dim(), cell)
+        return cls._of(degree, (_ZERO,) * degree.dim(), cell)
 
     @classmethod
     def monomial(cls, exp: tuple[int, int, int], cell: CellBox = UNIT_BOX,
                  coeff: Fraction = _ONE) -> "TensorPoly":
         deg = Degree3(*exp)
         c = [_ZERO] * deg.dim()
-        c[-1] = Fraction(coeff)
-        return cls(deg, c, cell)
+        c[-1] = coeff if type(coeff) is Fraction else Fraction(coeff)
+        return cls._of(deg, tuple(c), cell)
 
     @classmethod
     def from_terms(cls, terms: dict[tuple[int, int, int], Fraction],
                    degree: Degree3 | None = None, cell: CellBox = UNIT_BOX) -> "TensorPoly":
-        live = {e: Fraction(v) for e, v in terms.items() if v}
+        live = {e: v if type(v) is Fraction else Fraction(v)
+                for e, v in terms.items() if v}
         if degree is None:
             if live:
                 degree = Degree3(*(max(e[a] for e in live) for a in range(3)))
             else:
                 degree = Degree3(0, 0, 0)
-        c = [_ZERO] * degree.dim()
-        for e, v in live.items():
-            c[degree.index(e)] = v
-        return cls(degree, c, cell)
+        return cls._of(degree, tuple(_placed(live.items(), degree)), cell)
 
     # -- access ----------------------------------------------------------
 
@@ -200,8 +224,7 @@ class TensorPoly:
         return self.coeffs[self.degree.index(exp)]
 
     def terms(self) -> Iterator[tuple[tuple[int, int, int], Fraction]]:
-        for pos, e in enumerate(self.degree.exponents()):
-            v = self.coeffs[pos]
+        for e, v in zip(self.degree.exponents(), self.coeffs):
             if v:
                 yield e, v
 
@@ -230,14 +253,33 @@ class TensorPoly:
 
     # -- algebra ----------------------------------------------------------
 
+    def _restack(self, axis: int, picks, degree: Degree3) -> "TensorPoly":
+        """The polynomial on ``degree`` whose coefficient blocks along
+        ``axis`` are ``picks``: ``(m, f)`` is this one's block of power
+        ``m`` times ``f``."""
+        inner = prod(k + 1 for k in self.degree.caps[axis + 1:])
+        zeros = (_ZERO,) * inner
+        out: list[Fraction] = []
+        for start in range(0, len(self.coeffs), (self.degree.caps[axis] + 1) * inner):
+            for m, f in picks:
+                block = self.coeffs[start + m * inner:start + (m + 1) * inner]
+                out.extend(zeros if f == 0 else block if f == 1
+                           else [v * f if v else v for v in block])
+        return TensorPoly._of(degree, tuple(out), self.cell)
+
     def _binop(self, other: "TensorPoly", sign: int) -> "TensorPoly":
         if self.cell != other.cell:
             raise ValueError("polynomials live on different cells")
-        terms = dict(self.terms())
-        for e, v in other.terms():
-            terms[e] = terms.get(e, _ZERO) + sign * v
-        deg = Degree3(*(max(self.degree.caps[a], other.degree.caps[a]) for a in range(3)))
-        return TensorPoly.from_terms(terms, deg, self.cell)
+        deg = self.degree
+        if other.degree != deg:
+            deg = Degree3(*map(max, deg.caps, other.degree.caps))
+        pairs = zip(self.coeffs if self.degree == deg else _placed(self.terms(), deg),
+                    other.coeffs if other.degree == deg else _placed(other.terms(), deg))
+        if sign > 0:
+            out = tuple(x + y if x and y else x or y for x, y in pairs)
+        else:
+            out = tuple(x - y if x and y else -y if y else x for x, y in pairs)
+        return TensorPoly._of(deg, out, self.cell)
 
     def __add__(self, other: "TensorPoly") -> "TensorPoly":
         return self._binop(other, 1)
@@ -249,8 +291,9 @@ class TensorPoly:
         return self.scale(-1)
 
     def scale(self, factor) -> "TensorPoly":
-        f = Fraction(factor)
-        return TensorPoly(self.degree, [f * c for c in self.coeffs], self.cell)
+        f = factor if type(factor) is Fraction else Fraction(factor)
+        return TensorPoly._of(self.degree, tuple(c * f if c else c for c in self.coeffs),
+                              self.cell)
 
     def __mul__(self, other):
         if isinstance(other, TensorPoly):
@@ -277,15 +320,9 @@ class TensorPoly:
         caps = list(self.degree.caps)
         caps[axis] -= 1
         new_deg = Degree3(*caps)
-        terms: dict[tuple[int, int, int], Fraction] = {}
-        for e, v in self.terms():
-            if e[axis] >= 1:
-                ne = list(e)
-                ne[axis] -= 1
-                terms[tuple(ne)] = v * e[axis] / h
         if new_deg.is_empty:
-            new_deg = Degree3(0, 0, 0)
-        return TensorPoly.from_terms(terms, new_deg, self.cell)
+            return TensorPoly.zero(Degree3(0, 0, 0), self.cell)
+        return self._restack(axis, [(m, m / h) for m in range(1, caps[axis] + 2)], new_deg)
 
     def differentiate_multi(self, orders: tuple[int, int, int]) -> "TensorPoly":
         p = self
@@ -305,12 +342,11 @@ class TensorPoly:
             raise ValueError(f"cannot integrate along frozen axis {AXIS_NAMES[axis]}")
         caps = list(self.degree.caps)
         caps[axis] += 1
-        terms: dict[tuple[int, int, int], Fraction] = {}
-        for e, v in self.terms():
-            ne = list(e)
-            ne[axis] += 1
-            terms[tuple(ne)] = v * h / (e[axis] + 1)
-        return TensorPoly.from_terms(terms, Degree3(*caps), self.cell)
+        new_deg = Degree3(*caps)
+        if self.degree.is_empty:
+            return TensorPoly.zero(new_deg, self.cell)
+        picks = [(0, 0)] + [(m, h / (m + 1)) for m in range(caps[axis])]
+        return self._restack(axis, picks, new_deg)
 
     # -- restriction and evaluation ----------------------------------------
 
@@ -335,24 +371,25 @@ class TensorPoly:
             else:
                 if (elo, ehi) != (self.cell.lo[a], self.cell.hi[a]):
                     raise ValueError(f"entity extent mismatch on free axis {AXIS_NAMES[a]}")
-        terms: dict[tuple[int, int, int], Fraction] = {}
-        for e, v in self.terms():
-            ne = list(e)
-            keep = True
-            for a in range(3):
-                if at[a] is None:
-                    continue
-                if at[a] == 0:
-                    if e[a] != 0:
-                        keep = False
-                        break
-                else:
-                    ne[a] = 0  # t=1: all powers contribute with weight 1
-            if keep:
-                ne_t = tuple(ne)
-                terms[ne_t] = terms.get(ne_t, _ZERO) + v
-        caps = tuple(self.degree.caps[a] if at[a] is None else 0 for a in range(3))
-        return TensorPoly.from_terms(terms, Degree3(*caps), entity.extent)
+        deg = Degree3(*(self.degree.caps[a] if at[a] is None else 0 for a in range(3)))
+        if self.degree.is_empty:
+            return TensorPoly.zero(deg, entity.extent)
+        vals = self.coeffs
+        caps = list(self.degree.caps)   # of ``vals``, as frozen axes collapse
+        for a in range(3):
+            if at[a] is None:
+                continue
+            inner = prod(k + 1 for k in caps[a + 1:])
+            run = (caps[a] + 1) * inner
+            if at[a] == 0:
+                # t = 0: only the power 0 survives
+                vals = [v for b in range(0, len(vals), run) for v in vals[b:b + inner]]
+            else:
+                # t = 1: all powers contribute with weight 1
+                vals = [sum(filter(None, vals[b + r:b + run:inner]), _ZERO)
+                        for b in range(0, len(vals), run) for r in range(inner)]
+            caps[a] = 0
+        return TensorPoly._of(deg, tuple(vals), entity.extent)
 
     def eval_reference(self, t: tuple[Fraction, Fraction, Fraction]) -> Fraction:
         tx, ty, tz = (Fraction(c) for c in t)

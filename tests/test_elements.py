@@ -316,6 +316,16 @@ def test_local_dofs_on_a_cell_keeps_the_unit_catalog():
                    for d in bound)
 
 
+@pytest.mark.parametrize("cell", [UNIT_BOX, _ANISO], ids=["unit", "aniso"])
+def test_local_dofs_bind_one_entity_per_label(cell):
+    for name in FAMILY_NAMES:
+        shared = {}
+        for d in local_dofs(family(name, min_order(name)), cell):
+            assert d.entity == entity_ref_for(d.entity_label, cell)
+            assert shared.setdefault(d.entity_label, d.entity) is d.entity, (
+                name, d.entity_label)
+
+
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_rebound_dofs_keep_the_unit_functionals(name):
     """The 1-D functionals come from the entity label, so rebinding to a

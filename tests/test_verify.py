@@ -112,8 +112,9 @@ def test_float_rank_takes_integers_past_the_float_range():
 
 
 def test_rational_route_never_imports_numpy():
-    """Only the float route needs numpy, and a fresh interpreter pays about
-    0.15 s to import it (2-vCPU VM), so a rational run must not."""
+    """The package depends on nothing outside the standard library: a
+    rational run in a fresh interpreter certifies without importing
+    numpy, so no route can start needing it unnoticed."""
     code = ("import sys\n"
             "from cuboid_complex import uniform_unit_mesh, verify_complex\n"
             "rep = verify_complex('gradgrad', 3, uniform_unit_mesh(1, 1, 1))\n"
