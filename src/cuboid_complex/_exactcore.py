@@ -72,37 +72,46 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
     toward small bit length, then by (row, column).  ``heap`` holds
     ``(len(row), index)`` entries, skipped when stale (row gone or another
     length) or repeated, so the first distinct current entries popped are
-    the smallest.  ``col_rows[c]`` is the set of live rows with a nonzero in
-    column ``c``: its size is the column count, and popping the pivot
-    column yields the rows to eliminate, in any order.
+    the smallest.  Once it holds more than twice as many entries as there
+    are live rows it is rebuilt from them, with the same smallest entries.
+    ``col_rows[c]`` lists the rows that
+    have held an entry in column ``c``, appended on fill and never pruned;
+    ``col_live[c]`` counts those live and holding one now.  A listed row
+    that is gone or lacks the entry (cancelled, or popped on an earlier
+    visit when fill listed it twice) is skipped.
 
     With ``counts`` given, the dict receives ``pivots`` (the rank),
     ``singleton_pivots`` (pivots taken from the queue), ``entries_written``
     (the nonzeros each updated row holds after its update, summed: fill,
-    whatever the update path) and ``max_pivot_bits``.
+    whatever the update path), ``max_pivot_bits`` and ``peak_live`` (the
+    most nonzeros the rows not yet pivoted held at once, counted at entry
+    and after each row update).
     """
     act: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
+    col_rows: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
         r = {c: v for c, v in row.items() if v}
         if r:
             _strip_content(r)
             act[i] = r
             for c in r:
-                col_rows.setdefault(c, set()).add(i)
+                col_rows.setdefault(c, []).append(i)
+    col_live = {c: len(rs) for c, rs in col_rows.items()}
     heap = [(len(r), i) for i, r in act.items()]
     heapify(heap)
-    singles = deque(c for c, s in col_rows.items() if len(s) == 1)
+    singles = deque(c for c, n in col_live.items() if n == 1)
 
     rank = singleton_pivots = written = max_bits = 0
+    live_nnz = peak = sum(map(len, act.values()))
     while act:
         pc = -1
         while singles:
             c = singles.popleft()
-            s = col_rows.get(c)
-            if s is not None and len(s) == 1:
+            if col_live.get(c) == 1:
                 pc = c
-                pi = next(iter(s))
+                for pi in col_rows[c]:
+                    if c in act.get(pi, ()):
+                        break
                 singleton_pivots += 1
                 break
         if pc < 0:
@@ -112,25 +121,30 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
                 r = act.get(i)
                 if r is not None and len(r) == n and i not in shortlist:
                     shortlist[i] = r
-            pi, pc = _pick_pivot(shortlist, col_rows)
+            pi, pc = _pick_pivot(shortlist, col_live)
             for i, r in shortlist.items():
                 if i != pi:
                     heappush(heap, (len(r), i))
 
         prow = act.pop(pi)
+        live_nnz -= len(prow)
         piv = prow[pc]
         for c in prow:
-            s = col_rows[c]
-            s.discard(pi)
-            if len(s) == 1:
+            n = col_live[c] - 1
+            col_live[c] = n
+            if n == 1:
                 singles.append(c)
         rank += 1
         bits = piv.bit_length()
         if bits > max_bits:
             max_bits = bits
 
+        del col_live[pc]
         for ri in col_rows.pop(pc):
-            r = act[ri]
+            r = act.get(ri)
+            if r is None or pc not in r:
+                continue  # gone, cancelled there, or seen already
+            before = len(r)
             f = r.pop(pc)
             if len(prow) > 1:
                 g = gcd(piv, f)
@@ -146,37 +160,45 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
                     if v is None:
                         if c != pc:  # the target's pivot entry is gone
                             r[c] = -b * pv
-                            col_rows[c].add(ri)
+                            col_rows[c].append(ri)
+                            col_live[c] += 1
                         continue
                     w = v - b * pv
                     if w:
                         r[c] = w
                     else:
                         del r[c]
-                        s = col_rows[c]
-                        s.discard(ri)
-                        if len(s) == 1:
+                        n = col_live[c] - 1
+                        col_live[c] = n
+                        if n == 1:
                             singles.append(c)
+            live_nnz += len(r) - before
+            if live_nnz > peak:
+                peak = live_nnz
             if r:
                 written += len(r)
                 _strip_content(r)
                 heappush(heap, (len(r), ri))
             else:
                 del act[ri]
+        if len(heap) > 2 * len(act):
+            heap = [(len(r), i) for i, r in act.items()]
+            heapify(heap)
     if counts is not None:
         counts.update(pivots=rank, singleton_pivots=singleton_pivots,
-                      entries_written=written, max_pivot_bits=max_bits)
+                      entries_written=written, max_pivot_bits=max_bits,
+                      peak_live=peak)
     return rank
 
 
 def _pick_pivot(shortlist: dict[int, dict[int, int]],
-                col_rows: dict[int, set[int]]) -> tuple[int, int]:
+                col_live: dict[int, int]) -> tuple[int, int]:
     best_key = None
     best = (-1, -1)
     for i, r in shortlist.items():
         rc = len(r) - 1
         for c, v in r.items():
-            key = (rc * (len(col_rows[c]) - 1), v.bit_length(), i, c)
+            key = (rc * (col_live[c] - 1), v.bit_length(), i, c)
             if best_key is None or key < best_key:
                 best_key = key
                 best = (i, c)

@@ -52,6 +52,16 @@ _F0 = Fraction(0)
 COMPLEX_NAMES = tuple(COMPLEXES)
 
 
+def _complex(name: str) -> tuple:
+    """The :data:`COMPLEXES` entry of ``name``; an unknown name raises
+    ``ValueError`` naming the known complexes."""
+    try:
+        return COMPLEXES[name]
+    except KeyError:
+        raise ValueError(f"unknown complex {name!r}; known complexes: "
+                         f"{', '.join(COMPLEX_NAMES)}") from None
+
+
 # ---------------------------------------------------------------------------
 # rank certification
 
@@ -115,15 +125,19 @@ def _check_dense_size(shape: tuple[int, int]) -> None:
 def _core_float_rank(rows: list[dict[int, int]],
                      record: dict | None = None) -> int:
     """Rank of the integer ``rows`` by sparse elimination in IEEE doubles,
-    each row first divided by its largest ``|entry|``.
+    each row first divided by its largest ``|entry|``.  ``rows`` is
+    consumed: each integer row is released as its float row is made.
 
     The pivot row is the shortest live row, from a ``(length, index)``
-    heap whose stale entries are skipped.  Its pivot column is, among its
-    entries of at least :data:`_PIVOT_THRESHOLD` of its largest ``|entry|``,
-    the one whose column has the fewest live rows, then the lowest index
-    (threshold Markowitz; Duff, Erisman and Reid, *Direct Methods for
-    Sparse Matrices*).  Every other row crossing that column loses it, and
-    an updated entry ``w = old - m·pv`` is dropped when ``|w| <=``
+    heap whose stale entries are skipped, rebuilt once they outnumber the
+    live rows.  Its pivot column is, among its entries of at least
+    :data:`_PIVOT_THRESHOLD` of its largest ``|entry|``, the one whose
+    column has the fewest live rows, then the lowest index (threshold
+    Markowitz; Duff, Erisman and Reid, *Direct Methods for Sparse
+    Matrices*).  Each column lists the rows that have held an entry there,
+    beside its live count; a listed row that is gone or lacks the entry is
+    skipped.  Every other row crossing that column loses it, and an
+    updated entry ``w = old - m·pv`` is dropped when ``|w| <=``
     :data:`FLOAT_RANK_REL_CUTOFF` ``· (|old| + |m·pv|)``.  A row left empty
     is dependent.  Given a dict as ``record``, it is filled with the
     pivots, the smallest pivot (rows start at a largest ``|entry|`` of 1),
@@ -132,13 +146,16 @@ def _core_float_rank(rows: list[dict[int, int]],
     """
     cut = FLOAT_RANK_REL_CUTOFF
     live: dict[int, dict[int, float]] = {}
-    col_rows: dict[int, set[int]] = {}
+    col_rows: dict[int, list[int]] = {}
     for i, r in enumerate(rows):
+        rows[i] = None
         d = max(map(abs, r.values()))
         # int true division rounds correctly and takes any size
         live[i] = {j: v / d for j, v in r.items()}
         for j in r:
-            col_rows.setdefault(j, set()).add(i)
+            col_rows.setdefault(j, []).append(i)
+    rows.clear()
+    col_live = {j: len(ks) for j, ks in col_rows.items()}
     heap = [(len(r), i) for i, r in live.items()]
     heapq.heapify(heap)
     recording = record is not None
@@ -152,17 +169,18 @@ def _core_float_rank(rows: list[dict[int, int]],
         del live[i]
         floor = _PIVOT_THRESHOLD * max(map(abs, prow.values()))
         pc = min((j for j, v in prow.items() if abs(v) >= floor),
-                 key=lambda j: (len(col_rows[j]), j))
+                 key=lambda j: (col_live[j], j))
         pv = prow.pop(pc)
         pivots += 1
         if recording:
             smallest_pivot = min(smallest_pivot, abs(pv))
         for j in prow:
-            col_rows[j].discard(i)
-        targets = col_rows.pop(pc)
-        targets.discard(i)
-        for k in targets:
-            row = live[k]
+            col_live[j] -= 1
+        del col_live[pc]
+        for k in col_rows.pop(pc):
+            row = live.get(k)
+            if row is None or pc not in row:
+                continue  # gone, dropped there, or seen already
             before = len(row)
             m = row.pop(pc) / pv
             for j, v in prow.items():
@@ -171,13 +189,14 @@ def _core_float_rank(rows: list[dict[int, int]],
                 if old is None:
                     if mv:
                         row[j] = -mv
-                        col_rows[j].add(k)
+                        col_rows[j].append(k)
+                        col_live[j] += 1
                     continue
                 w = old - mv
                 scale = abs(old) + abs(mv)
                 if abs(w) <= cut * scale:
                     del row[j]
-                    col_rows[j].discard(k)
+                    col_live[j] -= 1
                     if recording:
                         dropped = max(dropped, abs(w) / scale)
                 else:
@@ -188,6 +207,9 @@ def _core_float_rank(rows: list[dict[int, int]],
                 del live[k]
             elif len(row) != before:
                 heapq.heappush(heap, (len(row), k))
+        if len(heap) > 2 * len(live):
+            heap = [(len(r), k) for k, r in live.items()]
+            heapq.heapify(heap)
     if recording:
         record.update(pivots=pivots, smallest_pivot=smallest_pivot,
                       smallest_kept=kept, largest_dropped=dropped)
@@ -302,7 +324,7 @@ class ExactnessReport:
 
 
 def complex_spaces(name: str, k: int, mesh: CuboidMesh) -> list[GlobalSpace]:
-    fams, _ops, _kd, min_k = COMPLEXES[name]
+    fams, _ops, _kd, min_k = _complex(name)
     if k < min_k:
         raise ValueError(f"complex {name!r} needs k >= {min_k}")
     return [assemble_space(FamilyId(f, k), mesh) for f in fams]
@@ -331,13 +353,13 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
     0``.  A failed audit raises :class:`ConformityError`, and the report is
     built only after all three audits.
 
-    An ``arithmetic`` not in :data:`ARITHMETICS` raises ``ValueError``
-    before any assembly, and a ladder too large for the float route
-    :class:`DenseSizeError` before any operator matrix.
+    An ``arithmetic`` not in :data:`ARITHMETICS` or an unknown complex
+    raises ``ValueError`` before any assembly, and a ladder too large for
+    the float route :class:`DenseSizeError` before any operator matrix.
     """
     _check_arithmetic(arithmetic)
     t0 = time.monotonic()
-    ops, kernel_dim = COMPLEXES[name][1:3]
+    ops, kernel_dim = _complex(name)[1:3]
     spaces = complex_spaces(name, k, mesh)
     counts = mesh.entity_counts()
     for s in spaces:
@@ -463,7 +485,7 @@ def kernel_identification(name: str, k: int, mesh: CuboidMesh) -> dict:
     interpolants as its columns), and the interpolants must be linearly
     independent with count matching the nullity.
     """
-    fams, ops, kernel_dim, _ = COMPLEXES[name]
+    fams, ops, kernel_dim, _ = _complex(name)
     src = assemble_space(FamilyId(fams[0], k), mesh)
     dst = assemble_space(FamilyId(fams[1], k), mesh)
     a1 = operator_matrix(ops[0], src, dst)
@@ -616,9 +638,10 @@ def div_preimage_check(name: str, k: int, mesh: CuboidMesh,
     exactly per cell, be continuous across the faces its integration axes
     cross, interpolate into the matrix space without shared-DOF conflicts,
     and map back to the target coefficients through the assembled
-    divergence matrix.  Raises ``ValueError`` for fewer than one sample.
+    divergence matrix.  Raises ``ValueError`` for an unknown complex or
+    fewer than one sample.
     """
-    fams, _ops, _kd, min_k = COMPLEXES[name]
+    fams, _ops, _kd, min_k = _complex(name)
     if k < min_k:
         raise ValueError(f"complex {name!r} needs k >= {min_k}")
     if samples < 1:

@@ -3,6 +3,7 @@ float rank route against a full-matrix SVD."""
 
 import copy
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
@@ -276,13 +277,15 @@ def test_rank_property_sparse_tall_matches_oracle(case):
 # The singleton queue, seen through ``counts``.
 
 def test_rank_permuted_identity_takes_every_pivot_from_the_queue():
-    # columns 0-5 each hold one row; columns 6-8 are shared extra columns
+    # columns 0-5 each hold one row; columns 6-8 are shared extra columns.
+    # No row is updated, so the peak is the input's 6 x 3 nonzeros.
     perm = [3, 0, 5, 1, 4, 2]
     rows = [{perm[i]: i + 2, 6: 1, 7 + i % 2: -1} for i in range(6)]
     counts = {}
     assert _exactcore.ff_rank(rows, 9, counts) == oracle_rank(rows, 9) == 6
     assert counts == {"pivots": 6, "singleton_pivots": 6,
-                      "entries_written": 0, "max_pivot_bits": 3}
+                      "entries_written": 0, "max_pivot_bits": 3,
+                      "peak_live": 18}
 
 
 def test_rank_cancellation_makes_a_column_singleton():
@@ -290,13 +293,15 @@ def test_rank_cancellation_makes_a_column_singleton():
     # cancels row 1's entry in column 1, which leaves row 2 alone there:
     # only the cancellation puts column 1 on the queue.  Rows 2 and 3 then
     # leave columns 3 and 2 to one row each, so three pivots are queued and
-    # the one update writes the single entry {2: 1}.
+    # the one update writes the single entry {2: 1}.  The live nonzeros
+    # only fall from the input's 10.
     rows = [{0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}, {1: 1, 2: 1, 3: 1},
             {3: 1, 2: 2}]
     counts = {}
     assert _exactcore.ff_rank(rows, 4, counts) == oracle_rank(rows, 4) == 4
     assert counts == {"pivots": 4, "singleton_pivots": 3,
-                      "entries_written": 1, "max_pivot_bits": 1}
+                      "entries_written": 1, "max_pivot_bits": 1,
+                      "peak_live": 10}
 
 
 def test_rank_skips_a_queued_column_that_fill_has_grown():
@@ -304,12 +309,14 @@ def test_rank_skips_a_queued_column_that_fill_has_grown():
     # eliminating column 0 from row 1 fills row 1 at column 4, so by the
     # time it is popped column 4 has two rows again and must be searched,
     # not taken.  The next search pivots on (row 1, column 1), after which
-    # column 4 is a singleton for real.
+    # column 4 is a singleton for real.  The fill only replaces row 1's
+    # pivot entry, so the peak is the input's 6 nonzeros.
     rows = [{0: 1, 4: 1}, {0: 1, 1: 1}, {4: 1, 1: 1}]
     counts = {}
     assert _exactcore.ff_rank(rows, 5, counts) == oracle_rank(rows, 5) == 3
     assert counts == {"pivots": 3, "singleton_pivots": 1,
-                      "entries_written": 3, "max_pivot_bits": 1}
+                      "entries_written": 3, "max_pivot_bits": 1,
+                      "peak_live": 6}
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -380,6 +387,18 @@ COUNTS_2X2X2 = {
 }
 
 
+#: complex -> peak_live of ff_rank on the same three matrices: the most
+#: nonzeros the rows not yet pivoted hold at once.  Only the curlcurlt
+#: matrices fill past their input (5,610 and 11,226 nonzeros); every other
+#: peak is the matrix's own nnz
+PEAK_LIVE_2X2X2 = {
+    "gradgrad": [1962, 3148, 1640],
+    "gradgrad-reduced": [12336, 19468, 15112],
+    "elasticity": [2124, 5689, 1296],
+    "elasticity-reduced": [2124, 11657, 3264],
+}
+
+
 @pytest.mark.parametrize("name", sorted(COUNTS_2X2X2))
 def test_rank_counts_frozen_on_2x2x2_ladders(name):
     written, bits = COUNTS_2X2X2[name]
@@ -391,7 +410,45 @@ def test_rank_counts_frozen_on_2x2x2_ladders(name):
         singles = ranks[i] if i == 2 else 0
         assert counts == {"pivots": ranks[i], "singleton_pivots": singles,
                           "entries_written": written[i],
-                          "max_pivot_bits": bits[i]}, (name, i)
+                          "max_pivot_bits": bits[i],
+                          "peak_live": PEAK_LIVE_2X2X2[name][i]}, (name, i)
+
+
+#: tracemalloc bounds, in MiB above the baseline at entry, on the
+#: gradgrad-reduced 2x2x2 curl matrix (1270 x 1050, 19,468 nonzeros).
+#: Measured 1.55 MiB for ff_rank and 0.25 MiB for the float core; a set
+#: per column, or a float core made beside its integer rows, needs 2.72
+#: and 1.91 MiB
+FF_RANK_PEAK_MIB = 2.0
+FLOAT_CORE_PEAK_MIB = 1.0
+
+
+def traced_peak_mib(run):
+    """The tracemalloc peak while ``run()`` runs, above what is traced at
+    its start, in MiB."""
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    run()
+    return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+
+
+def test_rank_memory_peaks_on_the_gradgrad_reduced_curl_matrix():
+    mat = ladder_matrices_2x2x2("gradgrad-reduced")[1]
+    tracemalloc.start()
+    try:
+        ff_peak = traced_peak_mib(lambda: _exactcore.ff_rank(mat.rows,
+                                                             mat.ncols))
+        # the integer core is traced, so releasing it counts
+        _deleted, rows, _cols = _exactcore.peel_doubletons(mat.rows,
+                                                           mat.ncols)
+        assert (len(rows), len(set().union(*rows))) == \
+            CORE_SHAPES_2X2X2["gradgrad-reduced"][1]
+        core_peak = traced_peak_mib(lambda: verify._core_float_rank(rows))
+    finally:
+        tracemalloc.stop()
+    assert rows == []  # consumed
+    assert ff_peak <= FF_RANK_PEAK_MIB, ff_peak
+    assert core_peak <= FLOAT_CORE_PEAK_MIB, core_peak
 
 
 # ff_rank copies its input: every test here reads the same cached ladder
@@ -423,12 +480,14 @@ def test_rank_row_singleton_pivot_only_deletes_its_column():
     # first pivot removes column 0 from rows 1 and 2 and changes nothing
     # else, leaving {1: 4, 2: 6} and {1: 6, 2: 9}.  Their content must
     # still go: both become {1: 2, 2: 3}, the next pivot is 2 (2 bits, not
-    # the 3 or 4 bits of the raw rows) and it cancels row 2 entirely.
+    # the 3 or 4 bits of the raw rows) and it cancels row 2 entirely.  The
+    # live nonzeros only fall from the input's 7.
     rows = [{0: -3}, {0: 1, 1: 4, 2: 6}, {0: 1, 1: 6, 2: 9}]
     counts = {}
     assert _exactcore.ff_rank(rows, 3, counts) == oracle_rank(rows, 3) == 2
     assert counts == {"pivots": 2, "singleton_pivots": 0,
-                      "entries_written": 4, "max_pivot_bits": 2}
+                      "entries_written": 4, "max_pivot_bits": 2,
+                      "peak_live": 7}
 
 
 def test_rank_unit_multiplier_updates_in_place():
@@ -436,12 +495,14 @@ def test_rank_unit_multiplier_updates_in_place():
     # place: column 1 cancels, which leaves row 2 alone there and queues
     # column 1; column 2 fills with -3, so column 2, queued when row 0 left
     # it, has two rows again and is skipped.  Column 3 keeps its entry.
-    # Row 1 then holds {3: 1, 2: -3}, the one update's 2 entries.
+    # Row 1 then holds {3: 1, 2: -3}, the one update's 2 entries, and the
+    # live nonzeros fall from the input's 9 to 8 - 3 + 2.
     rows = [{0: 1, 1: 1, 2: 1}, {0: 3, 1: 3, 3: 1}, {1: 1, 2: 1, 3: 1}]
     counts = {}
     assert _exactcore.ff_rank(rows, 4, counts) == oracle_rank(rows, 4) == 3
     assert counts == {"pivots": 3, "singleton_pivots": 2,
-                      "entries_written": 2, "max_pivot_bits": 2}
+                      "entries_written": 2, "max_pivot_bits": 2,
+                      "peak_live": 9}
 
 
 def test_rank_scaled_target_is_rebuilt():
@@ -450,13 +511,94 @@ def test_rank_scaled_target_is_rebuilt():
     # cancels only because the row was scaled first.  Row 3 is then
     # updated in place by pivot (row 2, column 4), and the last update,
     # pivot -1 against row 1's 2 (a = -1), rebuilds row 1 again.  The
-    # updates write 2 + 2 + 1 entries.
+    # updates write 2 + 2 + 1 entries, and none raises the live nonzeros
+    # above the input's 12.
     rows = [{0: 2, 1: 4, 2: 1}, {0: 3, 1: 6, 3: 1}, {2: 1, 3: 1, 4: 1},
             {2: 1, 3: 2, 4: 3}]
     counts = {}
     assert _exactcore.ff_rank(rows, 5, counts) == oracle_rank(rows, 5) == 4
     assert counts == {"pivots": 4, "singleton_pivots": 1,
-                      "entries_written": 5, "max_pivot_bits": 2}
+                      "entries_written": 5, "max_pivot_bits": 2,
+                      "peak_live": 12}
+
+
+# The column index is a list per column, appended on fill and never pruned,
+# beside a live count: a row in a list may be gone, may have lost its entry,
+# or may appear twice.
+
+def test_rank_eliminates_a_row_listed_twice_once():
+    # Rows P1 {0, 2}, P2 {1, 2}, S {2, 3}, T {2, 3}, R {0, 1, 2, 3}.
+    # Pivot (P1, column 0) turns R into R - P1 = {1: 1, 3: 1}: R's entry in
+    # column 2 cancels, but R stays in column 2's list.  Pivot (P2, column
+    # 1) turns R into R - P2 = {3: 1, 2: -1}: fill brings column 2 back and
+    # appends R again, so the list reads P1, P2, S, T, R, R.  Pivot (S,
+    # column 2) updates T to {3: 1} and R to {3: 3}, stripped to {3: 1}, on
+    # R's first visit, and skips the second.  Pivot (T, column 3) empties
+    # R, which is dependent.  The updates write 2 + 2 + 1 + 1 entries; a
+    # second update of R would write a seventh.
+    rows = [{0: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 3: 2}, {2: 1, 3: 3},
+            {0: 1, 1: 1, 2: 1, 3: 1}]
+    counts = {}
+    assert _exactcore.ff_rank(rows, 4, counts) == oracle_rank(rows, 4) == 4
+    assert counts == {"pivots": 4, "singleton_pivots": 0,
+                      "entries_written": 6, "max_pivot_bits": 1,
+                      "peak_live": 12}
+
+
+def test_rank_singleton_column_skips_dead_rows_in_its_list():
+    # Column 2's list is X, Y, Z.  Pivot (X, column 0) removes X, and the
+    # update Y - X = {1: 1} cancels Y's entry in column 2, so column 2 has
+    # one live row and is queued.  Its list then holds a pivoted row (X)
+    # and a live row without the entry (Y) before Z, the row it is taken
+    # from.  Columns 3 and 1 follow from the queue, with W and Y, over the
+    # dead Z and W in their lists.
+    rows = [{0: 1, 2: 1}, {0: 1, 1: 1, 2: 1}, {2: 1, 3: 1}, {1: 1, 3: 1}]
+    counts = {}
+    assert _exactcore.ff_rank(rows, 4, counts) == oracle_rank(rows, 4) == 4
+    assert counts == {"pivots": 4, "singleton_pivots": 3,
+                      "entries_written": 1, "max_pivot_bits": 1,
+                      "peak_live": 9}
+
+
+def test_rank_peak_live_counts_fill_by_hand():
+    # Row 0 = {0, 1, 2, 3}; rows 1-3 hold column 0 and columns 4-6; rows
+    # 4-6 hold columns 1-6.  Columns 0-3 hold 4 live rows and columns 4-6
+    # six, so on the two shortlisted rows, 0 and 1, the least Markowitz
+    # count is 3 * 3 = 9, and the tie goes to (row 0, column 0), all
+    # entries being 1 bit.  The input holds 4 + 3 * 4 + 3 * 6 = 34 nonzeros.  Row 0
+    # leaves (30), and each of rows 1-3 loses column 0 and gains columns
+    # 1-3 (+2 each): 36.  Every row left then holds all six columns 1-6,
+    # so no later step can exceed the 6 x 6 it starts from.
+    rows = [{0: 1, 1: 1, 2: 1, 3: 1},
+            {0: 1, 4: 1, 5: 2, 6: 3}, {0: 1, 4: 2, 5: 3, 6: 1},
+            {0: 1, 4: 3, 5: 1, 6: 2},
+            {1: 1, 2: 2, 3: 3, 4: 1, 5: 1, 6: 2},
+            {1: 2, 2: 1, 3: 1, 4: 1, 5: 3, 6: 1},
+            {1: 3, 2: 1, 3: 2, 4: 2, 5: 1, 6: 1}]
+    counts = {}
+    assert _exactcore.ff_rank(rows, 7, counts) == oracle_rank(rows, 7) == 7
+    assert sum(map(len, rows)) == 34
+    assert counts["peak_live"] == 36
+
+
+def test_float_core_eliminates_a_row_listed_twice_once():
+    # The matrix of test_rank_eliminates_a_row_listed_twice_once, scaled
+    # per row: pivot (P1, column 0) drops R's entry in column 2 (1 - 1),
+    # pivot (P2, column 1) fills it again, so column 2 lists R twice, and
+    # pivot (S, column 2) must update R once: R = {3: 1, 2: -1} + 2 * S =
+    # {3: 3}.  T - (2/3) * S = {3: 1/3} is the last pivot, and it empties
+    # R.  A second update of R would find no entry in column 2.
+    rows = [{0: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 3: 2}, {2: 1, 3: 3},
+            {0: 1, 1: 1, 2: 1, 3: 1}]
+    want = oracle_rank(rows, 4)
+    record = {}
+    assert verify._core_float_rank(rows, record) == want == 4
+    assert rows == []  # consumed
+    assert record["pivots"] == 4
+    assert record["smallest_pivot"] == pytest.approx(1 / 3)
+    # kept: T's 1 - 2/3 against 1 + 2/3, and R's 1 + 2 against 1 + 2
+    assert record["smallest_kept"] == pytest.approx(0.2)
+    assert record["largest_dropped"] == 0.0
 
 
 # The float rank route: singletons and doubletons deleted exactly, then a
@@ -572,10 +714,11 @@ def recorded_eliminations(monkeypatch, run):
     calls = []
 
     def recording(rows):
+        # the elimination consumes its rows: take the shape first
+        shape = (len(rows), len(set().union(*rows)))
         record = {}
         rank = eliminate(rows, record)
-        ncols = len(set().union(*rows))
-        calls.append(((len(rows), ncols), record))
+        calls.append((shape, record))
         return rank
 
     monkeypatch.setattr(verify, "_core_float_rank", recording)

@@ -330,6 +330,19 @@ def test_reduced_gradgrad_4x4x4_stays_exact():
     assert rep.composition_zero and rep.exact
 
 
+@pytest.mark.parametrize("call", [
+    lambda mesh: verify_complex("hessian", 3, mesh),
+    lambda mesh: verify.complex_spaces("hessian", 3, mesh),
+    lambda mesh: kernel_identification("hessian", 3, mesh),
+    lambda mesh: div_preimage_check("hessian", 3, mesh),
+], ids=["verify_complex", "complex_spaces", "kernel_identification",
+        "div_preimage_check"])
+def test_unknown_complex_is_a_value_error_naming_the_known_ones(call):
+    with pytest.raises(ValueError, match="unknown complex 'hessian'") as exc:
+        call(uniform_unit_mesh(1, 1, 1))
+    assert all(name in str(exc.value) for name in COMPLEX_NAMES)
+
+
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 def test_kernel_identification_two_cells(name):
     k = 3 if name.startswith("gradgrad") else 2
