@@ -1,6 +1,6 @@
 """Exact integer kernels: fraction-free rank, reduced echelon form and
-inverse, matrix products, singleton and doubleton deletion, and the one
-helper that clears rational rows to integers.
+inverse, matrix products, and the one helper that clears rational rows to
+integers.
 
 Conventions:
 
@@ -214,86 +214,6 @@ def _strip_content(row: dict[int, int]) -> None:
     if g > 1:
         for c in row:
             row[c] //= g
-
-
-def peel_doubletons(rows: list[dict[int, int]],
-                    ncols: int) -> tuple[int, list[dict[int, int]], list[int]]:
-    """Delete every row and column with at most two entries, exactly and
-    cascading: ``(deleted, core_rows, core_cols)`` with ``rank = deleted +
-    rank(core)``.  ``core_rows`` are the live rows, in order, as integer
-    dicts over the live columns ``core_cols``; each has three entries or
-    more, as has each core column.
-
-    Columns are lines ``0..ncols-1`` and row ``i`` is line ``ncols + i``;
-    ``lines[x]`` maps each line crossing ``x`` to the entry there, mirrored
-    in ``lines[y][x]``, and an empty dict is a deleted line.  A singleton
-    line ``x`` with its one entry in line ``p`` goes with ``p``.  A doubleton
-    ``x`` with ``a`` in ``p`` and ``b`` in ``q`` (``p`` the shorter, or the
-    lower on a tie) first sets ``q = (a/g)·q - (b/g)·p``, ``g = gcd(a, b)``,
-    which cancels ``q``'s entry in ``x``, then goes with ``p`` as a
-    singleton.  Each step is an invertible row or column operation and a
-    singleton deletion, so it keeps ``rank - deleted`` and lowers nnz by at
-    least 2.  Singletons go first; a line is queued whenever a step leaves
-    it with one or two entries, and skipped when popped if it has none or
-    has grown again.  ``rows`` is left as it was.
-    """
-    lines: list[dict[int, int]] = [{} for _ in range(ncols)]
-    for i, r in enumerate(rows, ncols):
-        r = {c: v for c, v in r.items() if v}
-        lines.append(r)
-        for c, v in r.items():
-            lines[c][i] = v
-    ones: list[int] = []
-    twos: list[int] = []
-    queues = (None, ones, twos)  # by live count
-    for x, lx in enumerate(lines):
-        if 0 < len(lx) <= 2:
-            queues[len(lx)].append(x)
-    deleted = 0
-    while ones or twos:
-        x = ones.pop() if ones else twos.pop()
-        lx = lines[x]
-        if not lx or len(lx) > 2:
-            continue
-        if len(lx) == 1:
-            p = next(iter(lx))
-        else:
-            (p, a), (q, b) = lx.items()
-            if (len(lines[q]), q) < (len(lines[p]), p):
-                p, q, a, b = q, p, b, a
-            g = gcd(a, b)
-            a //= g
-            b //= g
-            lq = lines[q]
-            new = {z: a * v for z, v in lq.items()} if a != 1 else dict(lq)
-            del new[x]
-            for z, v in lines[p].items():
-                if z != x:
-                    w = new.get(z, 0) - b * v
-                    if w:
-                        new[z] = w
-                    else:
-                        del new[z]
-            _strip_content(new)
-            for z in lq:
-                if z not in new:
-                    # x, or a line that also crosses p: queued below
-                    del lines[z][q]
-            for z, v in new.items():
-                lines[z][q] = v
-            lines[q] = new
-            if 0 < len(new) <= 2:
-                queues[len(new)].append(q)
-        # x now crosses p alone: delete both
-        for z in lines[p]:
-            lz = lines[z]
-            del lz[p]
-            if 0 < len(lz) <= 2:
-                queues[len(lz)].append(z)
-        lines[p] = {}
-        deleted += 1
-    return (deleted, [r for r in lines[ncols:] if r],
-            [c for c in range(ncols) if lines[c]])
 
 
 def ff_rref(mat: list[list[int]],

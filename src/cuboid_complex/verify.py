@@ -12,19 +12,13 @@ raises ``AssertionError`` naming the edge, such as ``curl: sigma -> xi``,
 and both ranks.
 
 Rank certification is dual-route on request: fraction-free elimination
-over the integers and a float route must report the same number.  A row or
-column with one nonzero, at ``(i, j)``, gives ``rank(A) = 1 + rank(A minus
-row i and column j)`` in any field (the singleton lemma).  A column with two
-nonzeros, ``a`` in row ``i`` and ``b`` in row ``j``, becomes a singleton
-under the invertible row operation ``row_j <- (a/g) row_j - (b/g) row_i``,
-``g = gcd(a, b)``, so it too goes with row ``i`` (the doubleton lemma; a
-row with two nonzeros is the same step on columns).  The float route
-deletes both kinds exactly, cascading, and ranks the core alone, each core
-row divided by its largest ``|entry|``, which keeps the rank.  The core is
-eliminated sparsely in IEEE doubles, shortest row first, with threshold
-partial pivoting, and an updated entry is dropped only when it cancels to
-rounding noise relative to its operands.  Nothing is made dense, and the
-route shares no code with the exact elimination.
+over the integers and a float route must report the same number.  The
+float route divides each row by its largest ``|entry|``, which keeps the
+rank, and eliminates the matrix as given sparsely in IEEE doubles,
+shortest row first, with threshold partial pivoting; an updated entry is
+dropped only when it cancels to rounding noise relative to its operands.
+Nothing is made dense, no exact pre-pass feeds the route, and it shares
+no code with the exact elimination.
 """
 
 from __future__ import annotations
@@ -82,8 +76,8 @@ FLOAT_RANK_MAX_BYTES = 1 << 30
 #: when ``|w| <= FLOAT_RANK_REL_CUTOFF · (|old| + |m·pv|)``, so only a
 #: cancellation is dropped, whatever the entries' size.  On the four
 #: ladders up to 3x3x3 and on graded meshes every cancellation dropped left
-#: at most 2.5e-15 of its operands, rounding noise, and every entry kept at
-#: least 5.6e-3; the cutoff sits near the geometric middle of that gap
+#: at most 1.2e-14 of its operands, rounding noise, and every entry kept at
+#: least 2.9e-3; the cutoff sits near the geometric middle of that gap
 FLOAT_RANK_REL_CUTOFF = 1e-9
 
 #: a pivot is at least this fraction of its row's largest ``|entry|``
@@ -125,8 +119,8 @@ def _check_dense_size(shape: tuple[int, int]) -> None:
 def _core_float_rank(rows: list[dict[int, int]],
                      record: dict | None = None) -> int:
     """Rank of the integer ``rows`` by sparse elimination in IEEE doubles,
-    each row first divided by its largest ``|entry|``.  ``rows`` is
-    consumed: each integer row is released as its float row is made.
+    each row first divided by its largest ``|entry|``; empty rows are
+    skipped.  ``rows`` is read and left as it was.
 
     The pivot row is the shortest live row, from a ``(length, index)``
     heap whose stale entries are skipped, rebuilt once they outnumber the
@@ -148,13 +142,13 @@ def _core_float_rank(rows: list[dict[int, int]],
     live: dict[int, dict[int, float]] = {}
     col_rows: dict[int, list[int]] = {}
     for i, r in enumerate(rows):
-        rows[i] = None
+        if not r:
+            continue
         d = max(map(abs, r.values()))
         # int true division rounds correctly and takes any size
         live[i] = {j: v / d for j, v in r.items()}
         for j in r:
             col_rows.setdefault(j, []).append(i)
-    rows.clear()
     col_live = {j: len(ks) for j, ks in col_rows.items()}
     heap = [(len(r), i) for i, r in live.items()]
     heapq.heapify(heap)
@@ -217,17 +211,11 @@ def _core_float_rank(rows: list[dict[int, int]],
 
 
 def float_rank(mat: SparseMatrix) -> int:
-    """Rank of ``mat``: singletons and doubletons deleted exactly
-    (:func:`_exactcore.peel_doubletons`), plus the rank of the core by
-    sparse elimination in floating point (:func:`_core_float_rank`).  An
-    empty core is not eliminated.  The size guard reads the full shape and
-    runs before any deletion.
+    """Rank of ``mat`` by one sparse elimination of its rows in floating
+    point (:func:`_core_float_rank`), after the size guard.
     """
     _check_dense_size((mat.nrows, mat.ncols))
-    deleted, rows, _cols = _exactcore.peel_doubletons(mat.rows, mat.ncols)
-    if not rows:
-        return deleted
-    return deleted + _core_float_rank(rows)
+    return _core_float_rank(mat.rows)
 
 
 def certified_ranks(mat: SparseMatrix, arithmetic: str,
