@@ -1,8 +1,12 @@
 """Global space assembly and exact operator matrices.
 
-A global space enumerates degrees of freedom over the mesh entities, with
-every shared DOF identified once across adjacent cells.  An assembled
-operator matrix is built from local blocks, one per cell shape ``h``:
+A global space numbers its degrees of freedom by entity offsets.  Every
+DOF lives on one vertex, edge, face or cell, and every entity of one class
+(vertex, edge by axis, face by normal, cell) carries the same DOFs, so a
+DOF's global index is its entity's start plus its rank among the entity's
+DOFs, and adjacent cells share it (entity-based DOF maps: Logg, IJCSE 4,
+2009).  An assembled operator matrix is built from local blocks, one per
+cell shape ``h``:
 
     K(h) = D_dst(h)  @  O(h)  @  R_src(h)
 
@@ -103,7 +107,7 @@ from .elements import (DofFunctional, FamilyId, _COMP_POS, _DIAG_COMPS,
                        _axis_table, _bubbles_for, _component_poly,
                        axis_functionals, group_forms, local_dofs, shape_space,
                        triangular_blocks)
-from .mesh import ENTITY_RANK, CuboidMesh
+from .mesh import CuboidMesh
 from .operators import (OPERATORS, PolyField, check_membership,
                         coordinate_field, field_coords)
 from .polytensor import AXIS_NAMES, UNIT_BOX, CellBox, TensorPoly
@@ -133,39 +137,93 @@ COMPLEX_EDGES = frozenset(
 # global DOF enumeration
 
 
-def _dof_sort_key(key) -> tuple:
-    (kind, gid), comp, deriv, weight, _tag, bub = key
-    return (ENTITY_RANK[kind], gid, _COMP_POS[comp], deriv, weight, bub)
+def _entity_class(label: tuple) -> tuple:
+    """The class of a local entity label, as in ``CuboidMesh.entity_blocks``."""
+    return label[:2] if label[0] in ("edge", "face") else label[:1]
+
+
+def _class_name(cls: tuple) -> str:
+    if len(cls) == 1:
+        return cls[0]
+    side = "along" if cls[0] == "edge" else "normal to"
+    return f"{cls[0]} {side} {AXIS_NAMES[cls[1]]}"
+
+
+def _rank_key(dof: DofFunctional) -> tuple:
+    return (_COMP_POS[dof.component], dof.deriv, dof.weight, dof.bubble_index,
+            dof.kind)
+
+
+def _entity_ranks(fam: FamilyId, ref: list[DofFunctional], labels
+                  ) -> tuple[list[int], dict[tuple, int]]:
+    """Each catalog DOF's rank among the DOFs of its entity label, by
+    ``(component, deriv, weight, bubble index, kind)``, and the number of
+    DOFs on each entity of a class.  Every label of one class must carry
+    the same ranked DOFs, or there is no one numbering of the class's
+    entities; raises ``AssertionError`` naming the class otherwise."""
+    by_label: dict[tuple, list[int]] = {label: [] for label in labels}
+    for p, dof in enumerate(ref):
+        by_label[dof.entity_label].append(p)
+    ranks = [0] * len(ref)
+    carried: dict[tuple, list] = {}
+    for label, positions in by_label.items():
+        positions.sort(key=lambda p: _rank_key(ref[p]))
+        dofs = [_rank_key(ref[p]) for p in positions]
+        cls = _entity_class(label)
+        if carried.setdefault(cls, dofs) != dofs:
+            raise AssertionError(f"{fam.name} k={fam.k}: the {_class_name(cls)} "
+                                 f"labels do not all carry the same DOFs")
+        for rank, p in enumerate(positions):
+            ranks[p] = rank
+    return ranks, {cls: len(dofs) for cls, dofs in carried.items()}
 
 
 @dataclass
 class GlobalSpace:
-    """An assembled finite element space on a cuboid mesh: the sorted DOF
-    ``keys``, per cell the global index of each catalog DOF
+    """An assembled finite element space on a cuboid mesh: its
+    ``dimension``, per cell the global index of each catalog DOF
     (``cell_maps``), and the unit-cell catalog ``ref_dofs``."""
 
     fam: FamilyId
     mesh: CuboidMesh
-    keys: list
+    dimension: int
     cell_maps: list[list[int]]
     ref_dofs: list[DofFunctional]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.keys)
+    def key(self, gi: int) -> tuple:
+        """The identity of global DOF ``gi``, ``DofFunctional.dof_key`` of
+        its global entity, read from the first cell that carries it."""
+        for ci, cmap in enumerate(self.cell_maps):
+            if gi in cmap:
+                dof = self.ref_dofs[cmap.index(gi)]
+                return dof.dof_key(self.mesh.cell_entity_ids(ci)[dof.entity_label])
+        raise IndexError(f"no cell carries DOF {gi}")
 
 
 def assemble_space(fam: FamilyId, mesh: CuboidMesh) -> GlobalSpace:
+    """Number the family's DOFs on the mesh by entity offsets: the entities
+    in the order of ``CuboidMesh.entity_blocks``, each with the DOFs of its
+    class in rank order (:func:`_entity_ranks`), so a DOF's global index is
+    its entity's start plus its rank."""
     ref = local_dofs(fam)
-    per_cell_keys = []
+    labels = mesh.cell_entity_ids(0)
+    ranks, counts = _entity_ranks(fam, ref, labels)
+    # per class, the start of its entity with id 0 and the DOFs on each
+    offsets, dimension = {}, 0
+    for cls, size, first in mesh.entity_blocks():
+        n = counts[cls]
+        offsets[cls] = (dimension - first * n, n)
+        dimension += size * n
+    per_label = [(label, *offsets[_entity_class(label)]) for label in labels]
+    layout = [(dof.entity_label, r) for dof, r in zip(ref, ranks)]
+    # one int object per DOF, shared by every cell that carries it
+    numbers = list(range(dimension))
+    cell_maps = []
     for ci in range(mesh.num_cells):
         ids = mesh.cell_entity_ids(ci)
-        per_cell_keys.append([dof.dof_key(ids[dof.entity_label]) for dof in ref])
-    ordered = sorted({k for keys in per_cell_keys for k in keys},
-                     key=_dof_sort_key)
-    index = {key: i for i, key in enumerate(ordered)}
-    cell_maps = [[index[k] for k in keys] for keys in per_cell_keys]
-    return GlobalSpace(fam, mesh, ordered, cell_maps, ref)
+        starts = {label: b + ids[label][1] * n for label, b, n in per_label}
+        cell_maps.append([numbers[starts[label] + r] for label, r in layout])
+    return GlobalSpace(fam, mesh, dimension, cell_maps, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -669,15 +727,15 @@ def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseM
                 j = local_col.get(gj)
                 if j is None:
                     raise ConformityError(
-                        f"target DOF {dst.keys[gi]} receives a one-sided "
-                        f"contribution from source DOF {src.keys[gj]}")
+                        f"target DOF {dst.key(gi)} receives a one-sided "
+                        f"contribution from source DOF {src.key(gj)}")
                 v = krow.get(j)
                 if v is None:
                     raise ConformityError(
-                        f"zero/nonzero clash at target DOF {dst.keys[gi]}")
+                        f"zero/nonzero clash at target DOF {dst.key(gi)}")
                 if v != stored:
                     raise ConformityError(
-                        f"cells disagree at target DOF {dst.keys[gi]}: "
+                        f"cells disagree at target DOF {dst.key(gi)}: "
                         f"{Fraction(stored, L)} vs {Fraction(v, L)}")
     return A
 
@@ -830,7 +888,7 @@ def interpolate(space: GlobalSpace,
                 vals[gi] = v
             elif vals[gi] != v:
                 raise AssertionError(
-                    f"field is multivalued at DOF {space.keys[gi]}: "
+                    f"field is multivalued at DOF {space.key(gi)}: "
                     f"{vals[gi]} vs {v}")
     return [v if v is not None else _F0 for v in vals]
 

@@ -545,9 +545,9 @@ def _unit_catalog(fam: FamilyId) -> tuple[DofFunctional, ...]:
 def local_dofs(fam: FamilyId, cell: CellBox = UNIT_BOX) -> list[DofFunctional]:
     """The family's DOFs on one cell, in canonical local order.
 
-    The order is (entity rank, local entity, component, derivative, weight);
-    it matches the relative order of global entity ids on every cell of a
-    structured mesh, which is what makes one reference DOF matrix reusable.
+    The order is (entity rank, local entity, component, derivative, weight,
+    bubble index).  Within one entity it is the order in which
+    ``assembly.assemble_space`` numbers the entity's global DOFs.
     Each call returns a fresh list; off the unit cell every DOF is rebound
     to its entity on ``cell``, one entity per label.
     """

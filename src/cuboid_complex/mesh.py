@@ -3,12 +3,11 @@
 The mesh is the tensor product of three strictly increasing breakpoint
 sequences.  Vertices and cells are numbered lexicographically (z index
 fastest); edges all x-directed, then y-, then z-directed, and faces by
-normal x, y, z, each block lexicographic.  Within one cell the local
-entity order (8 vertices, 12 edges, 6 faces, the cell) agrees with the
-relative order of the global ids, which lets one reference DOF layout
-serve every cell.  :meth:`CuboidMesh.cell_entity_ids` is the one place
-that order lives: it maps each local entity label to its global (kind,
-id).
+normal x, y, z, each block lexicographic; :meth:`CuboidMesh.entity_blocks`
+lists those blocks.  Within one cell the local entity order (8 vertices,
+12 edges, 6 faces, the cell) agrees with the relative order of the global
+ids.  :meth:`CuboidMesh.cell_entity_ids` is the one place that order
+lives: it maps each local entity label to its global (kind, id).
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polytensor import CellBox, EntityRef
-
-# (kind tag, rank) in global DOF ordering
-ENTITY_RANK = {"vertex": 0, "edge": 1, "face": 2, "cell": 3}
 
 # Local deltas, fixed once; see module docstring.
 _VERTEX_CORNERS = [(di, dj, dl) for di in (0, 1) for dj in (0, 1) for dl in (0, 1)]
@@ -136,6 +132,22 @@ class CuboidMesh:
                 top[a] += 1
         hi = self._point(*top)
         return EntityRef("face", CellBox(lo, hi))
+
+    def entity_blocks(self) -> list[tuple[tuple, int, int]]:
+        """The entity classes in global order, each as ``(class, count,
+        first id)``: the vertices, the edges along x, y and z, the faces
+        normal to x, y and z, the cells.  A class is the prefix of its
+        local labels: ``("vertex",)``, ``("edge", axis)``, ``("face",
+        normal)`` or ``("cell",)``."""
+        blocks = [(("vertex",), self.num_vertices, 0)]
+        for kind, sizes in (("edge", self._edge_block_sizes()),
+                            ("face", self._face_block_sizes())):
+            first = 0
+            for axis, size in enumerate(sizes):
+                blocks.append(((kind, axis), size, first))
+                first += size
+        blocks.append((("cell",), self.num_cells, 0))
+        return blocks
 
     # -- cell-local entity ids ---------------------------------------------------
 

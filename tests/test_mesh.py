@@ -78,6 +78,25 @@ def test_ids_are_bijective(shape):
         assert mesh.cell_id(*mesh.cell_index(ci)) == ci
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 4)])
+def test_entity_blocks_hold_each_class_of_labels(shape):
+    """The blocks tile each kind's ids in class order, and every cell's
+    label of a class names an id inside that class's block."""
+    mesh = uniform_unit_mesh(*shape)
+    blocks = mesh.entity_blocks()
+    totals = dict(zip(("vertex", "edge", "face", "cell"), mesh.entity_counts()))
+    for kind, total in totals.items():
+        spans = [(first, size) for cls, size, first in blocks if cls[0] == kind]
+        assert [f for f, _ in spans] == [sum(s for _, s in spans[:i])
+                                         for i in range(len(spans))]
+        assert sum(s for _, s in spans) == total
+    span = {cls: range(first, first + size) for cls, size, first in blocks}
+    for ci in range(mesh.num_cells):
+        for label, (kind, gid) in mesh.cell_entity_ids(ci).items():
+            cls = label[:2] if kind in ("edge", "face") else label[:1]
+            assert gid in span[cls], (ci, label)
+
+
 def test_cell_entity_lists_have_canonical_shape():
     """27 labels in canonical order, whose ids increase within each kind."""
     mesh = uniform_unit_mesh(2, 2, 2)
