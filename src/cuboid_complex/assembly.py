@@ -238,6 +238,12 @@ _WEIGHT_EXPONENTS = {"u": (0, 0, 0), "x": (0, 1, 0), "sigma": (0, 1, 1),
 
 
 @lru_cache(maxsize=None)
+def _catalog_functionals(fam: FamilyId) -> tuple:
+    """``axis_functionals`` of each catalog DOF, once per family and order."""
+    return tuple(map(axis_functionals, local_dofs(fam)))
+
+
+@lru_cache(maxsize=None)
 def _exponent_table(fam: FamilyId) -> tuple[tuple, tuple]:
     """Per catalog DOF, the exponents ``m`` of ``dof_scale = h^m`` and of
     ``a = dof_scale / w``, once per family and order (module docstring)."""
@@ -246,8 +252,8 @@ def _exponent_table(fam: FamilyId) -> tuple[tuple, tuple]:
     # one object per distinct triple: two fresh tuples per DOF, cached in
     # mid-run, kept about 0.3 MiB more resident at the peak of a ladder
     distinct: dict = {}
-    for dof in local_dofs(fam):
-        scale = tuple((side is None) - d for d, _w, side in axis_functionals(dof))
+    for dof, funcs in zip(local_dofs(fam), _catalog_functionals(fam)):
+        scale = tuple((side is None) - d for d, _w, side in funcs)
         # "s" and "diag" name no axis; their weight does not depend on one
         a, b = (AXIS_NAMES.index(c) if c in AXIS_NAMES else 0
                 for c in (dof.component[0], dof.component[-1]))
@@ -316,6 +322,15 @@ def _block_diag(blocks, lines: list[Sequence[int]]) -> tuple[list, int]:
     return out, den
 
 
+@lru_cache(maxsize=None)
+def _unit_tables(cap: int, functionals: tuple) -> tuple[tuple, tuple]:
+    """The square 1-D table of ``functionals`` (``(deriv, weight, side)``
+    each) on ``t^e``, e = 0..cap, at ``h = 1``, and its inverse, each as
+    integer rows over a denominator; once per cap and functional list."""
+    tab = [_axis_table(cap, *f, Fraction(1)) for f in functionals]
+    return _int_rows(tab), _int_inverse(tab)
+
+
 def _fibred_unit(spec, form, off: int) -> _Unit:
     """A product or fibred block: 1-D tables and inverses, the identity on a
     fibre axis, and there ``Dof`` and ``R_1`` block diagonal by fibre."""
@@ -325,16 +340,16 @@ def _fibred_unit(spec, form, off: int) -> _Unit:
     tables: list = [None] * 3
     inverses, dof_rows, recon = tables[:], None, ()
     for a, lists in enumerate(form.axes):
-        tabs = [[_axis_table(caps[a], *f, Fraction(1)) for f in fl] for fl in lists]
+        tabs = [_unit_tables(caps[a], tuple(fl)) for fl in lists]
         if len(tabs) == 1:
-            tables[a], inverses[a] = _int_rows(tabs[0]), _int_inverse(tabs[0])
+            tables[a], inverses[a] = tabs[0]
             continue
         stride = (n[1] * n[2], n[2], 1)
         x, y = (o for o in range(3) if o != a)
         lines = [[i * stride[x] + j * stride[y] + m * stride[a] for m in range(n[a])]
                  for i in range(n[x]) for j in range(n[y])]
-        dof_rows = _block_diag([_int_rows(t) for t in tabs], lines)
-        recon = (_block_diag([_int_inverse(t) for t in tabs], lines),)
+        dof_rows = _block_diag([t for t, _inv in tabs], lines)
+        recon = (_block_diag([inv for _t, inv in tabs], lines),)
     return _Unit(((comp, 0, caps),), off, form.dofs, tuple(tables),
                  tuple(inverses), dof_rows, recon)
 
@@ -683,15 +698,40 @@ class ConformityError(AssertionError):
     """Adjacent cells disagreed about a shared target DOF value."""
 
 
+def _conformity_error(src: GlobalSpace, dst: GlobalSpace, gi: int, ci: int,
+                      stored: dict[int, int], mine: dict[int, int],
+                      L: int) -> ConformityError:
+    """Why cell ``ci``'s row ``mine`` of target DOF ``gi`` differs from
+    ``stored``, the row of the first cell that carries ``gi``: a source DOF
+    one of the two cells does not carry, an entry only one of them holds,
+    or a value they disagree on (all over ``L``)."""
+    first = next(c for c, cmap in enumerate(dst.cell_maps) if gi in cmap)
+    shared = set(src.cell_maps[first]).intersection(src.cell_maps[ci])
+    diff = sorted(gj for gj in stored.keys() | mine.keys()
+                  if stored.get(gj) != mine.get(gj))
+    for gj in diff:
+        if gj not in shared:
+            return ConformityError(
+                f"target DOF {dst.key(gi)} receives a one-sided "
+                f"contribution from source DOF {src.key(gj)}")
+    if any(gj not in stored or gj not in mine for gj in diff):
+        return ConformityError(f"zero/nonzero clash at target DOF {dst.key(gi)}")
+    gj = diff[0]
+    return ConformityError(f"cells disagree at target DOF {dst.key(gi)}: "
+                           f"{Fraction(stored[gj], L)} vs {Fraction(mine[gj], L)}")
+
+
 def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseMatrix:
     """Assemble the global operator matrix (target dim by source dim).
 
-    Every cell's block is scattered keeping the first value at each entry,
-    then one audit over ``cell_maps`` checks every stored entry against
-    each cell that carries its target DOF.  Raises
-    :class:`ConformityError` when such a cell does not carry the source DOF
-    (a one-sided contribution), holds an implicit zero there (a
-    zero/nonzero clash) or holds a different value (the cells disagree).
+    One pass over the cells: each cell's row of a target DOF, read through
+    its ``cell_maps``, is stored by the first cell that carries the DOF and
+    must equal it in every later one, as a dict.  So every stored row is
+    the row of every cell that carries its target DOF.  Raises
+    :class:`ConformityError` when a stored entry comes from a source DOF
+    one cell does not carry (a one-sided contribution), only one of the
+    cells holds an entry (a zero/nonzero clash) or they hold different
+    values (the cells disagree).
     """
     if (src.fam.name, op_name, dst.fam.name) not in COMPLEX_EDGES:
         raise ValueError(
@@ -709,35 +749,17 @@ def operator_matrix(op_name: str, src: GlobalSpace, dst: GlobalSpace) -> SparseM
                 for h in dict.fromkeys(shapes)}
     L = lcm(*(den for _rows, den in by_shape.values()))
     scaled = {h: _scaled(K, L // den) for h, (K, den) in by_shape.items()}
-    blocks = [scaled[h] for h in shapes]
-    A = SparseMatrix(dst.dimension, src.dimension, den=L)
-    rows = A.rows
-    for ci, K in enumerate(blocks):
+    rows: list = [None] * dst.dimension
+    for ci, h in enumerate(shapes):
         smap = src.cell_maps[ci]
-        for gi, krow in zip(dst.cell_maps[ci], K):
-            row = rows[gi]
-            for j, v in krow.items():
-                row.setdefault(smap[j], v)
-    # every cell that carries a target DOF must reproduce its whole stored
-    # row, the stored entries mapped back to the cell's local columns
-    for ci, K in enumerate(blocks):
-        local_col = {gj: j for j, gj in enumerate(src.cell_maps[ci])}
-        for gi, krow in zip(dst.cell_maps[ci], K):
-            for gj, stored in rows[gi].items():
-                j = local_col.get(gj)
-                if j is None:
-                    raise ConformityError(
-                        f"target DOF {dst.key(gi)} receives a one-sided "
-                        f"contribution from source DOF {src.key(gj)}")
-                v = krow.get(j)
-                if v is None:
-                    raise ConformityError(
-                        f"zero/nonzero clash at target DOF {dst.key(gi)}")
-                if v != stored:
-                    raise ConformityError(
-                        f"cells disagree at target DOF {dst.key(gi)}: "
-                        f"{Fraction(stored, L)} vs {Fraction(v, L)}")
-    return A
+        for gi, krow in zip(dst.cell_maps[ci], scaled[h]):
+            mine = {smap[j]: v for j, v in krow.items()}
+            stored = rows[gi]
+            if stored is None:
+                rows[gi] = mine
+            elif stored != mine:
+                raise _conformity_error(src, dst, gi, ci, stored, mine, L)
+    return SparseMatrix(dst.dimension, src.dimension, rows, L)
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +876,7 @@ def interpolate(space: GlobalSpace,
     fam = space.fam
     spec = shape_space(fam)
     bubbles = _bubbles_for(fam)
-    funcs = [axis_functionals(d) for d in space.ref_dofs]
+    funcs = _catalog_functionals(fam)
     needed = {d.component for d in space.ref_dofs} - {"diag"}
     pairings = []
     if bubbles is not None:
@@ -865,6 +887,7 @@ def interpolate(space: GlobalSpace,
                      for comp, bp in zip(_DIAG_COMPS, trip)
                      for e, b in bp.terms()] for trip in bubbles.triples]
     tables: dict = {}
+    scales_by_shape: dict = {}
     vals: list[Fraction | None] = [None] * space.dimension
     for ci in range(space.mesh.num_cells):
         box = space.mesh.cell_box(ci)
@@ -876,7 +899,10 @@ def interpolate(space: GlobalSpace,
                     f"{p.cell}, not on the cell's box {box}")
         arrays = {comp: _coeff_array(_component_poly(field, comp, spec))
                   for comp in needed}
-        scales = _dof_scales(fam, tuple(box.h(a) for a in range(3)))
+        h = tuple(box.h(a) for a in range(3))
+        scales = scales_by_shape.get(h)
+        if scales is None:
+            scales = scales_by_shape[h] = _dof_scales(fam, h)
         for dof, f, s, gi in zip(space.ref_dofs, funcs, scales,
                                  space.cell_maps[ci]):
             if dof.kind == "coupled":

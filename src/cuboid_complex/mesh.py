@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .polytensor import CellBox, EntityRef
 
@@ -42,8 +43,9 @@ class CuboidMesh:
 
     # -- sizes -------------------------------------------------------------
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, int, int]:
+        # every id helper reads it; computed once per mesh
         return (len(self.breaks_x) - 1, len(self.breaks_y) - 1, len(self.breaks_z) - 1)
 
     @property

@@ -9,7 +9,8 @@ A ladder is certified one edge at a time: each operator matrix is
 assembled, ranked by every requested route (:func:`certified_ranks`) and
 released before the next is assembled.  In "both" mode a rank disagreement
 raises ``AssertionError`` naming the edge, such as ``curl: sigma -> xi``,
-and both ranks.
+and both ranks.  The first exact rank comes from unit-cell facts when they
+and the later ranks pin it down, with no elimination of the first matrix.
 
 Rank certification is dual-route on request: fraction-free elimination
 over the integers and a float route must report the same number.  The
@@ -28,11 +29,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import _exactcore
 from .assembly import (COMPLEXES, GlobalSpace, SparseMatrix, assemble_space,
                        interpolate, operator_matrix, reconstruct_local,
-                       _operator_rows, _reference_block)
+                       _catalog_functionals, _operator_rows, _reference_block)
 from .elements import (FamilyId, comp_name, global_dimension_formula,
                        shape_space, _others)
 from .mesh import CuboidMesh
@@ -234,8 +236,13 @@ def certified_ranks(mat: SparseMatrix, arithmetic: str,
     rank_f = float_rank(mat)
     if arithmetic == "float":
         return rank_f, None
-    rank = exact_rank(mat)
-    if rank != rank_f:
+    return _cross_checked(exact_rank(mat), rank_f, edge)
+
+
+def _cross_checked(rank: int, rank_f: int | None,
+                   edge: str) -> tuple[int, int | None]:
+    """``(rank, rank_f)``, once the float rank, if any, agrees."""
+    if rank_f is not None and rank != rank_f:
         raise AssertionError(f"rank cross-check failed on {edge}, "
                              f"rational {rank} vs float {rank_f}")
     return rank, rank_f
@@ -257,6 +264,25 @@ def _reference_compositions_zero(name: str, k: int) -> bool:
               for op, src, dst in zip(ops, ids, ids[1:])]
     return all(not row for inner, outer in zip(blocks, blocks[1:])
                for row in _exactcore.spmul(outer, inner))
+
+
+@lru_cache(maxsize=None)
+def _first_block_nullity(name: str, k: int) -> int | None:
+    """The nullity of the ladder's first reference block ``K0(1)`` (F1),
+    or None unless, for every axis ``a``, its columns of the catalog DOFs
+    off the face ``t_a = 0`` have full column rank (F2); once per ladder
+    and order.  That face holds the cell's vertices, edges and face at side
+    0 on axis ``a``.  See :func:`verify_complex` for the lemma."""
+    fams, ops = COMPLEXES[name][:2]
+    src = FamilyId(fams[0], k)
+    rows = _reference_block(ops[0], src, FamilyId(fams[1], k))[0]
+    funcs = _catalog_functionals(src)
+    for a in range(3):
+        off = {p for p, f in enumerate(funcs) if f[a][2] != 0}
+        if _exactcore.ff_rank([{j: v for j, v in r.items() if j in off}
+                               for r in rows], len(funcs)) != len(off):
+            return None
+    return len(funcs) - _exactcore.ff_rank(rows, len(funcs))
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +344,21 @@ def complex_spaces(name: str, k: int, mesh: CuboidMesh) -> list[GlobalSpace]:
     return [assemble_space(FamilyId(f, k), mesh) for f in fams]
 
 
+def _edge_name(op: str, src: GlobalSpace, dst: GlobalSpace) -> str:
+    return f"{op}: {src.fam.name} -> {dst.fam.name}"
+
+
+def _edge_ranks(op: str, src: GlobalSpace, dst: GlobalSpace,
+                arithmetic: str, exact: bool) -> tuple[int | None, int | None]:
+    """Assemble one operator matrix, which runs its audit, and rank it by
+    :func:`certified_ranks`; with ``exact`` False only by the float route
+    in "both" mode, the rank None.  The matrix is freed on return."""
+    mat = operator_matrix(op, src, dst)
+    if exact:
+        return certified_ranks(mat, arithmetic, _edge_name(op, src, dst))
+    return None, float_rank(mat) if arithmetic == "both" else None
+
+
 def verify_complex(name: str, k: int, mesh: CuboidMesh,
                    arithmetic: str = "rational") -> ExactnessReport:
     """Assemble one ladder and verify it is an exact complex, one edge at a
@@ -341,6 +382,24 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
     0``.  A failed audit raises :class:`ConformityError`, and the report is
     built only after all three audits.
 
+    The first rank ``r0`` comes from unit-cell facts when the ranks are
+    exact.  Lemma: if the audit passed on ``A0`` (P1), ``K0(1)`` has
+    nullity ``kd`` (F1) and, for each axis ``a``, full column rank on the
+    columns of the DOFs off its face ``t_a = 0`` (F2,
+    :func:`_first_block_nullity`), then ``nullity(A0) <= kd`` on every box
+    mesh.  Let ``A0 v = 0``.  P1 gives ``K0(h_c) v_c = 0`` on every cell
+    ``c``, so ``v_c`` lies in ``diag(a_src(h_c)) ker K0(1)``, where F2
+    holds too, since a diagonal scaling keeps zeros.  Visit the cells in
+    increasing index order from (0, 0, 0).  Each later cell shares its face
+    ``t_a = 0``, on an axis ``a`` where its index is positive, with a cell
+    visited before it, so if ``v`` vanishes on the first cell, F2 makes it
+    vanish on every cell.  So ``v`` is fixed by ``v_c`` on the first cell,
+    which lies in a space of dimension ``kd``.  Thus ``r0 >= n0 - kd``, and
+    the composition above gives ``r0 <= n1 - r1``.  When the bounds meet,
+    ``r0 = n0 - kd``; ``A0`` is still assembled, which runs its audit, and
+    in "both" mode its float rank must agree.  Otherwise ``A0`` is
+    assembled again and eliminated.
+
     An ``arithmetic`` not in :data:`ARITHMETICS` or an unknown complex
     raises ``ValueError`` before any assembly, and a ladder too large for
     the float route :class:`DenseSizeError` before any operator matrix.
@@ -362,9 +421,17 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
         for ncols, nrows in zip(dims, dims[1:]):
             _check_dense_size((nrows, ncols))
     comp_zero = _reference_compositions_zero(name, k)
-    pairs = [certified_ranks(operator_matrix(op, src, dst), arithmetic,
-                             f"{op}: {src.fam.name} -> {dst.fam.name}")
-             for op, src, dst in zip(ops, spaces, spaces[1:])]
+    lemma = (arithmetic != "float" and comp_zero
+             and _first_block_nullity(name, k) == kernel_dim)
+    edges = list(zip(ops, spaces, spaces[1:]))
+    pairs = [_edge_ranks(op, src, dst, arithmetic, not (lemma and i == 0))
+             for i, (op, src, dst) in enumerate(edges)]
+    if lemma:
+        r0 = dims[0] - kernel_dim
+        if r0 != dims[1] - pairs[1][0]:
+            # the bounds do not meet: eliminate A0 after all
+            r0 = exact_rank(operator_matrix(*edges[0]))
+        pairs[0] = _cross_checked(r0, pairs[0][1], _edge_name(*edges[0]))
     ranks = [rank for rank, _ in pairs]
     ranks_f = [rank_f for _, rank_f in pairs] if arithmetic == "both" else None
     report = ExactnessReport(
@@ -481,7 +548,13 @@ def kernel_identification(name: str, k: int, mesh: CuboidMesh) -> dict:
                            for mk in kernel_field_makers(name)], src.dimension)
     annihilated = composition_is_zero(a1, columns)
     interp_rank = exact_rank(columns)
-    nullity = src.dimension - exact_rank(a1)
+    if (annihilated and interp_rank == kernel_dim
+            and _first_block_nullity(name, k) == kernel_dim):
+        # kd independent kernel vectors, and at most kd by the first-rank
+        # lemma of verify_complex, whose premise P1 a1's audit gave
+        nullity = kernel_dim
+    else:
+        nullity = src.dimension - exact_rank(a1)
     return {"complex": name, "k": k, "kernel_dim": kernel_dim,
             "annihilated": annihilated, "interpolant_rank": interp_rank,
             "nullity": nullity, "identified": annihilated

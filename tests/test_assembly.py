@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,8 +17,8 @@ from cuboid_complex.assembly import (
 )
 from cuboid_complex.elements import (FAMILY_NAMES, _COMP_POS, FamilyId,
                                      _bubbles_for, _group_positions, apply_dof,
-                                     family, group_dof_matrix, local_dofs,
-                                     min_order, shape_space)
+                                     family, group_dof_matrix, group_forms,
+                                     local_dofs, min_order, shape_space)
 from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
 from cuboid_complex.operators import (OPERATORS, MembershipError,
                                       coordinate_field, field_coords,
@@ -434,6 +435,10 @@ def test_factored_block_equals_dense_pipeline(src, op, dst, k):
     assert rational(rows, den) == oracle
 
 
+_GRADED_3X2X4 = build_box_mesh([0, F(2, 7), F(1, 2), 1], [0, F(3, 5), 1],
+                               [0, F(1, 4), F(2, 3), F(5, 6), 1])
+
+
 def _graded_mesh(seed):
     """A 2x2x1 mesh with seeded x and y breakpoints and distinct widths on
     each axis, so each of its four cells has its own shape."""
@@ -572,6 +577,44 @@ def test_conformity_audit_sees_a_one_sided_contribution(monkeypatch):
         _tamper_one_shared_entry(monkeypatch, reach)
 
 
+def oracle_operator_matrix(op_name, src, dst):
+    """The global matrix by scatter, then audit: every cell's block is
+    scattered keeping the first value at each entry, then each cell that
+    carries a target DOF must reproduce its whole stored row.  Returns
+    ``(rows, den)``."""
+    mesh = src.mesh
+    shapes = [tuple(box.h(a) for a in range(3))
+              for box in map(mesh.cell_box, range(mesh.num_cells))]
+    by_shape = {h: local_operator_block(op_name, src.fam, dst.fam, h)
+                for h in dict.fromkeys(shapes)}
+    L = lcm(*(den for _rows, den in by_shape.values()))
+    blocks = [[{j: v * (L // den) for j, v in row.items()} for row in K]
+              for K, den in map(by_shape.__getitem__, shapes)]
+    rows = [{} for _ in range(dst.dimension)]
+    for ci, K in enumerate(blocks):
+        smap = src.cell_maps[ci]
+        for gi, krow in zip(dst.cell_maps[ci], K):
+            for j, v in krow.items():
+                rows[gi].setdefault(smap[j], v)
+    for ci, K in enumerate(blocks):
+        local_col = {gj: j for j, gj in enumerate(src.cell_maps[ci])}
+        for gi, krow in zip(dst.cell_maps[ci], K):
+            for gj, stored in rows[gi].items():
+                assert krow.get(local_col.get(gj)) == stored, (ci, gi, gj)
+    return rows, L
+
+
+@pytest.mark.parametrize("src,op,dst", _ladder_edges())
+def test_one_pass_audit_equals_scatter_then_audit(src, op, dst):
+    k = min_order(src)
+    s, d = family(src, k), family(dst, k)
+    for mesh in (uniform_unit_mesh(2, 2, 2), _graded_mesh(20260818),
+                 _GRADED_3X2X4):
+        sspace, dspace = assemble_space(s, mesh), assemble_space(d, mesh)
+        A = operator_matrix(op, sspace, dspace)
+        assert (A.rows, A.den) == oracle_operator_matrix(op, sspace, dspace)
+
+
 def _reference_cache_sizes():
     caches = {f"{mod.__name__}.{name}": fn
               for mod in (cuboid_complex.assembly, cuboid_complex.elements)
@@ -599,6 +642,32 @@ def test_reference_caches_do_not_grow_with_cell_shapes():
     after_first = _reference_cache_sizes()
     curl(second)
     assert _reference_cache_sizes() == after_first
+
+
+def test_factor_tables_invert_each_distinct_table_once(monkeypatch):
+    """Building the 13 families' factor tables at minimum order inverts
+    each distinct square 1-D table, keyed by cap and functional list, once,
+    plus ``M11`` and ``G`` of each coupled block: 7 inversions, where one
+    per fibre and per family would be 206."""
+    calls = []
+    real = _exactcore.fj_inverse
+    monkeypatch.setattr(_exactcore, "fj_inverse",
+                        lambda mat: calls.append(len(mat)) or real(mat))
+    assembly._factor_table.cache_clear()
+    assembly._unit_tables.cache_clear()
+    keys, coupled = set(), 0
+    for name in FAMILY_NAMES:
+        fam = family(name, min_order(name))
+        assembly._factor_table(fam)
+        for forms in group_forms(fam).values():
+            for form in forms:
+                if form.axes is None:
+                    coupled += 2
+                    continue
+                caps = shape_space(fam).degrees[form.comps[0]].caps
+                keys.update((caps[a], tuple(fl)) for a, lists
+                            in enumerate(form.axes) for fl in lists)
+    assert len(calls) <= len(keys) + coupled == 7
 
 
 _MIN_AND_NEXT = [(name, min_order(name) + dk)
@@ -713,9 +782,7 @@ def oracle_numbering(fam, mesh):
 
 _NUMBERING_MESHES = (
     uniform_unit_mesh(1, 1, 1), uniform_unit_mesh(2, 2, 2),
-    uniform_unit_mesh(4, 3, 3), _graded_mesh(3),
-    build_box_mesh([0, F(2, 7), F(1, 2), 1], [0, F(3, 5), 1],
-                   [0, F(1, 4), F(2, 3), F(5, 6), 1]),
+    uniform_unit_mesh(4, 3, 3), _graded_mesh(3), _GRADED_3X2X4,
 )
 
 

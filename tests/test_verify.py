@@ -322,6 +322,111 @@ def test_broken_reference_composition_is_not_certified(monkeypatch, capsys,
     assert out["composition_zero"] is False and out["exact"] is False
 
 
+# The first-rank certificate: verify_complex takes r0 = n0 - kd from
+# unit-cell facts when its two bounds meet, and kernel_identification the
+# nullity kd (verify_complex's docstring has the lemma).  Eliminating A0 is
+# the oracle here; the other two ranks are eliminated on both sides.
+
+_GRADED_3X2X2 = build_box_mesh([0, F(1, 7), F(1, 2), 1], [0, F(2, 3), 1],
+                               [0, F(1, 5), 1])
+
+FIRST_RANK_MESHES = (uniform_unit_mesh(1, 1, 1), uniform_unit_mesh(2, 2, 2),
+                     uniform_unit_mesh(3, 3, 3), _GRADED_2X2X1, _GRADED_3X2X2)
+
+
+@pytest.fixture
+def fresh_first_block_facts():
+    """Unit-cell facts read while the test runs, and none left cached."""
+    facts = verify._first_block_nullity
+    facts.cache_clear()
+    yield
+    facts.cache_clear()
+
+
+def _ff_rank_widths(monkeypatch) -> list:
+    """Record the column count of every matrix ``ff_rank`` eliminates."""
+    widths = []
+    real = _exactcore.ff_rank
+
+    def spy(rows, ncols, counts=None):
+        widths.append(ncols)
+        return real(rows, ncols, counts)
+
+    monkeypatch.setattr(_exactcore, "ff_rank", spy)
+    return widths
+
+
+@pytest.mark.parametrize("name,k", [(name, COMPLEXES[name][3] + dk)
+                                    for name in COMPLEX_NAMES for dk in (0, 1)])
+def test_first_rank_from_unit_cell_facts_equals_elimination(name, k):
+    fams, ops = COMPLEXES[name][:2]
+    for mesh in FIRST_RANK_MESHES:
+        rep = verify_complex(name, k, mesh)
+        src, dst = (assemble_space(family(f, k), mesh) for f in fams[:2])
+        r0 = exact_rank(operator_matrix(ops[0], src, dst))
+        assert rep.ranks[0] == r0 and rep.exact, mesh.shape
+        kernel = kernel_identification(name, k, mesh)
+        assert kernel["nullity"] == src.dimension - r0, mesh.shape
+        assert kernel["identified"], mesh.shape
+
+
+@pytest.mark.parametrize("name", COMPLEX_NAMES)
+def test_rational_route_never_eliminates_the_first_matrix(monkeypatch, name):
+    widths = _ff_rank_widths(monkeypatch)
+    rep = verify_complex(name, COMPLEXES[name][3], uniform_unit_mesh(2, 2, 2))
+    assert rep.exact
+    assert rep.dims[1] in widths and rep.dims[2] in widths
+    assert rep.dims[0] not in widths
+
+
+def test_broken_first_block_is_eliminated(monkeypatch,
+                                          fresh_first_block_facts):
+    """Negative control: an edge-0 reference block with one more entry
+    gives no first rank from the unit cell; A0 is eliminated."""
+    _edge_gains_an_entry(monkeypatch, "gradgrad", 3, 0)
+    widths = _ff_rank_widths(monkeypatch)
+    mesh = uniform_unit_mesh(2, 2, 2)
+    rep = verify_complex("gradgrad", 3, mesh)
+    assert rep.ranks == [212, 670, 300] and 216 in widths
+    assert not rep.exact
+    assert kernel_identification("gradgrad", 3, mesh)["nullity"] == 4
+
+
+@pytest.mark.parametrize("arithmetic", ["rational", "both"])
+@pytest.mark.parametrize("facts_hold", [True, False])
+def test_first_rank_bounds_that_do_not_meet_are_eliminated(
+        monkeypatch, fresh_first_block_facts, arithmetic, facts_hold):
+    """Negative control: with ``kd`` set to 5 for gradgrad, the unit-cell
+    bound ``r0 >= n0 - 5`` misses ``r0 <= n1 - r1``, or, when F1 is left to
+    see the true nullity 4, F1 fails; either way A0 is eliminated."""
+    fams, ops, _kd, min_k = COMPLEXES["gradgrad"]
+    monkeypatch.setitem(COMPLEXES, "gradgrad", (fams, ops, 5, min_k))
+    if facts_hold:
+        monkeypatch.setattr(verify, "_first_block_nullity", lambda name, k: 5)
+    widths = _ff_rank_widths(monkeypatch)
+    mesh = uniform_unit_mesh(2, 2, 2)
+    rep = verify_complex("gradgrad", 3, mesh, arithmetic=arithmetic)
+    assert rep.ranks == [212, 670, 300] and 216 in widths
+    assert rep.ranks_float in (None, rep.ranks)
+    assert rep.cohomology_dim == 4 and not rep.exact
+    kernel = kernel_identification("gradgrad", 3, mesh)
+    assert kernel["nullity"] == 4 and not kernel["identified"]
+
+
+def test_first_rank_cross_check_names_the_first_edge(monkeypatch):
+    real = verify.float_rank
+
+    def off_by_one_on_gradgrad(mat):
+        # the gradgrad k=3 operator, u -> sigma, is 204x64 on one cell
+        return real(mat) + ((mat.nrows, mat.ncols) == (204, 64))
+
+    monkeypatch.setattr(verify, "float_rank", off_by_one_on_gradgrad)
+    with pytest.raises(AssertionError,
+                       match="gradgrad: u -> sigma, rational 60 vs float 61"):
+        verify_complex("gradgrad", 3, uniform_unit_mesh(1, 1, 1),
+                       arithmetic="both")
+
+
 def test_reduced_gradgrad_4x4x4_stays_exact():
     # a scale guard on the composition certificate and the rank kernel
     rep = verify_complex("gradgrad-reduced", 3, uniform_unit_mesh(4, 4, 4))
