@@ -9,8 +9,9 @@ A ladder is certified one edge at a time: each operator matrix is
 assembled, ranked by every requested route (:func:`certified_ranks`) and
 released before the next is assembled.  In "both" mode a rank disagreement
 raises ``AssertionError`` naming the edge, such as ``curl: sigma -> xi``,
-and both ranks.  The first exact rank comes from unit-cell facts when they
-and the later ranks pin it down, with no elimination of the first matrix.
+and both ranks.  Each exact rank comes from unit-cell facts when a lower
+bound swept over the cells meets the upper bound the composition gives,
+with no elimination of a ladder matrix.
 
 Rank certification is dual-route on request: fraction-free elimination
 over the integers and a float route must report the same number.  The
@@ -30,6 +31,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 
 from . import _exactcore
 from .assembly import (COMPLEXES, GlobalSpace, SparseMatrix, assemble_space,
@@ -267,22 +270,49 @@ def _reference_compositions_zero(name: str, k: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _first_block_nullity(name: str, k: int) -> int | None:
-    """The nullity of the ladder's first reference block ``K0(1)`` (F1),
-    or None unless, for every axis ``a``, its columns of the catalog DOFs
-    off the face ``t_a = 0`` have full column rank (F2); once per ladder
-    and order.  That face holds the cell's vertices, edges and face at side
-    0 on axis ``a``.  See :func:`verify_complex` for the lemma."""
-    fams, ops = COMPLEXES[name][:2]
-    src = FamilyId(fams[0], k)
-    rows = _reference_block(ops[0], src, FamilyId(fams[1], k))[0]
-    funcs = _catalog_functionals(src)
-    for a in range(3):
-        off = {p for p, f in enumerate(funcs) if f[a][2] != 0}
-        if _exactcore.ff_rank([{j: v for j, v in r.items() if j in off}
-                               for r in rows], len(funcs)) != len(off):
-            return None
-    return len(funcs) - _exactcore.ff_rank(rows, len(funcs))
+def _upper_faces(fam: FamilyId) -> tuple[int, ...]:
+    """Per catalog DOF, the axes ``a`` with its entity on the face ``t_a =
+    1``, as bits ``1 << a``."""
+    return tuple(sum(1 << a for a, (_d, _w, side) in enumerate(f) if side == 1)
+                 for f in _catalog_functionals(fam))
+
+
+@lru_cache(maxsize=None)
+def _class_rank(op: str, src: FamilyId, dst: FamilyId,
+                axes: tuple[int, ...]) -> int:
+    """``rho(S)`` for ``S = axes``: the rank of the unit-cell block ``K(1)``
+    of one edge on the catalog DOFs of both families, ``O(S)``, whose
+    entity lies on no face ``t_a = 1`` with ``a`` in ``S``; once per edge,
+    order and class, ranked in the orientation with fewer rows.  See
+    :func:`verify_complex` for the lemma."""
+    faces = sum(1 << a for a in axes)
+    cols, rows = ([p for p, m in enumerate(_upper_faces(fam)) if not m & faces]
+                  for fam in (src, dst))
+    on = set(cols)
+    K = _reference_block(op, src, dst)[0]
+    block = [{j: v for j, v in K[i].items() if j in on} for i in rows]
+    ncols = len(_upper_faces(src))
+    if len(rows) > len(cols):
+        columns: dict[int, dict[int, int]] = {j: {} for j in cols}
+        for i, r in zip(rows, block):
+            for j, v in r.items():
+                columns[j][i] = v
+        block, ncols = list(columns.values()), len(K)
+    return _exactcore.ff_rank(block, ncols)
+
+
+def _rank_lower_bound(op: str, src: FamilyId, dst: FamilyId,
+                      shape: tuple[int, int, int]) -> int:
+    """``L = sum m(S) rho(S)`` over the classes ``S`` of cells of a mesh of
+    ``shape``: ``S`` holds the axes on which a cell has a neighbour at +1,
+    and ``m(S)``, the product of ``n_a - 1`` over ``S``, counts such cells.
+    A lower bound on the rank of the edge's global matrix once its audit
+    passed (:func:`verify_complex`)."""
+    split = [a for a in range(3) if shape[a] > 1]
+    return sum(prod(shape[a] - 1 for a in axes)
+               * _class_rank(op, src, dst, axes)
+               for n in range(len(split) + 1)
+               for axes in combinations(split, n))
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +412,31 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
     0``.  A failed audit raises :class:`ConformityError`, and the report is
     built only after all three audits.
 
-    The first rank ``r0`` comes from unit-cell facts when the ranks are
-    exact.  Lemma: if the audit passed on ``A0`` (P1), ``K0(1)`` has
-    nullity ``kd`` (F1) and, for each axis ``a``, full column rank on the
-    columns of the DOFs off its face ``t_a = 0`` (F2,
-    :func:`_first_block_nullity`), then ``nullity(A0) <= kd`` on every box
-    mesh.  Let ``A0 v = 0``.  P1 gives ``K0(h_c) v_c = 0`` on every cell
-    ``c``, so ``v_c`` lies in ``diag(a_src(h_c)) ker K0(1)``, where F2
-    holds too, since a diagonal scaling keeps zeros.  Visit the cells in
-    increasing index order from (0, 0, 0).  Each later cell shares its face
-    ``t_a = 0``, on an axis ``a`` where its index is positive, with a cell
-    visited before it, so if ``v`` vanishes on the first cell, F2 makes it
-    vanish on every cell.  So ``v`` is fixed by ``v_c`` on the first cell,
-    which lies in a space of dimension ``kd``.  Thus ``r0 >= n0 - kd``, and
-    the composition above gives ``r0 <= n1 - r1``.  When the bounds meet,
-    ``r0 = n0 - kd``; ``A0`` is still assembled, which runs its audit, and
-    in "both" mode its float rank must agree.  Otherwise ``A0`` is
-    assembled again and eliminated.
+    Under "rational" and "both" every rank comes from unit-cell facts when
+    they pin it down, with no elimination.  Lemma: if the audit passed on
+    ``A_e`` (P1), then ``rank(A_e) >= L_e = sum m(S) rho_e(S)``
+    (:func:`_rank_lower_bound`).  Here ``S`` runs over the subsets of the
+    axes with ``n_a > 1``, ``m(S)`` is the product of ``n_a - 1`` over
+    ``S``, and ``rho_e(S)`` is the rank of ``K_e(1)`` on the target and
+    source catalog DOFs ``O(S)`` whose entity lies on no face ``t_a = 1``,
+    ``a`` in ``S`` (:func:`_class_rank`).  Give each global DOF to the cell
+    with the largest id that carries it.  Cell ids are lexicographic, so a
+    cell ``c`` keeps exactly its DOFs in ``O(S(c))``, where ``S(c)`` holds
+    the axes on which ``c`` has a neighbour at +1, and ``m(S)`` cells have
+    ``S(c) = S``.  P1 makes every cell that carries row ``i`` also carry
+    column ``j`` when ``(A_e)_ij`` is stored, so ``owner(i) <= owner(j)``
+    and ``A_e`` is block upper triangular by owner.  Cell ``c``'s diagonal
+    block is row and column ``O(S(c))`` of ``K_e(h_c)``, a nonzero diagonal
+    scaling of that of ``K_e(1)``, with rank ``rho_e(S(c))``.  One
+    nonsingular minor from each diagonal block makes a nonsingular block
+    triangular minor, so the ranks add up to the bound.
+
+    The composition gives upper bounds, top down: ``r2 <= n3``, ``r1 <= n2
+    - r2`` and ``r0 <= n1 - r1``.  Once ``composition_zero`` is proved, a
+    rank whose two bounds meet is ``r_e = L_e``; otherwise ``A_e`` is
+    assembled again and eliminated, and its exact rank gives the next
+    bound.  Every ``A_e`` is still assembled in order, which runs its
+    audit, and in "both" mode its float rank must agree.
 
     An ``arithmetic`` not in :data:`ARITHMETICS` or an unknown complex
     raises ``ValueError`` before any assembly, and a ladder too large for
@@ -421,17 +459,21 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
         for ncols, nrows in zip(dims, dims[1:]):
             _check_dense_size((nrows, ncols))
     comp_zero = _reference_compositions_zero(name, k)
-    lemma = (arithmetic != "float" and comp_zero
-             and _first_block_nullity(name, k) == kernel_dim)
+    lemma = arithmetic != "float" and comp_zero
     edges = list(zip(ops, spaces, spaces[1:]))
-    pairs = [_edge_ranks(op, src, dst, arithmetic, not (lemma and i == 0))
-             for i, (op, src, dst) in enumerate(edges)]
+    pairs = [_edge_ranks(op, src, dst, arithmetic, not lemma)
+             for op, src, dst in edges]
     if lemma:
-        r0 = dims[0] - kernel_dim
-        if r0 != dims[1] - pairs[1][0]:
-            # the bounds do not meet: eliminate A0 after all
-            r0 = exact_rank(operator_matrix(*edges[0]))
-        pairs[0] = _cross_checked(r0, pairs[0][1], _edge_name(*edges[0]))
+        bound = dims[3]
+        for e in (2, 1, 0):
+            op, src, dst = edges[e]
+            rank = _rank_lower_bound(op, src.fam, dst.fam, mesh.shape)
+            if rank != bound:
+                # the bounds do not meet: eliminate A_e after all
+                rank = exact_rank(operator_matrix(op, src, dst))
+            pairs[e] = _cross_checked(rank, pairs[e][1],
+                                      _edge_name(op, src, dst))
+            bound = dims[e] - rank
     ranks = [rank for rank, _ in pairs]
     ranks_f = [rank_f for _, rank_f in pairs] if arithmetic == "both" else None
     report = ExactnessReport(
@@ -538,7 +580,9 @@ def kernel_identification(name: str, k: int, mesh: CuboidMesh) -> dict:
     Each expected kernel field is interpolated (shared DOFs must agree),
     annihilated exactly by the matrix (one exact product with the
     interpolants as its columns), and the interpolants must be linearly
-    independent with count matching the nullity.
+    independent with count matching the nullity.  The nullity is ``kd``
+    when they are and the cell sweep gives ``L0 = n0 - kd``
+    (:func:`verify_complex`); otherwise the matrix is eliminated.
     """
     fams, ops, kernel_dim, _ = _complex(name)
     src = assemble_space(FamilyId(fams[0], k), mesh)
@@ -549,9 +593,10 @@ def kernel_identification(name: str, k: int, mesh: CuboidMesh) -> dict:
     annihilated = composition_is_zero(a1, columns)
     interp_rank = exact_rank(columns)
     if (annihilated and interp_rank == kernel_dim
-            and _first_block_nullity(name, k) == kernel_dim):
-        # kd independent kernel vectors, and at most kd by the first-rank
-        # lemma of verify_complex, whose premise P1 a1's audit gave
+            and _rank_lower_bound(ops[0], src.fam, dst.fam, mesh.shape)
+            == src.dimension - kernel_dim):
+        # kd independent kernel vectors, and at most kd by the rank lemma
+        # of verify_complex, whose premise P1 a1's audit gave
         nullity = kernel_dim
     else:
         nullity = src.dimension - exact_rank(a1)

@@ -1,5 +1,6 @@
 """Verification layer: exactness reports, kernels, preimages, jumps."""
 
+import itertools
 import json
 import os
 import random
@@ -13,7 +14,8 @@ import pytest
 import cuboid_complex
 from cuboid_complex import _exactcore, verify
 from cuboid_complex.cli import main as cli_main
-from cuboid_complex.assembly import (SparseMatrix, assemble_space, interpolate,
+from cuboid_complex.assembly import (SparseMatrix, _catalog_functionals,
+                                     assemble_space, interpolate,
                                      operator_matrix)
 from cuboid_complex.elements import family
 from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
@@ -322,10 +324,11 @@ def test_broken_reference_composition_is_not_certified(monkeypatch, capsys,
     assert out["composition_zero"] is False and out["exact"] is False
 
 
-# The first-rank certificate: verify_complex takes r0 = n0 - kd from
-# unit-cell facts when its two bounds meet, and kernel_identification the
-# nullity kd (verify_complex's docstring has the lemma).  Eliminating A0 is
-# the oracle here; the other two ranks are eliminated on both sides.
+# The rank certificate: verify_complex takes each rank r_e = L_e, a sum of
+# unit-cell class ranks over the cells, when it meets the bound the
+# composition gives, and kernel_identification the nullity kd when L_0 =
+# n0 - kd (verify_complex's docstring has the lemma).  Eliminating every
+# matrix is the oracle here.
 
 _GRADED_3X2X2 = build_box_mesh([0, F(1, 7), F(1, 2), 1], [0, F(2, 3), 1],
                                [0, F(1, 5), 1])
@@ -333,14 +336,23 @@ _GRADED_3X2X2 = build_box_mesh([0, F(1, 7), F(1, 2), 1], [0, F(2, 3), 1],
 FIRST_RANK_MESHES = (uniform_unit_mesh(1, 1, 1), uniform_unit_mesh(2, 2, 2),
                      uniform_unit_mesh(3, 3, 3), _GRADED_2X2X1, _GRADED_3X2X2)
 
+#: every class of cell: one cell, one axis split, and all three split
+SWEEP_MESHES = FIRST_RANK_MESHES + (uniform_unit_mesh(2, 1, 1),
+                                    uniform_unit_mesh(4, 3, 3))
+
+MIN_AND_NEXT = [(name, COMPLEXES[name][3] + dk)
+                for name in COMPLEX_NAMES for dk in (0, 1)]
+
+#: the gradgrad k=3 ranks on uniform 2x2x2 (the acceptance table)
+GRADGRAD_2X2X2_RANKS = [212, 670, 300]
+
 
 @pytest.fixture
-def fresh_first_block_facts():
-    """Unit-cell facts read while the test runs, and none left cached."""
-    facts = verify._first_block_nullity
-    facts.cache_clear()
+def fresh_class_ranks():
+    """Class ranks read while the test runs, and none left cached."""
+    verify._class_rank.cache_clear()
     yield
-    facts.cache_clear()
+    verify._class_rank.cache_clear()
 
 
 def _ff_rank_widths(monkeypatch) -> list:
@@ -356,61 +368,140 @@ def _ff_rank_widths(monkeypatch) -> list:
     return widths
 
 
-@pytest.mark.parametrize("name,k", [(name, COMPLEXES[name][3] + dk)
-                                    for name in COMPLEX_NAMES for dk in (0, 1)])
-def test_first_rank_from_unit_cell_facts_equals_elimination(name, k):
+def _eliminated_ranks(name, k, mesh) -> list[int]:
+    """The ladder's three ranks by eliminating every operator matrix."""
     fams, ops = COMPLEXES[name][:2]
-    for mesh in FIRST_RANK_MESHES:
+    spaces = [assemble_space(family(f, k), mesh) for f in fams]
+    return [exact_rank(operator_matrix(op, src, dst))
+            for op, src, dst in zip(ops, spaces, spaces[1:])]
+
+
+@pytest.mark.parametrize("name,k", MIN_AND_NEXT)
+def test_first_rank_from_unit_cell_facts_equals_elimination(name, k):
+    """r0, and with it r1, r2 and kernel_identification's nullity, from
+    unit-cell facts equal elimination on every mesh of SWEEP_MESHES."""
+    for mesh in SWEEP_MESHES:
         rep = verify_complex(name, k, mesh)
-        src, dst = (assemble_space(family(f, k), mesh) for f in fams[:2])
-        r0 = exact_rank(operator_matrix(ops[0], src, dst))
-        assert rep.ranks[0] == r0 and rep.exact, mesh.shape
+        ranks = _eliminated_ranks(name, k, mesh)
+        assert rep.ranks == ranks and rep.exact, mesh.shape
         kernel = kernel_identification(name, k, mesh)
-        assert kernel["nullity"] == src.dimension - r0, mesh.shape
+        assert kernel["nullity"] == rep.dims[0] - ranks[0], mesh.shape
         assert kernel["identified"], mesh.shape
+
+
+@pytest.mark.parametrize("name,k", MIN_AND_NEXT)
+def test_every_class_complex_is_exact(name, k):
+    """On the unit cell, the ladder on the catalog DOFs of each class
+    ``S`` has the class ranks of an exact complex, with cohomology kd in
+    degree 0 at ``S = ()`` and none elsewhere: what makes each lower bound
+    meet its composition bound on every box mesh."""
+    fams, ops, kd = COMPLEXES[name][:3]
+    ids = [family(f, k) for f in fams]
+    for n in range(4):
+        for axes in itertools.combinations(range(3), n):
+            dims = [sum(all(f[a][2] != 1 for a in axes)
+                        for f in _catalog_functionals(fam)) for fam in ids]
+            ranks = [verify._class_rank(op, src, dst, axes)
+                     for op, src, dst in zip(ops, ids, ids[1:])]
+            checks = verify._ladder_checks(dims, ranks, 0 if axes else kd)
+            assert all(checks.values()), (axes, dims, ranks)
 
 
 @pytest.mark.parametrize("name", COMPLEX_NAMES)
 def test_rational_route_never_eliminates_the_first_matrix(monkeypatch, name):
+    """Nor any other ladder matrix: no call reaches exact_rank."""
+    calls = []
+    real = verify.exact_rank
+
+    def spy(mat):
+        calls.append(mat.ncols)
+        return real(mat)
+
+    monkeypatch.setattr(verify, "exact_rank", spy)
     widths = _ff_rank_widths(monkeypatch)
     rep = verify_complex(name, COMPLEXES[name][3], uniform_unit_mesh(2, 2, 2))
-    assert rep.exact
-    assert rep.dims[1] in widths and rep.dims[2] in widths
-    assert rep.dims[0] not in widths
+    assert rep.exact and calls == []
+    assert not set(rep.dims) & set(widths)
 
 
-def test_broken_first_block_is_eliminated(monkeypatch,
-                                          fresh_first_block_facts):
-    """Negative control: an edge-0 reference block with one more entry
-    gives no first rank from the unit cell; A0 is eliminated."""
-    _edge_gains_an_entry(monkeypatch, "gradgrad", 3, 0)
+def _check_broken_block_is_eliminated(monkeypatch, edge):
+    """An edge reference block with one more entry breaks the unit-cell
+    composition, so no rank comes from the unit cell: all three matrices
+    are eliminated and their true ranks reported, never a pass."""
+    _edge_gains_an_entry(monkeypatch, "gradgrad", 3, edge)
     widths = _ff_rank_widths(monkeypatch)
     mesh = uniform_unit_mesh(2, 2, 2)
     rep = verify_complex("gradgrad", 3, mesh)
-    assert rep.ranks == [212, 670, 300] and 216 in widths
-    assert not rep.exact
+    assert rep.ranks == GRADGRAD_2X2X2_RANKS
+    assert all(n in widths for n in rep.dims[:3])
+    assert not rep.composition_zero and not rep.exact
     assert kernel_identification("gradgrad", 3, mesh)["nullity"] == 4
+
+
+def test_broken_first_block_is_eliminated(monkeypatch, fresh_class_ranks):
+    """Negative control on edge 0; test_broken_later_block_is_eliminated
+    takes edges 1 and 2."""
+    _check_broken_block_is_eliminated(monkeypatch, 0)
+
+
+@pytest.mark.parametrize("edge", [1, 2])
+def test_broken_later_block_is_eliminated(monkeypatch, fresh_class_ranks,
+                                          edge):
+    _check_broken_block_is_eliminated(monkeypatch, edge)
+
+
+@pytest.mark.parametrize("arithmetic", ["rational", "both"])
+@pytest.mark.parametrize("edge", [0, 1, 2])
+def test_lowered_class_rank_is_eliminated(monkeypatch, edge, arithmetic):
+    """Negative control: one class rank of edge ``edge`` lowered by one, so
+    its lower bound misses the composition bound.  That matrix alone is
+    eliminated, and the true ranks are reported."""
+    ops = COMPLEXES["gradgrad"][1]
+    real = verify._class_rank
+
+    def lowered(op, src, dst, axes):
+        return real(op, src, dst, axes) - (op == ops[edge] and axes == (0,))
+
+    monkeypatch.setattr(verify, "_class_rank", lowered)
+    widths = _ff_rank_widths(monkeypatch)
+    mesh = uniform_unit_mesh(2, 2, 2)
+    rep = verify_complex("gradgrad", 3, mesh, arithmetic=arithmetic)
+    assert rep.ranks == GRADGRAD_2X2X2_RANKS and rep.exact
+    assert rep.ranks_float in (None, rep.ranks)
+    assert [n in widths for n in rep.dims[:3]] == [e == edge for e in range(3)]
+    kernel = kernel_identification("gradgrad", 3, mesh)
+    assert kernel["nullity"] == 4 and kernel["identified"]
+    assert widths.count(rep.dims[0]) == 2 * (edge == 0)
 
 
 @pytest.mark.parametrize("arithmetic", ["rational", "both"])
 @pytest.mark.parametrize("facts_hold", [True, False])
 def test_first_rank_bounds_that_do_not_meet_are_eliminated(
-        monkeypatch, fresh_first_block_facts, arithmetic, facts_hold):
-    """Negative control: with ``kd`` set to 5 for gradgrad, the unit-cell
-    bound ``r0 >= n0 - 5`` misses ``r0 <= n1 - r1``, or, when F1 is left to
-    see the true nullity 4, F1 fails; either way A0 is eliminated."""
+        monkeypatch, arithmetic, facts_hold):
+    """Negative control: ``kd`` set to 5 for gradgrad.  With the unit-cell
+    bound made to agree, ``L0 = n0 - 5``, it misses ``r0 <= n1 - r1`` and
+    verify_complex eliminates A0; left as it is, ``L0 = n0 - 4`` gives the
+    true r0 but misses kernel_identification's ``n0 - 5``, which then
+    eliminates A0.  Either way the true ranks come out, not exact."""
     fams, ops, _kd, min_k = COMPLEXES["gradgrad"]
     monkeypatch.setitem(COMPLEXES, "gradgrad", (fams, ops, 5, min_k))
-    if facts_hold:
-        monkeypatch.setattr(verify, "_first_block_nullity", lambda name, k: 5)
-    widths = _ff_rank_widths(monkeypatch)
     mesh = uniform_unit_mesh(2, 2, 2)
+    if facts_hold:
+        real = verify._rank_lower_bound
+
+        def agreeing(op, src, dst, shape):
+            return real(op, src, dst, shape) - (op == ops[0])
+
+        monkeypatch.setattr(verify, "_rank_lower_bound", agreeing)
+    widths = _ff_rank_widths(monkeypatch)
     rep = verify_complex("gradgrad", 3, mesh, arithmetic=arithmetic)
-    assert rep.ranks == [212, 670, 300] and 216 in widths
+    assert rep.ranks == GRADGRAD_2X2X2_RANKS
+    assert (216 in widths) == facts_hold
     assert rep.ranks_float in (None, rep.ranks)
     assert rep.cohomology_dim == 4 and not rep.exact
     kernel = kernel_identification("gradgrad", 3, mesh)
     assert kernel["nullity"] == 4 and not kernel["identified"]
+    assert 216 in widths
 
 
 def test_first_rank_cross_check_names_the_first_edge(monkeypatch):
