@@ -50,7 +50,8 @@ def clear_denominators(rows: list, common: bool = False) -> tuple[list, list[int
 
 
 def ff_rank(rows: list[dict[int, int]], ncols: int,
-            counts: dict | None = None) -> int:
+            counts: dict | None = None,
+            ends: list[int] | None = None) -> int | list[int]:
     """Rank of a sparse integer matrix by fraction-free elimination.
 
     Bareiss-style cross-multiplication keeps every entry an integer, and
@@ -86,6 +87,15 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
     whatever the update path), ``max_pivot_bits`` and ``peak_live`` (the
     most nonzeros the rows not yet pivoted held at once, counted at entry
     and after each row update).
+
+    With ``ends``, a nonempty increasing list of row counts, the
+    elimination runs in stages: during stage ``t`` pivot rows come only
+    from ``rows[:ends[t]]``, pivot columns stay free and every live row is
+    still updated.  A stage ends when no live row of its prefix is left, so
+    the pivots taken by then number the rank of ``rows[:ends[t]]``, and the
+    list of these prefix ranks is returned in place of the rank.  A queued
+    column whose one live row lies past the prefix is dropped, and each
+    stage starts with the queue rebuilt as at entry.
     """
     act: dict[int, dict[int, int]] = {}
     col_rows: dict[int, list[int]] = {}
@@ -97,9 +107,13 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
             for c in r:
                 col_rows.setdefault(c, []).append(i)
     col_live = {c: len(rs) for c, rs in col_rows.items()}
-    heap = [(len(r), i) for i, r in act.items()]
+    staged = ends is not None
+    ends = ends if staged else [len(rows)]
+    limit = ends[0]
+    heap = [(len(r), i) for i, r in act.items() if i < limit]
     heapify(heap)
     singles = deque(c for c, n in col_live.items() if n == 1)
+    prefix_ranks: list[int] = []
 
     rank = singleton_pivots = written = max_bits = 0
     live_nnz = peak = sum(map(len, act.values()))
@@ -108,10 +122,12 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
         while singles:
             c = singles.popleft()
             if col_live.get(c) == 1:
-                pc = c
                 for pi in col_rows[c]:
                     if c in act.get(pi, ()):
                         break
+                if pi >= limit:
+                    continue  # requeued when its row's stage starts
+                pc = c
                 singleton_pivots += 1
                 break
         if pc < 0:
@@ -121,6 +137,16 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
                 r = act.get(i)
                 if r is not None and len(r) == n and i not in shortlist:
                     shortlist[i] = r
+            if not shortlist:
+                # no live row of the prefix is left: the stage ends
+                prefix_ranks.append(rank)
+                if len(prefix_ranks) == len(ends):
+                    break
+                limit = ends[len(prefix_ranks)]
+                heap = [(len(r), i) for i, r in act.items() if i < limit]
+                heapify(heap)
+                singles = deque(c for c, n in col_live.items() if n == 1)
+                continue
             pi, pc = _pick_pivot(shortlist, col_live)
             for i, r in shortlist.items():
                 if i != pi:
@@ -178,16 +204,19 @@ def ff_rank(rows: list[dict[int, int]], ncols: int,
             if r:
                 written += len(r)
                 _strip_content(r)
-                heappush(heap, (len(r), ri))
+                if ri < limit:
+                    heappush(heap, (len(r), ri))
             else:
                 del act[ri]
         if len(heap) > 2 * len(act):
-            heap = [(len(r), i) for i, r in act.items()]
+            heap = [(len(r), i) for i, r in act.items() if i < limit]
             heapify(heap)
     if counts is not None:
         counts.update(pivots=rank, singleton_pivots=singleton_pivots,
                       entries_written=written, max_pivot_bits=max_bits,
                       peak_live=peak)
+    if staged:
+        return prefix_ranks + [rank] * (len(ends) - len(prefix_ranks))
     return rank
 
 

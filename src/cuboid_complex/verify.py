@@ -31,15 +31,16 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import prod
+from itertools import accumulate
+from math import gcd, prod
 
 from . import _exactcore
-from .assembly import (COMPLEXES, GlobalSpace, SparseMatrix, assemble_space,
-                       interpolate, operator_matrix, reconstruct_local,
-                       _catalog_functionals, _operator_rows, _reference_block)
+from .assembly import (COMPLEXES, ConformityError, GlobalSpace, SparseMatrix,
+                       assemble_space, interpolate, operator_matrix,
+                       reconstruct_local, _catalog_functionals,
+                       _operator_rows, _reference_block)
 from .elements import (FamilyId, comp_name, global_dimension_formula,
-                       shape_space, _others)
+                       local_dofs, shape_space, _others)
 from .mesh import CuboidMesh
 from .operators import (MembershipError, PolyField,
                         check_identity_curl_symgrad, div_rows,
@@ -277,28 +278,67 @@ def _upper_faces(fam: FamilyId) -> tuple[int, ...]:
                  for f in _catalog_functionals(fam))
 
 
+def _dof_label(fam: FamilyId, p: int) -> str:
+    dof = local_dofs(fam)[p]
+    return f"{fam.name} DOF {p} {dof.dof_key(dof.entity_label)}"
+
+
+def _chains(split: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
+    """Chains ``S_0 < S_1 < ...`` of subsets of the axes ``split`` that
+    hold each subset once (de Bruijn's symmetric chains): for three axes
+    ``() < x < xy < xyz``, ``z < xz`` and ``y < yz``."""
+    chains = [[()]]
+    for a in split:
+        grown = []
+        for c in chains:
+            grown.append(c + [c[-1] + (a,)])
+            if len(c) > 1:
+                grown.append([axes + (a,) for axes in c[:-1]])
+        chains = grown
+    return chains
+
+
 @lru_cache(maxsize=None)
-def _class_rank(op: str, src: FamilyId, dst: FamilyId,
-                axes: tuple[int, ...]) -> int:
-    """``rho(S)`` for ``S = axes``: the rank of the unit-cell block ``K(1)``
-    of one edge on the catalog DOFs of both families, ``O(S)``, whose
-    entity lies on no face ``t_a = 1`` with ``a`` in ``S``; once per edge,
-    order and class, ranked in the orientation with fewer rows.  See
-    :func:`verify_complex` for the lemma."""
-    faces = sum(1 << a for a in axes)
-    cols, rows = ([p for p, m in enumerate(_upper_faces(fam)) if not m & faces]
-                  for fam in (src, dst))
-    on = set(cols)
+def _class_ranks(op: str, src: FamilyId, dst: FamilyId,
+                 split: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """``rho(S)`` for every class ``S``, a subset of the split axes
+    ``split``: the rank of the edge's unit-cell block ``K(1)`` on the
+    catalog DOFs ``O(S)`` of both families whose entity lies on no face
+    ``t_a = 1``, ``a`` in ``S``; once per edge, order and split axes.  The
+    pass that transposes ``K(1)`` checks face locality on ``split``, and
+    each chain of :func:`_chains` is one staged ``ff_rank`` of the columns
+    of ``K(1)``, innermost class first (the lemma is in
+    :func:`verify_complex`).
+    """
     K = _reference_block(op, src, dst)[0]
-    block = [{j: v for j, v in K[i].items() if j in on} for i in rows]
-    ncols = len(_upper_faces(src))
-    if len(rows) > len(cols):
-        columns: dict[int, dict[int, int]] = {j: {} for j in cols}
-        for i, r in zip(rows, block):
-            for j, v in r.items():
-                columns[j][i] = v
-        block, ncols = list(columns.values()), len(K)
-    return _exactcore.ff_rank(block, ncols)
+    faces = sum(1 << a for a in split)
+    up_src = _upper_faces(src)
+    columns: list[dict[int, int]] = [{} for _ in up_src]
+    for i, (row, up) in enumerate(zip(K, _upper_faces(dst))):
+        up &= faces
+        # a row of K(1) over its content: a column scaling of K(1)^T, which
+        # keeps every rank and keeps ff_rank's content removal cheap
+        g = gcd(*row.values())
+        for j, v in row.items():
+            if up & ~up_src[j]:
+                a = comp_name((up & ~up_src[j]).bit_length() - 1)
+                raise ConformityError(
+                    f"{op}: {src.name} -> {dst.name}, axis {a}: target "
+                    f"{_dof_label(dst, i)} on the face t_{a} = 1 reads "
+                    f"source {_dof_label(src, j)} off that face")
+            columns[j][i] = v // g
+    ranks: dict[tuple[int, ...], int] = {}
+    for chain in _chains(split):
+        inner = [sum(1 << a for a in axes) for axes in reversed(chain)]
+        # a column's stage: the innermost class of the chain whose O holds it
+        stage = [next((t for t, m in enumerate(inner) if not up & m), None)
+                 for up in up_src]
+        order = sorted((j for j, t in enumerate(stage) if t is not None),
+                       key=stage.__getitem__)
+        ends = list(accumulate(stage.count(t) for t in range(len(inner))))
+        ranks.update(zip(reversed(chain), _exactcore.ff_rank(
+            [columns[j] for j in order], len(K), ends=ends)))
+    return ranks
 
 
 def _rank_lower_bound(op: str, src: FamilyId, dst: FamilyId,
@@ -308,11 +348,9 @@ def _rank_lower_bound(op: str, src: FamilyId, dst: FamilyId,
     and ``m(S)``, the product of ``n_a - 1`` over ``S``, counts such cells.
     A lower bound on the rank of the edge's global matrix once its audit
     passed (:func:`verify_complex`)."""
-    split = [a for a in range(3) if shape[a] > 1]
-    return sum(prod(shape[a] - 1 for a in axes)
-               * _class_rank(op, src, dst, axes)
-               for n in range(len(split) + 1)
-               for axes in combinations(split, n))
+    split = tuple(a for a in range(3) if shape[a] > 1)
+    return sum(prod(shape[a] - 1 for a in axes) * rho
+               for axes, rho in _class_ranks(op, src, dst, split).items())
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +457,15 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
     axes with ``n_a > 1``, ``m(S)`` is the product of ``n_a - 1`` over
     ``S``, and ``rho_e(S)`` is the rank of ``K_e(1)`` on the target and
     source catalog DOFs ``O(S)`` whose entity lies on no face ``t_a = 1``,
-    ``a`` in ``S`` (:func:`_class_rank`).  Give each global DOF to the cell
-    with the largest id that carries it.  Cell ids are lexicographic, so a
+    ``a`` in ``S``.  Face locality, checked on the split axes (a failure
+    raises :class:`ConformityError`), puts the source DOF of every stored
+    ``K_e(1)[p, j]`` on each such face ``t_a = 1`` that holds ``p``.  So
+    target DOFs outside ``O(S)`` vanish on the source DOFs ``O(S)``, and
+    ``rho_e(S)`` is the rank of the columns ``O(S)`` of ``K_e(1)``.  These
+    nest, ``O(S') ⊆ O(S)`` for ``S ⊆ S'``, so one staged elimination per
+    chain of classes reads each ``rho_e(S)`` as the rank of a prefix
+    (:func:`_class_ranks`).  Give each global DOF to the cell with the
+    largest id that carries it.  Cell ids are lexicographic, so a
     cell ``c`` keeps exactly its DOFs in ``O(S(c))``, where ``S(c)`` holds
     the axes on which ``c`` has a neighbour at +1, and ``m(S)`` cells have
     ``S(c) = S``.  P1 makes every cell that carries row ``i`` also carry

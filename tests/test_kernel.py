@@ -274,6 +274,35 @@ def test_rank_property_sparse_tall_matches_oracle(case):
         oracle_rank(rows, ncols)
 
 
+staged_matrices = st.integers(2, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.dictionaries(st.integers(0, n - 1),
+                                 st.integers(-6, 6).filter(bool),
+                                 max_size=4),
+                 min_size=1, max_size=24),
+        st.lists(st.integers(0, 10 ** 6), max_size=6),
+        st.booleans(),
+        st.just(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(staged_matrices, st.data())
+def test_rank_stage_ends_give_prefix_ranks(case, data):
+    """With stage ends, each reported rank is the rank of that row prefix.
+    Rows may be empty or repeat an earlier row, and with ``lead`` a
+    diagonal block puts the prefix of ``ncols`` rows at full column rank
+    before the other rows."""
+    rows, repeats, lead, ncols = case
+    rows += [dict(rows[i % len(rows)]) for i in repeats]
+    rows = data.draw(st.permutations(rows))
+    if lead:
+        rows = [{c: c + 2} for c in range(ncols)] + rows
+    ends = data.draw(st.sets(st.integers(1, len(rows)), min_size=1))
+    ends = sorted(ends | {ncols} if lead else ends)
+    got = _exactcore.ff_rank([dict(r) for r in rows], ncols, ends=ends)
+    assert got == [oracle_rank(rows[:e], ncols) for e in ends]
+
+
 # The singleton queue, seen through ``counts``.
 
 def test_rank_permuted_identity_takes_every_pivot_from_the_queue():
@@ -412,6 +441,11 @@ def test_rank_counts_frozen_on_2x2x2_ladders(name):
                           "entries_written": written[i],
                           "max_pivot_bits": bits[i],
                           "peak_live": PEAK_LIVE_2X2X2[name][i]}, (name, i)
+        # one stage over every row pivots as a call without stage ends
+        staged = {}
+        assert _exactcore.ff_rank(mat.rows, mat.ncols, staged,
+                                  [mat.nrows]) == [ranks[i]]
+        assert staged == counts, (name, i)
 
 
 #: tracemalloc bounds, in MiB above the baseline at entry, on the

@@ -8,16 +8,18 @@ import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 import cuboid_complex
 from cuboid_complex import _exactcore, verify
 from cuboid_complex.cli import main as cli_main
-from cuboid_complex.assembly import (SparseMatrix, _catalog_functionals,
+from cuboid_complex.assembly import (ConformityError, SparseMatrix,
+                                     _catalog_functionals,
                                      assemble_space, interpolate,
                                      operator_matrix)
-from cuboid_complex.elements import family
+from cuboid_complex.elements import family, local_dofs
 from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
 from cuboid_complex.polytensor import TensorPoly
 from cuboid_complex.verify import (
@@ -350,9 +352,9 @@ GRADGRAD_2X2X2_RANKS = [212, 670, 300]
 @pytest.fixture
 def fresh_class_ranks():
     """Class ranks read while the test runs, and none left cached."""
-    verify._class_rank.cache_clear()
+    verify._class_ranks.cache_clear()
     yield
-    verify._class_rank.cache_clear()
+    verify._class_ranks.cache_clear()
 
 
 def _ff_rank_widths(monkeypatch) -> list:
@@ -360,9 +362,9 @@ def _ff_rank_widths(monkeypatch) -> list:
     widths = []
     real = _exactcore.ff_rank
 
-    def spy(rows, ncols, counts=None):
+    def spy(rows, ncols, counts=None, ends=None):
         widths.append(ncols)
-        return real(rows, ncols, counts)
+        return real(rows, ncols, counts, ends)
 
     monkeypatch.setattr(_exactcore, "ff_rank", spy)
     return widths
@@ -389,6 +391,113 @@ def test_first_rank_from_unit_cell_facts_equals_elimination(name, k):
         assert kernel["identified"], mesh.shape
 
 
+@cache
+def _oracle_class_rank(op, src, dst, axes) -> int:
+    """``rho(S)`` for ``S = axes`` by eliminating the class block alone:
+    rows and columns of ``K(1)`` restricted to ``O(S)``, ranked in the
+    orientation with fewer rows.  No face locality is assumed."""
+    faces = sum(1 << a for a in axes)
+    cols, rows = ([p for p, m in enumerate(verify._upper_faces(fam))
+                   if not m & faces] for fam in (src, dst))
+    on = set(cols)
+    K = verify._reference_block(op, src, dst)[0]
+    block = [{j: v for j, v in K[i].items() if j in on} for i in rows]
+    ncols = len(verify._upper_faces(src))
+    if len(rows) > len(cols):
+        columns: dict[int, dict[int, int]] = {j: {} for j in cols}
+        for i, r in zip(rows, block):
+            for j, v in r.items():
+                columns[j][i] = v
+        block, ncols = list(columns.values()), len(K)
+    return _exactcore.ff_rank(block, ncols)
+
+
+#: every split (the axes with n_a > 1) of the meshes in SWEEP_MESHES
+SWEEP_SPLITS = sorted({tuple(a for a in range(3) if mesh.shape[a] > 1)
+                       for mesh in SWEEP_MESHES})
+
+
+@pytest.mark.parametrize("name,k", [(name, COMPLEXES[name][3] + dk)
+                                    for name in COMPLEX_NAMES
+                                    for dk in (0, 1, 2)])
+def test_chain_class_ranks_equal_per_class_elimination(name, k):
+    """One staged elimination per chain gives, for every split of
+    SWEEP_MESHES, each class rank of every edge that eliminating the class
+    block alone gives."""
+    fams, ops = COMPLEXES[name][:2]
+    ids = [family(f, k) for f in fams]
+    assert SWEEP_SPLITS == [(), (0,), (0, 1), (0, 1, 2)]
+    for op, src, dst in zip(ops, ids, ids[1:]):
+        for split in SWEEP_SPLITS:
+            ranks = verify._class_ranks(op, src, dst, split)
+            assert sorted(ranks) == sorted(
+                axes for n in range(len(split) + 1)
+                for axes in itertools.combinations(split, n))
+            for axes, rho in ranks.items():
+                assert rho == _oracle_class_rank(op, src, dst, axes), \
+                    (op, split, axes)
+
+
+def _gradgrad_edge(edge):
+    fams, ops = COMPLEXES["gradgrad"][:2]
+    return ops[edge], family(fams[edge], 3), family(fams[edge + 1], 3)
+
+
+@pytest.mark.parametrize("edge", [0, 1, 2])
+def test_entry_moved_off_the_face_breaks_face_locality(
+        monkeypatch, fresh_class_ranks, edge):
+    """Negative control: an entry of a target DOF on a face ``t_a = 1``,
+    moved to a source DOF off that face, breaks the face locality the class
+    ranks rest on; they refuse, naming the edge, the axis and both DOFs."""
+    op, src, dst = _gradgrad_edge(edge)
+    real = verify._reference_block
+    K = [dict(r) for r in real(op, src, dst)[0]]
+    up_src, up_dst = verify._upper_faces(src), verify._upper_faces(dst)
+    i = next(p for p, r in enumerate(K) if up_dst[p] and r)
+    a = up_dst[i].bit_length() - 1
+    j = next(iter(K[i]))
+    off = next(m for m, u in enumerate(up_src)
+               if not u >> a & 1 and m not in K[i])
+    K[i][off] = K[i].pop(j)
+
+    def doctored(o, s, d):
+        block = real(o, s, d)
+        return (K, block[1]) if (o, s, d) == (op, src, dst) else block
+
+    monkeypatch.setattr(verify, "_reference_block", doctored)
+    with pytest.raises(ConformityError) as exc:
+        verify._class_ranks(op, src, dst, (0, 1, 2))
+    msg = str(exc.value)
+    assert msg.startswith(f"{op}: {src.name} -> {dst.name}, axis {'xyz'[a]}:")
+    for fam, p in ((dst, i), (src, off)):
+        dof = local_dofs(fam)[p]
+        assert f"{fam.name} DOF {p} {dof.dof_key(dof.entity_label)}" in msg
+
+
+@pytest.mark.parametrize("edge", [0, 1, 2])
+def test_lowered_stage_rank_is_eliminated(monkeypatch, fresh_class_ranks,
+                                          edge):
+    """Negative control: every staged elimination of edge ``edge`` reports
+    its first prefix rank one low, so the lower bound misses the
+    composition bound.  That matrix alone is eliminated, and the true ranks
+    are reported."""
+    op, src, dst = _gradgrad_edge(edge)
+    ncols = len(verify._reference_block(op, src, dst)[0])
+    real = _exactcore.ff_rank
+
+    def lowered(rows, n, counts=None, ends=None):
+        ranks = real(rows, n, counts, ends)
+        if ends is not None and n == ncols:
+            ranks[0] -= 1
+        return ranks
+
+    monkeypatch.setattr(_exactcore, "ff_rank", lowered)
+    widths = _ff_rank_widths(monkeypatch)
+    rep = verify_complex("gradgrad", 3, uniform_unit_mesh(2, 2, 2))
+    assert rep.ranks == GRADGRAD_2X2X2_RANKS and rep.exact
+    assert [n in widths for n in rep.dims[:3]] == [e == edge for e in range(3)]
+
+
 @pytest.mark.parametrize("name,k", MIN_AND_NEXT)
 def test_every_class_complex_is_exact(name, k):
     """On the unit cell, the ladder on the catalog DOFs of each class
@@ -401,7 +510,7 @@ def test_every_class_complex_is_exact(name, k):
         for axes in itertools.combinations(range(3), n):
             dims = [sum(all(f[a][2] != 1 for a in axes)
                         for f in _catalog_functionals(fam)) for fam in ids]
-            ranks = [verify._class_rank(op, src, dst, axes)
+            ranks = [verify._class_ranks(op, src, dst, (0, 1, 2))[axes]
                      for op, src, dst in zip(ops, ids, ids[1:])]
             checks = verify._ladder_checks(dims, ranks, 0 if axes else kd)
             assert all(checks.values()), (axes, dims, ranks)
@@ -457,12 +566,14 @@ def test_lowered_class_rank_is_eliminated(monkeypatch, edge, arithmetic):
     its lower bound misses the composition bound.  That matrix alone is
     eliminated, and the true ranks are reported."""
     ops = COMPLEXES["gradgrad"][1]
-    real = verify._class_rank
+    real = verify._class_ranks
 
-    def lowered(op, src, dst, axes):
-        return real(op, src, dst, axes) - (op == ops[edge] and axes == (0,))
+    def lowered(op, src, dst, split):
+        ranks = dict(real(op, src, dst, split))
+        ranks[(0,)] -= op == ops[edge]
+        return ranks
 
-    monkeypatch.setattr(verify, "_class_rank", lowered)
+    monkeypatch.setattr(verify, "_class_ranks", lowered)
     widths = _ff_rank_widths(monkeypatch)
     mesh = uniform_unit_mesh(2, 2, 2)
     rep = verify_complex("gradgrad", 3, mesh, arithmetic=arithmetic)
