@@ -104,8 +104,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import _exactcore
 from .elements import (DofFunctional, FamilyId, _COMP_POS, _DIAG_COMPS,
-                       _axis_table, _bubbles_for, _component_poly,
-                       axis_functionals, group_forms, local_dofs, shape_space,
+                       _axis_table, _bubbles_for, _catalog_functionals,
+                       _component_poly, group_forms, local_dofs, shape_space,
                        triangular_blocks)
 from .mesh import CuboidMesh
 from .operators import (OPERATORS, PolyField, check_membership,
@@ -235,12 +235,6 @@ def assemble_space(fam: FamilyId, mesh: CuboidMesh) -> GlobalSpace:
 _WEIGHT_EXPONENTS = {"u": (0, 0, 0), "x": (0, 1, 0), "sigma": (0, 1, 1),
                      "phi": (0, 1, 1), "xi": (1, 1, -1), "q": (1, 1, 0),
                      "gamma": (2, -1, -1), "z": (2, -1, 0)}
-
-
-@lru_cache(maxsize=None)
-def _catalog_functionals(fam: FamilyId) -> tuple:
-    """``axis_functionals`` of each catalog DOF, once per family and order."""
-    return tuple(map(axis_functionals, local_dofs(fam)))
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import lcm, prod
 from typing import Iterable, Mapping, NamedTuple
 
@@ -166,6 +166,7 @@ class ShapeSpaceSpec:
         raise KeyError(component)
 
 
+@lru_cache(maxsize=None)
 def shape_space(fam: FamilyId) -> ShapeSpaceSpec:
     name, k = _resolve(fam)
     if name == "u":
@@ -742,6 +743,12 @@ def axis_functionals(dof: DofFunctional) -> tuple[tuple[int, int, int | None], .
     return tuple((dof.deriv[a], dof.weight[a], sides[a]) for a in range(3))
 
 
+@lru_cache(maxsize=None)
+def _catalog_functionals(fam: FamilyId) -> tuple:
+    """``axis_functionals`` of each catalog DOF, once per family and order."""
+    return tuple(map(axis_functionals, _unit_catalog(fam)))
+
+
 def _axis_table(cap: int, d: int, w: int, side: int | None,
                 h: Fraction) -> list[Fraction]:
     """One 1-D functional on ``t^e``, e = 0..cap: on a free axis
@@ -796,11 +803,8 @@ def group_dof_matrix(fam: FamilyId, gname: str, cell: CellBox = UNIT_BOX
     spec = shape_space(fam)
     group = next(g for g in spec.groups if g.name == gname)
     h = tuple(cell.h(a) for a in range(3))
-    offsets = {}
-    width = 0
-    for c in group.independent:
-        offsets[c] = width
-        width += spec.degrees[c].dim()
+    dims = [spec.degrees[c].dim() for c in group.independent]
+    offsets, width = dict(zip(group.independent, accumulate([0] + dims))), sum(dims)
     tables: dict[tuple, list[Fraction]] = {}   # 1-D functional -> its table
     rows = []
     for dof in map(_unit_catalog(fam).__getitem__, _group_positions(fam)[gname]):
@@ -815,29 +819,36 @@ def group_dof_matrix(fam: FamilyId, gname: str, cell: CellBox = UNIT_BOX
             if key not in tables:
                 tables[key] = _axis_table(*key)
             tabs.append(tables[key])
-        t0, t1, t2 = tabs
-        if dof.component in offsets:
-            targets = [(offsets[dof.component], t0)]
-        else:
-            # traceless diagonal: zz = -(xx + yy) folds into the independents
-            neg = [-v for v in t0]
-            targets = [(offsets["xx"], neg), (offsets["yy"], neg)]
-        row = [_F0] * width
-        n12 = len(t1) * len(t2)
-        for off, s0 in targets:
-            for e0, f0 in enumerate(s0):
-                if not f0:
-                    continue
-                pos = off + e0 * n12
-                for f1 in t1:
-                    if f1:
-                        f01 = f0 * f1
-                        for e2, f2 in enumerate(t2):
-                            if f2:
-                                row[pos + e2] = f01 * f2
-                    pos += len(t2)
-        rows.append(row)
+        rows.append(_product_row(dof.component, tabs, offsets, width))
     return rows
+
+
+def _product_row(comp: str, tabs, offsets: dict[str, int], width: int) -> list[Fraction]:
+    """``t0 (x) t1 (x) t2`` on component ``comp`` as a dense row over a
+    group's ``width`` coordinates, independent component ``c`` from
+    ``offsets[c]``."""
+    t0, t1, t2 = tabs
+    if comp in offsets:
+        targets = [(offsets[comp], t0)]
+    else:
+        # traceless diagonal: zz = -(xx + yy) folds into the independents
+        neg = [-v for v in t0]
+        targets = [(offsets["xx"], neg), (offsets["yy"], neg)]
+    row = [_F0] * width
+    n12 = len(t1) * len(t2)
+    for off, s0 in targets:
+        for e0, f0 in enumerate(s0):
+            if not f0:
+                continue
+            pos = off + e0 * n12
+            for f1 in t1:
+                if f1:
+                    f01 = f0 * f1
+                    for e2, f2 in enumerate(t2):
+                        if f2:
+                            row[pos + e2] = f01 * f2
+                pos += len(t2)
+    return row
 
 
 class GroupForm(NamedTuple):
@@ -900,7 +911,7 @@ def group_forms(fam: FamilyId) -> dict[str, tuple[GroupForm, ...] | None]:
         forms = []
         for comp in g.independent:
             own = [p for p in mine if catalog[p].component == comp]
-            funcs = {axis_functionals(catalog[p]): p for p in own}
+            funcs = {_catalog_functionals(fam)[p]: p for p in own}
             forms.append(len(funcs) == len(own) and _fibred_form(
                 comp, spec.degrees[comp].caps, funcs) or None)
         out[g.name] = (None if None in forms or sum(len(f.dofs) for f in forms)

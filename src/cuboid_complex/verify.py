@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd, prod
 
 from . import _exactcore
@@ -40,14 +40,13 @@ from .assembly import (COMPLEXES, ConformityError, GlobalSpace, SparseMatrix,
                        reconstruct_local, _catalog_functionals,
                        _operator_rows, _reference_block)
 from .elements import (FamilyId, comp_name, global_dimension_formula,
-                       local_dofs, shape_space, _others)
+                       group_forms, local_dofs, shape_space, _axis_table,
+                       _group_positions, _others, _product_row, _rank)
 from .mesh import CuboidMesh
 from .operators import (MembershipError, PolyField,
                         check_identity_curl_symgrad, div_rows,
                         field_to_coords)
-from .polytensor import EntityRef, TensorPoly
-
-_F0 = Fraction(0)
+from .polytensor import TensorPoly
 
 COMPLEX_NAMES = tuple(COMPLEXES)
 
@@ -276,6 +275,18 @@ def _upper_faces(fam: FamilyId) -> tuple[int, ...]:
     1``, as bits ``1 << a``."""
     return tuple(sum(1 << a for a, (_d, _w, side) in enumerate(f) if side == 1)
                  for f in _catalog_functionals(fam))
+
+
+@lru_cache(maxsize=None)
+def _mirrors(fam: FamilyId) -> tuple[tuple[int | None, ...], ...]:
+    """Per catalog DOF and axis, its mirror: same component, kind, bubble
+    index and functionals, other side on the axis; None if none or free."""
+    keys = [(d.component, d.kind, d.bubble_index) for d in local_dofs(fam)]
+    funcs = _catalog_functionals(fam)
+    where = {kf: p for p, kf in enumerate(zip(keys, funcs))}
+    return tuple(tuple(None if side is None else where.get(
+        (key, f[:a] + ((d, w, 1 - side),) + f[a + 1:]))
+        for a, (d, w, side) in enumerate(f)) for key, f in zip(keys, funcs))
 
 
 def _dof_label(fam: FamilyId, p: int) -> str:
@@ -860,16 +871,6 @@ def continuity_traces(family_name: str, normal: int) -> list[tuple[str, tuple[in
     raise ValueError(family_name)
 
 
-def _trace_jumps(lo_field: PolyField, hi_field: PolyField, face: EntityRef,
-                 traces: list[tuple[str, tuple[int, int, int]]]) -> list[Fraction]:
-    out: list[Fraction] = []
-    for comp, deriv in traces:
-        t1 = lo_field.component(comp).differentiate_multi(deriv).trace(face)
-        t2 = hi_field.component(comp).differentiate_multi(deriv).trace(face)
-        out.extend((t1 - t2).coeffs)
-    return out
-
-
 def face_jump(space: GlobalSpace, coeffs: list[Fraction],
               face: tuple[int, int, int, int],
               traces: list[tuple[str, tuple[int, int, int]]]) -> list[Fraction]:
@@ -882,42 +883,115 @@ def face_jump(space: GlobalSpace, coeffs: list[Fraction],
     returned flat, trace by trace.  All zeros proves the jump vanishes on
     the whole face, at every order.
     """
-    if tuple(face) not in space.mesh.interior_faces():
+    if not (len(face) == 4 and face[0] in (0, 1, 2) and all(
+            0 < v < n if a == face[0] else 0 <= v < n
+            for a, (v, n) in enumerate(zip(face[1:], space.mesh.shape)))):
         raise ValueError(f"face {face} is not interior")
-    lo_ci, hi_ci = space.mesh.face_cells(*face)
-    lo_field = reconstruct_local(space, lo_ci, coeffs)
-    hi_field = reconstruct_local(space, hi_ci, coeffs)
-    return _trace_jumps(lo_field, hi_field, space.mesh.face_entity(*face),
-                        traces)
+    fent = space.mesh.face_entity(*face)
+    fields = [reconstruct_local(space, ci, coeffs) for ci in space.mesh.face_cells(*face)]
+    out: list[Fraction] = []
+    for comp, deriv in traces:
+        lo, hi = (f.component(comp).differentiate_multi(deriv).trace(fent)
+                  for f in fields)
+        out.extend((lo - hi).coeffs)
+    return out
+
+
+def _trace_determined(fam: FamilyId, comp: str, d: int, a: int, phi: list[int]) -> bool:
+    """Premise (i) of :func:`jump_check` for the DOFs ``phi``: on product
+    and fibred blocks, ``(d, ., 1)`` is an axis-``a`` functional of every
+    fibre (the tangential 1-D tables are nonsingular, as unisolvence
+    needs); otherwise the trace's rows lie in the span of ``phi``'s."""
+    spec = shape_space(fam)
+    group = spec.group_of(comp)
+    forms = group_forms(fam)[group.name]
+    if forms is not None and all(f.axes is not None for f in forms):
+        # a dependent component (zz of a traceless diagonal) reads them all
+        own = [f for f in forms if comp in f.comps] or forms
+        return all(any(fn[::2] == (d, 1) for fn in fl)
+                   for f in own for fl in f.axes[a])
+    # each row is (d, 0, 1) on a, where all caps agree, times a tangential row
+    dims = [spec.degrees[c].dim() for c in group.independent]
+    offsets, width = dict(zip(group.independent, accumulate([0] + dims))), sum(dims)
+    caps = {c: spec.degrees[c].caps for c in group.components}
+    dofs, funcs = local_dofs(fam), _catalog_functionals(fam)
+    rows = [_product_row(dofs[p].component, [
+        [1] if x == a else _axis_table(cap, *f, Fraction(1))
+        for x, (cap, f) in enumerate(zip(caps[dofs[p].component], funcs[p]))],
+        offsets, width) for p in phi]
+    # the trace's rows: one unit row per tangential monomial
+    m = prod(cap + 1 for x, cap in enumerate(caps[comp]) if x != a)
+    trace = [_product_row(comp, ([int(i == j) for i in range(m)], [1], [1]),
+                          offsets, width) for j in range(m)]
+    return (bool(rows) and len({c[a] for c in caps.values()}) == 1
+            and _rank(rows, width) == _rank(rows + trace, width))
+
+
+@lru_cache(maxsize=None)
+def _face_closure(fam: FamilyId) -> tuple[dict[int, tuple], ...]:
+    """Per normal axis, each DOF of a promised trace's ``Phi_1`` with its
+    mirror and first trace, once :func:`jump_check`'s (i) and (ii) hold."""
+    funcs, mirror = _catalog_functionals(fam), _mirrors(fam)
+    out: list[dict[int, tuple]] = [{}, {}, {}]
+    for a, closure in enumerate(out):
+        for comp, deriv in continuity_traces(fam.name, a):
+            what = f"{fam.name} k={fam.k}, axis {comp_name(a)}, trace {comp} deriv {deriv}"
+            group = shape_space(fam).group_of(comp).name
+            phi = [[p for p in _group_positions(fam)[group]
+                    if funcs[p][a][::2] == (deriv[a], s)] for s in (0, 1)]
+            if not _trace_determined(fam, comp, deriv[a], a, phi[1]):
+                raise ConformityError(f"{what}: not determined by its DOFs on t = 1: " + (
+                    ", ".join(_dof_label(fam, p) for p in phi[1]) or "none"))
+            for s, p in ((s, p) for s in (1, 0) for p in phi[s]):
+                if mirror[p][a] is None:
+                    raise ConformityError(f"{what}: {_dof_label(fam, p)} has no "
+                                          f"mirror on t = {1 - s}")
+            closure.update((p, (mirror[p][a], comp, deriv))
+                           for p in phi[1] if p not in closure)
+    return tuple(out)
 
 
 def jump_check(fam: FamilyId, mesh: CuboidMesh, fields: int = 5,
                seed: int = 20260818) -> dict:
-    """Check the advertised traces of random members on interior faces.
-    Raises ``ValueError`` for fewer than one field."""
+    """Prove that every member keeps each trace :func:`continuity_traces`
+    promises single-valued across every interior face; nothing is sampled.
+
+    Lemma: for a normal axis ``a`` and a promised trace ``d_a^d c`` (``d``
+    0 or 1), let ``Phi_s`` be the DOFs of ``c``'s group whose axis-``a``
+    functional is ``(d, ., s)``.  Suppose (i) ``Phi_1`` determines the
+    trace on ``t_a = 1`` of the unit cell, (ii) flipping the side on ``a``
+    maps ``Phi_1`` onto ``Phi_0`` (:func:`_mirrors`), and (iii) across each
+    interior face normal to ``a`` each DOF of ``Phi_1`` below has its
+    mirror's global index above.  The shape spaces are full tensor grids,
+    so ``t_a -> 1 - t_a`` maps each onto itself and ``Phi_1`` to ``(-1)^d
+    Phi_0``: by (i) and (ii) the trace on ``t_a = 0`` is the same map of
+    ``Phi_0`` as on ``t_a = 1`` of ``Phi_1``.  ``Phi``'s DOFs scale by
+    ``h_a^-d``, as ``d^d/dx_a^d`` does, times extents of the face, so by
+    (iii) the trace is single-valued on any box mesh, uniform or graded.
+    (i) (:func:`_trace_determined`) and (ii) are unit-cell facts, checked
+    once per family and order, and (iii) is checked on ``mesh``; a failure
+    raises :class:`ConformityError` naming family, ``k``, axis, trace and
+    DOFs.  ``traces_checked`` is ``fields`` times the (face, trace) pairs
+    proved; ``seed`` is unused.  Fewer than one field or no interior face
+    raises ``ValueError`` before any assembly.
+    """
     if fields < 1:
         raise ValueError(f"fields must be at least 1, got {fields}")
-    space = assemble_space(fam, mesh)
-    rng = random.Random(seed)
-    faces = mesh.interior_faces()
-    if not faces:
+    faces = [prod(mesh.shape) // n * (n - 1) for n in mesh.shape]  # per normal
+    if not any(faces):
         raise ValueError("mesh has no interior faces")
-    checked = 0
-    for _ in range(fields):
-        coeffs = _random_coeffs(space.dimension, rng)
-        local = [reconstruct_local(space, ci, coeffs)
-                 for ci in range(mesh.num_cells)]
-        for face in faces:
-            normal = face[0]
-            lo_ci, hi_ci = mesh.face_cells(*face)
-            fent = mesh.face_entity(*face)
-            for trace in continuity_traces(fam.name, normal):
-                jumps = _trace_jumps(local[lo_ci], local[hi_ci], fent, [trace])
-                if any(jumps):
-                    raise AssertionError(
-                        f"{fam.name} k={fam.k}: jump in {trace[0]} "
-                        f"deriv {trace[1]} across face {face}")
-                checked += 1
+    closure = _face_closure(fam)
+    maps = assemble_space(fam, mesh).cell_maps
+    for face in mesh.interior_faces():
+        (lo, hi), a = mesh.face_cells(*face), face[0]
+        for p, (q, comp, deriv) in closure[a].items():
+            if maps[lo][p] != maps[hi][q]:
+                raise ConformityError(
+                    f"{fam.name} k={fam.k}, axis {comp_name(a)}, trace {comp} "
+                    f"deriv {deriv}: face {face} numbers {_dof_label(fam, p)} "
+                    f"{maps[lo][p]} below, {_dof_label(fam, q)} {maps[hi][q]} above")
+    checked = fields * sum(n * len(continuity_traces(fam.name, a))
+                           for a, n in enumerate(faces))
     return {"family": fam.name, "k": fam.k, "fields": fields,
             "traces_checked": checked, "continuous": True}
 

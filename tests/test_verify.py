@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -15,11 +16,13 @@ import pytest
 import cuboid_complex
 from cuboid_complex import _exactcore, verify
 from cuboid_complex.cli import main as cli_main
+from cuboid_complex import assembly, elements
 from cuboid_complex.assembly import (ConformityError, SparseMatrix,
                                      _catalog_functionals,
                                      assemble_space, interpolate,
-                                     operator_matrix)
-from cuboid_complex.elements import family, local_dofs
+                                     operator_matrix, reconstruct_local)
+from cuboid_complex.elements import (FAMILY_NAMES, family, local_dofs,
+                                     min_order)
 from cuboid_complex.mesh import build_box_mesh, uniform_unit_mesh
 from cuboid_complex.polytensor import TensorPoly
 from cuboid_complex.verify import (
@@ -792,6 +795,14 @@ def test_jump_check_refuses_no_fields(monkeypatch, fields):
         jump_check(family("sigma", 3), uniform_unit_mesh(2, 1, 1), fields=fields)
 
 
+def test_jump_check_refuses_a_mesh_without_interior_faces(monkeypatch):
+    """One cell has no face to check; the mesh is refused before any space
+    is assembled."""
+    _no_assembly(monkeypatch)
+    with pytest.raises(ValueError, match="mesh has no interior faces"):
+        jump_check(family("sigma", 3), uniform_unit_mesh(1, 1, 1))
+
+
 def test_face_jump_shared_derivative_moments():
     # sigma_xy with a normal derivative across a z-normal face: the face
     # DOFs pair values with d/dz moments, so the jump vanishes
@@ -848,6 +859,168 @@ def test_face_jump_boundary_rejected():
 def test_negative_control_sigma_red():
     mesh = uniform_unit_mesh(2, 1, 1)
     assert discontinuity_witness(family("sigma-red", 3), mesh, "xx", 0)
+
+
+# Continuity: jump_check proves it from unit-cell facts and the mesh's
+# numbering (its docstring has the lemma).  The sampled check it replaced
+# is the oracle here.
+
+
+def sampled_jump_check(fam, mesh, fields=5, seed=20260818, traces=None):
+    """The sampled continuity audit: the promised traces (``traces(name,
+    normal)``, by default :func:`continuity_traces`) of ``fields`` random
+    members, compared exactly across every interior face.  Raises
+    ``AssertionError`` at the first jump; returns ``jump_check``'s keys."""
+    traces = traces or continuity_traces
+    space = assemble_space(fam, mesh)
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(fields):
+        coeffs = verify._random_coeffs(space.dimension, rng)
+        local = [reconstruct_local(space, ci, coeffs)
+                 for ci in range(mesh.num_cells)]
+        for face in mesh.interior_faces():
+            lo, hi = (local[ci] for ci in mesh.face_cells(*face))
+            fent = mesh.face_entity(*face)
+            for comp, deriv in traces(fam.name, face[0]):
+                t1, t2 = (f.component(comp).differentiate_multi(deriv).trace(fent)
+                          for f in (lo, hi))
+                if t1 != t2:
+                    raise AssertionError(
+                        f"{fam.name} k={fam.k}: jump in {comp} deriv {deriv} "
+                        f"across face {face}")
+                checked += 1
+    return {"family": fam.name, "k": fam.k, "fields": fields,
+            "traces_checked": checked, "continuous": True}
+
+
+def _seeded_graded(shape, seed):
+    """A box mesh of ``shape`` whose cell widths are random and pairwise
+    distinct over all three axes."""
+    rng = random.Random(seed)
+    widths = rng.sample(range(1, 50), sum(shape))
+    breaks, start = [], 0
+    for n in shape:
+        cuts = list(itertools.accumulate(F(w, 17) for w in widths[start:start + n]))
+        breaks.append([F(0)] + cuts)
+        start += n
+    return build_box_mesh(*breaks)
+
+
+@pytest.fixture
+def fresh_proof():
+    """The continuity proof's unit-cell caches emptied before and after, so
+    a test's monkeypatch is seen and not left behind."""
+    for cached in (verify._face_closure, verify._mirrors):
+        cached.cache_clear()
+    yield
+    for cached in (verify._face_closure, verify._mirrors):
+        cached.cache_clear()
+
+
+CONTINUITY_CASES = ([(_seeded_graded((2, 2, 1), 11), 0)]
+                    + [(_seeded_graded(shape, 12), 1)
+                       for shape in ((2, 1, 1), (1, 1, 2))]
+                    + [(uniform_unit_mesh(1, 2, 1), dk) for dk in (0, 1)])
+
+
+@pytest.mark.parametrize("mesh, dk", CONTINUITY_CASES,
+                         ids=["graded-2x2x1-min", "graded-2x1x1-min+1",
+                              "graded-1x1x2-min+1", "uniform-1x2x1-min",
+                              "uniform-1x2x1-min+1"])
+def test_continuity_proof_agrees_with_sampled_oracle(mesh, dk, fresh_proof):
+    """All 13 families: the proof and two sampled members give the same
+    report.  On the graded meshes every cell width differs, so each
+    normal-derivative trace (u, phi, gamma) meets two values of h_a."""
+    widths = {b - a for axis in (mesh.breaks_x, mesh.breaks_y, mesh.breaks_z)
+              for a, b in zip(axis, axis[1:])}
+    assert mesh.shape == (1, 2, 1) or len(widths) == sum(mesh.shape)
+    for name in FAMILY_NAMES:
+        fam = family(name, min_order(name) + dk)
+        assert jump_check(fam, mesh, fields=2) == sampled_jump_check(
+            fam, mesh, fields=2), name
+
+
+def test_jump_check_samples_nothing(monkeypatch, fresh_proof):
+    """The proof reconstructs no field and builds no factor table, coupled
+    block or bubble basis, and takes no polynomial trace."""
+    def spy(*_args, **_kwargs):
+        raise AssertionError("the continuity proof reached a sampling path")
+    for module, name in ((assembly, "_factor_table"),
+                         (assembly, "reconstruct_local"),
+                         (verify, "reconstruct_local"),
+                         (assembly, "triangular_blocks"),
+                         (elements, "triangular_blocks"),
+                         (elements, "bubble_basis_divT")):
+        monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(TensorPoly, "trace", spy)
+    for mesh in (uniform_unit_mesh(2, 2, 1), _seeded_graded((2, 2, 1), 11)):
+        for name in FAMILY_NAMES:
+            res = jump_check(family(name, min_order(name)), mesh, fields=1)
+            assert res["continuous"], name
+
+
+@pytest.mark.parametrize("name, comp, deriv, shape, normal", [
+    ("sigma-red", "xx", (0, 0, 0), (2, 1, 1), 0),
+    ("gamma-red", "zz", (0, 0, 1), (1, 1, 2), 2),
+    ("xi-red", "xx", (0, 0, 0), (1, 2, 1), 1),
+])
+def test_unpromised_trace_is_not_proved(monkeypatch, fresh_proof, name, comp,
+                                        deriv, shape, normal):
+    """A trace a reduced family does not promise fails premise (i), on a
+    product block by the 1-D test with no DOF on the face, on the coupled
+    xi-red diagonal by the two ranks; the sampled oracle sees it jump."""
+    unpromised = lambda fam_name, axis: [(comp, deriv)] if axis == normal else []
+    fam, mesh = family(name, min_order(name)), uniform_unit_mesh(*shape)
+    with pytest.raises(AssertionError, match="jump in"):
+        sampled_jump_check(fam, mesh, fields=1, traces=unpromised)
+    monkeypatch.setattr(verify, "continuity_traces", unpromised)
+    with pytest.raises(ConformityError, match=re.escape(
+            f"{name} k={fam.k}, axis {'xyz'[normal]}, trace {comp} deriv "
+            f"{deriv}: not determined by its DOFs on t = 1: ")) as err:
+        jump_check(fam, mesh)
+    assert str(err.value).endswith("none") == (name != "xi-red")
+
+
+def test_dof_without_mirror_is_refused(monkeypatch, fresh_proof):
+    """A catalog whose face DOF on t_x = 0 is moved off the face leaves its
+    partner on t_x = 1 without a mirror: premise (ii) fails naming it."""
+    fam = family("sigma", 3)
+    funcs = _catalog_functionals(fam)
+    dofs = local_dofs(fam)
+    p1 = next(p for p in verify._face_closure(fam)[0]
+              if dofs[p].entity_label == ("face", 0, 1))
+    p0 = verify._mirrors(fam)[p1][0]
+    d, w, _side = funcs[p0][0]
+    doctored = funcs[:p0] + (((d, w, None),) + funcs[p0][1:],) + funcs[p0 + 1:]
+    verify._face_closure.cache_clear()
+    verify._mirrors.cache_clear()
+    monkeypatch.setattr(verify, "_catalog_functionals",
+                        lambda f: doctored if f == fam else _catalog_functionals(f))
+    with pytest.raises(ConformityError,
+                       match=re.escape(f"{verify._dof_label(fam, p1)} has no "
+                                       f"mirror on t = 0")):
+        jump_check(fam, uniform_unit_mesh(2, 1, 1))
+
+
+def test_swapped_global_indices_are_refused(monkeypatch, fresh_proof):
+    """Two global indices swapped on the upper cell of one face: the shared
+    DOFs no longer match across it, and premise (iii) fails there."""
+    fam, mesh = family("sigma", 3), uniform_unit_mesh(2, 1, 1)
+    # the mirrors, on the upper cell, of two DOFs on an x-normal face
+    q1, q2 = (q for q, _comp, _deriv in list(verify._face_closure(fam)[0].values())[:2])
+    real = verify.assemble_space
+
+    def swapped(f, m):
+        space = real(f, m)
+        hi = space.cell_maps[1]
+        hi[q1], hi[q2] = hi[q2], hi[q1]
+        return space
+
+    monkeypatch.setattr(verify, "assemble_space", swapped)
+    with pytest.raises(ConformityError,
+                       match=re.escape("face (0, 1, 0, 0) numbers sigma DOF")):
+        jump_check(fam, mesh)
 
 
 def test_identity_suite_counts():
