@@ -17,7 +17,7 @@ from .elements import FAMILY_NAMES, FamilyId, check_unisolvence, min_order
 from .mesh import CuboidMesh, build_box_mesh
 from .verify import (ARITHMETICS, COMPLEXES, COMPLEX_NAMES, DenseSizeError,
                      complex_spaces, identity_suite, verify_complex,
-                     verify_dimensions)
+                     verify_dimensions, _complex)
 
 
 def _add_mesh_arguments(p: argparse.ArgumentParser) -> None:
@@ -123,9 +123,10 @@ def _cmd_dims(parser, args) -> int:
 def _cmd_export(parser, args) -> int:
     from .assembly import operator_matrix, write_matrix_market
     mesh = _parse_mesh(parser, args)
-    fams, ops, _kd, min_k = COMPLEXES[args.complex]
-    if args.k < min_k:
-        parser.error(f"complex {args.complex!r} needs k >= {min_k}")
+    try:
+        fams, ops = _complex(args.complex, args.k)[:2]
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.edge not in ops:
         parser.error(f"complex {args.complex!r} has edges {', '.join(ops)}; "
                      f"got {args.edge!r}")
@@ -194,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
                                       "(Matrix Market, exact rational)")
     p.add_argument("--complex", required=True, choices=COMPLEX_NAMES)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--edge", required=True,
-                   choices=("gradgrad", "curl", "div", "symgrad", "curlcurlt"))
+    p.add_argument("--edge", required=True, choices=tuple(dict.fromkeys(
+        op for _fams, ops, *_ in COMPLEXES.values() for op in ops)))
     p.add_argument("--out", required=True)
     p.add_argument("--float", action="store_true",
                    help="write floating point entries instead of rationals")

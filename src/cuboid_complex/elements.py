@@ -954,8 +954,15 @@ def triangular_blocks(fam: FamilyId, form: GroupForm) -> tuple | None:
 def _rank(rows: list, ncols: int) -> int:
     """The exact rank of rational rows, dense or sparse."""
     ints, _ = _exactcore.clear_denominators(
-        [dict(enumerate(r)) if isinstance(r, list) else r for r in rows])
+        [{j: v for j, v in enumerate(r) if v} if isinstance(r, list) else r
+         for r in rows])
     return _exactcore.ff_rank(ints, ncols)
+
+
+def _table_rank(cap: int, funcs) -> int:
+    """The rank of the 1-D table of the functionals ``funcs`` on ``t^0 ..
+    t^cap``."""
+    return _rank([_axis_table(cap, *f, Fraction(1)) for f in funcs], cap + 1)
 
 
 def _form_rank(fam: FamilyId, spec: ShapeSpaceSpec, form: GroupForm) -> int | None:
@@ -969,8 +976,8 @@ def _form_rank(fam: FamilyId, spec: ShapeSpaceSpec, form: GroupForm) -> int | No
         g = _rank([{j: v for j, v in r.items() if j >= npiv} for r in T[npiv:]], len(T))
         return _rank(T[:npiv], npiv) + g if g == len(T) - npiv else None
     caps = spec.degrees[form.comps[0]].caps
-    ranks = [[_rank([_axis_table(caps[a], *f, Fraction(1)) for f in fl], caps[a] + 1)
-              for fl in lists] for a, lists in enumerate(form.axes)]
+    ranks = [[_table_rank(caps[a], fl) for fl in lists]
+             for a, lists in enumerate(form.axes)]
     fibre = [a for a in range(3) if len(ranks[a]) > 1]
     if not fibre:
         return prod(r for r, in ranks)

@@ -5,13 +5,13 @@ and reduced), kernel identification, constructive divergence preimages,
 interelement continuity of the advertised traces, and the commutation
 identities tying the row-wise curl to gradients of the vector curl.
 
-A ladder is certified one edge at a time: each operator matrix is
-assembled, ranked by every requested route (:func:`certified_ranks`) and
-released before the next is assembled.  In "both" mode a rank disagreement
-raises ``AssertionError`` naming the edge, such as ``curl: sigma -> xi``,
-and both ranks.  Each exact rank comes from unit-cell facts when a lower
-bound swept over the cells meets the upper bound the composition gives,
-with no elimination of a ladder matrix.
+A ladder is certified one edge at a time, top down: each operator matrix
+is assembled once, ranked by every requested route and released before
+the next is assembled.  In "both" mode a rank disagreement raises
+``AssertionError`` naming the edge, such as ``curl: sigma -> xi``, and
+both ranks.  Each exact rank comes from unit-cell facts when a lower
+bound swept over the cells meets the upper bound the composition gives;
+otherwise the matrix at hand is eliminated.
 
 Rank certification is dual-route on request: fraction-free elimination
 over the integers and a float route must report the same number.  The
@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from math import gcd, prod
 
 from . import _exactcore
@@ -41,7 +41,8 @@ from .assembly import (COMPLEXES, ConformityError, GlobalSpace, SparseMatrix,
                        _operator_rows, _reference_block)
 from .elements import (FamilyId, comp_name, global_dimension_formula,
                        group_forms, local_dofs, shape_space, _axis_table,
-                       _group_positions, _others, _product_row, _rank)
+                       _group_positions, _others, _product_row, _rank,
+                       _table_rank)
 from .mesh import CuboidMesh
 from .operators import (MembershipError, PolyField,
                         check_identity_curl_symgrad, div_rows,
@@ -51,14 +52,17 @@ from .polytensor import TensorPoly
 COMPLEX_NAMES = tuple(COMPLEXES)
 
 
-def _complex(name: str) -> tuple:
-    """The :data:`COMPLEXES` entry of ``name``; an unknown name raises
-    ``ValueError`` naming the known complexes."""
+def _complex(name: str, k: int) -> tuple:
+    """The :data:`COMPLEXES` entry of ``name`` at order ``k``; an unknown
+    name or an order below the complex's minimum raises ``ValueError``."""
     try:
-        return COMPLEXES[name]
+        entry = COMPLEXES[name]
     except KeyError:
         raise ValueError(f"unknown complex {name!r}; known complexes: "
                          f"{', '.join(COMPLEX_NAMES)}") from None
+    if k < entry[3]:
+        raise ValueError(f"complex {name!r} needs k >= {entry[3]}")
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +70,7 @@ def _complex(name: str) -> tuple:
 
 
 def exact_rank(mat: SparseMatrix) -> int:
-    rows = [r for r in mat.rows if r]
-    if not rows:
-        return 0
-    return _exactcore.ff_rank(rows, mat.ncols)
+    return _exactcore.ff_rank(mat.rows, mat.ncols)
 
 
 #: the largest problem the float rank route takes, in bytes of a dense
@@ -417,25 +418,22 @@ class ExactnessReport:
 
 
 def complex_spaces(name: str, k: int, mesh: CuboidMesh) -> list[GlobalSpace]:
-    fams, _ops, _kd, min_k = _complex(name)
-    if k < min_k:
-        raise ValueError(f"complex {name!r} needs k >= {min_k}")
-    return [assemble_space(FamilyId(f, k), mesh) for f in fams]
+    return [assemble_space(FamilyId(f, k), mesh) for f in _complex(name, k)[0]]
 
 
-def _edge_name(op: str, src: GlobalSpace, dst: GlobalSpace) -> str:
-    return f"{op}: {src.fam.name} -> {dst.fam.name}"
-
-
-def _edge_ranks(op: str, src: GlobalSpace, dst: GlobalSpace,
-                arithmetic: str, exact: bool) -> tuple[int | None, int | None]:
-    """Assemble one operator matrix, which runs its audit, and rank it by
-    :func:`certified_ranks`; with ``exact`` False only by the float route
-    in "both" mode, the rank None.  The matrix is freed on return."""
-    mat = operator_matrix(op, src, dst)
-    if exact:
-        return certified_ranks(mat, arithmetic, _edge_name(op, src, dst))
-    return None, float_rank(mat) if arithmetic == "both" else None
+def _edge_rank(mat: SparseMatrix, op: str, src: GlobalSpace,
+               dst: GlobalSpace, arithmetic: str,
+               bound: int | None) -> tuple[int, int | None]:
+    """``(rank, float rank)`` of the edge matrix ``mat`` from ``src`` to
+    ``dst``, its audit passed, as :func:`certified_ranks` gives them, but
+    with the exact rank the cell sweep ``L`` when it meets ``bound``, a
+    proved upper bound (:func:`verify_complex` has the lemma)."""
+    edge = f"{op}: {src.fam.name} -> {dst.fam.name}"
+    if (bound is None or arithmetic == "float"
+            or _rank_lower_bound(op, src.fam, dst.fam, src.mesh.shape) != bound):
+        return certified_ranks(mat, arithmetic, edge)
+    rank_f = float_rank(mat) if arithmetic == "both" else None
+    return _cross_checked(bound, rank_f, edge)
 
 
 def verify_complex(name: str, k: int, mesh: CuboidMesh,
@@ -488,11 +486,13 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
     triangular minor, so the ranks add up to the bound.
 
     The composition gives upper bounds, top down: ``r2 <= n3``, ``r1 <= n2
-    - r2`` and ``r0 <= n1 - r1``.  Once ``composition_zero`` is proved, a
-    rank whose two bounds meet is ``r_e = L_e``; otherwise ``A_e`` is
-    assembled again and eliminated, and its exact rank gives the next
-    bound.  Every ``A_e`` is still assembled in order, which runs its
-    audit, and in "both" mode its float rank must agree.
+    - r2`` and ``r0 <= n1 - r1``.  So the edges are taken in the order 2,
+    1, 0, each matrix assembled once, which runs its audit: the bound on
+    ``r_e`` rests only on the audits of ``A_e`` and ``A_{e+1}``, both run
+    by then.  Once ``composition_zero`` is proved, a rank whose two bounds
+    meet is ``r_e = L_e``; otherwise the matrix at hand is eliminated, and
+    its exact rank gives the next bound (:func:`_edge_rank`).  In "both"
+    mode every float rank must agree.
 
     An ``arithmetic`` not in :data:`ARITHMETICS` or an unknown complex
     raises ``ValueError`` before any assembly, and a ladder too large for
@@ -500,7 +500,7 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
     """
     _check_arithmetic(arithmetic)
     t0 = time.monotonic()
-    ops, kernel_dim = _complex(name)[1:3]
+    ops, kernel_dim = _complex(name, k)[1:3]
     spaces = complex_spaces(name, k, mesh)
     counts = mesh.entity_counts()
     for s in spaces:
@@ -515,26 +515,17 @@ def verify_complex(name: str, k: int, mesh: CuboidMesh,
         for ncols, nrows in zip(dims, dims[1:]):
             _check_dense_size((nrows, ncols))
     comp_zero = _reference_compositions_zero(name, k)
-    lemma = arithmetic != "float" and comp_zero
-    edges = list(zip(ops, spaces, spaces[1:]))
-    pairs = [_edge_ranks(op, src, dst, arithmetic, not lemma)
-             for op, src, dst in edges]
-    if lemma:
-        bound = dims[3]
-        for e in (2, 1, 0):
-            op, src, dst = edges[e]
-            rank = _rank_lower_bound(op, src.fam, dst.fam, mesh.shape)
-            if rank != bound:
-                # the bounds do not meet: eliminate A_e after all
-                rank = exact_rank(operator_matrix(op, src, dst))
-            pairs[e] = _cross_checked(rank, pairs[e][1],
-                                      _edge_name(op, src, dst))
-            bound = dims[e] - rank
-    ranks = [rank for rank, _ in pairs]
-    ranks_f = [rank_f for _, rank_f in pairs] if arithmetic == "both" else None
+    ranks, ranks_f, bound = [0] * 3, [None] * 3, dims[3]
+    for e in (2, 1, 0):
+        op, src, dst = ops[e], spaces[e], spaces[e + 1]
+        ranks[e], ranks_f[e] = _edge_rank(
+            operator_matrix(op, src, dst), op, src, dst, arithmetic,
+            bound if comp_zero else None)
+        bound = dims[e] - ranks[e]
     report = ExactnessReport(
-        complex_name=name, k=k, mesh_shape=mesh.shape, dims=dims,
-        ranks=ranks, ranks_float=ranks_f, composition_zero=comp_zero,
+        complex_name=name, k=k, mesh_shape=mesh.shape, dims=dims, ranks=ranks,
+        ranks_float=ranks_f if arithmetic == "both" else None,
+        composition_zero=comp_zero,
         kernel_dim_expected=kernel_dim, exact=False,
         cohomology_dim=dims[0] - ranks[0],
         elapsed_ms=(time.monotonic() - t0) * 1000.0,
@@ -561,9 +552,7 @@ def verify_local_complex(name: str, k: int) -> dict:
     if name not in ("gradgrad", "elasticity"):
         raise ValueError(
             f"local ladders exist for 'gradgrad' and 'elasticity', got {name!r}")
-    fams, ops, kernel_dim, min_k = COMPLEXES[name]
-    if k < min_k:
-        raise ValueError(f"complex {name!r} needs k >= {min_k}")
+    fams, ops, kernel_dim, _ = _complex(name, k)
     ids = [FamilyId(f, k) for f in fams]
     dims = [shape_space(f).local_dimension() for f in ids]
     mats = [SparseMatrix.from_rational(nrows, ncols, _operator_rows(op, src, dst))
@@ -636,11 +625,11 @@ def kernel_identification(name: str, k: int, mesh: CuboidMesh) -> dict:
     Each expected kernel field is interpolated (shared DOFs must agree),
     annihilated exactly by the matrix (one exact product with the
     interpolants as its columns), and the interpolants must be linearly
-    independent with count matching the nullity.  The nullity is ``kd``
-    when they are and the cell sweep gives ``L0 = n0 - kd``
-    (:func:`verify_complex`); otherwise the matrix is eliminated.
+    independent with count matching the nullity.  Then ``r0 <= n0 - kd``,
+    and the nullity is ``kd`` when the cell sweep meets that bound
+    (:func:`_edge_rank`); otherwise the matrix is eliminated.
     """
-    fams, ops, kernel_dim, _ = _complex(name)
+    fams, ops, kernel_dim, _ = _complex(name, k)
     src = assemble_space(FamilyId(fams[0], k), mesh)
     dst = assemble_space(FamilyId(fams[1], k), mesh)
     a1 = operator_matrix(ops[0], src, dst)
@@ -648,14 +637,10 @@ def kernel_identification(name: str, k: int, mesh: CuboidMesh) -> dict:
                            for mk in kernel_field_makers(name)], src.dimension)
     annihilated = composition_is_zero(a1, columns)
     interp_rank = exact_rank(columns)
-    if (annihilated and interp_rank == kernel_dim
-            and _rank_lower_bound(ops[0], src.fam, dst.fam, mesh.shape)
-            == src.dimension - kernel_dim):
-        # kd independent kernel vectors, and at most kd by the rank lemma
-        # of verify_complex, whose premise P1 a1's audit gave
-        nullity = kernel_dim
-    else:
-        nullity = src.dimension - exact_rank(a1)
+    bound = (src.dimension - kernel_dim
+             if annihilated and interp_rank == kernel_dim else None)
+    nullity = src.dimension - _edge_rank(a1, ops[0], src, dst, "rational",
+                                         bound)[0]
     return {"complex": name, "k": k, "kernel_dim": kernel_dim,
             "annihilated": annihilated, "interpolant_rank": interp_rank,
             "nullity": nullity, "identified": annihilated
@@ -803,9 +788,7 @@ def div_preimage_check(name: str, k: int, mesh: CuboidMesh,
     divergence matrix.  Raises ``ValueError`` for an unknown complex or
     fewer than one sample.
     """
-    fams, _ops, _kd, min_k = _complex(name)
-    if k < min_k:
-        raise ValueError(f"complex {name!r} needs k >= {min_k}")
+    fams = _complex(name, k)[0]
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     q_space = assemble_space(FamilyId(fams[3], k), mesh)
@@ -897,19 +880,27 @@ def face_jump(space: GlobalSpace, coeffs: list[Fraction],
     return out
 
 
+#: each 1-D table rank premise (i) of :func:`jump_check` reads, once per table
+_tangential_rank = lru_cache(maxsize=None)(_table_rank)
+
+
 def _trace_determined(fam: FamilyId, comp: str, d: int, a: int, phi: list[int]) -> bool:
     """Premise (i) of :func:`jump_check` for the DOFs ``phi``: on product
-    and fibred blocks, ``(d, ., 1)`` is an axis-``a`` functional of every
-    fibre (the tangential 1-D tables are nonsingular, as unisolvence
-    needs); otherwise the trace's rows lie in the span of ``phi``'s."""
+    and fibred blocks, every distinct tangential 1-D table is nonsingular
+    and ``(d, ., 1)`` is an axis-``a`` functional of every fibre; otherwise
+    the trace's rows lie in the span of ``phi``'s."""
     spec = shape_space(fam)
     group = spec.group_of(comp)
     forms = group_forms(fam)[group.name]
     if forms is not None and all(f.axes is not None for f in forms):
         # a dependent component (zz of a traceless diagonal) reads them all
         own = [f for f in forms if comp in f.comps] or forms
-        return all(any(fn[::2] == (d, 1) for fn in fl)
-                   for f in own for fl in f.axes[a])
+        # each table is square, so full rank is nonsingular
+        return (all(_tangential_rank(cap, tuple(fl)) == cap + 1 for f in own
+                    for x, cap in enumerate(spec.degrees[f.comps[0]].caps)
+                    if x != a for fl in f.axes[x])
+                and all(any(fn[::2] == (d, 1) for fn in fl)
+                        for f in own for fl in f.axes[a]))
     # each row is (d, 0, 1) on a, where all caps agree, times a tangential row
     dims = [spec.degrees[c].dim() for c in group.independent]
     offsets, width = dict(zip(group.independent, accumulate([0] + dims))), sum(dims)

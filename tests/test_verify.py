@@ -263,7 +263,8 @@ def test_composition_lemma_agrees_with_the_global_product(monkeypatch, name,
     built = _spy_matrices(monkeypatch)
     rep = verify_complex(name, COMPLEXES[name][3], mesh)
     assert len(built) == 3
-    oracle = all(composition_is_zero(built[i + 1], built[i]) for i in range(2))
+    # assembled top down: A2, A1, A0
+    oracle = all(composition_is_zero(built[i], built[i + 1]) for i in range(2))
     assert rep.composition_zero == oracle
     assert oracle and rep.exact
 
@@ -578,8 +579,10 @@ def test_lowered_class_rank_is_eliminated(monkeypatch, edge, arithmetic):
 
     monkeypatch.setattr(verify, "_class_ranks", lowered)
     widths = _ff_rank_widths(monkeypatch)
+    built = _spy_matrices(monkeypatch)
     mesh = uniform_unit_mesh(2, 2, 2)
     rep = verify_complex("gradgrad", 3, mesh, arithmetic=arithmetic)
+    assert len(built) == 3
     assert rep.ranks == GRADGRAD_2X2X2_RANKS and rep.exact
     assert rep.ranks_float in (None, rep.ranks)
     assert [n in widths for n in rep.dims[:3]] == [e == edge for e in range(3)]
@@ -608,7 +611,9 @@ def test_first_rank_bounds_that_do_not_meet_are_eliminated(
 
         monkeypatch.setattr(verify, "_rank_lower_bound", agreeing)
     widths = _ff_rank_widths(monkeypatch)
+    built = _spy_matrices(monkeypatch)
     rep = verify_complex("gradgrad", 3, mesh, arithmetic=arithmetic)
+    assert len(built) == 3
     assert rep.ranks == GRADGRAD_2X2X2_RANKS
     assert (216 in widths) == facts_hold
     assert rep.ranks_float in (None, rep.ranks)
@@ -980,6 +985,33 @@ def test_unpromised_trace_is_not_proved(monkeypatch, fresh_proof, name, comp,
             f"{deriv}: not determined by its DOFs on t = 1: ")) as err:
         jump_check(fam, mesh)
     assert str(err.value).endswith("none") == (name != "xi-red")
+
+
+@pytest.mark.parametrize("name, comp, axis", [
+    ("u", "s", 1),           # the product block's table on y
+    ("sigma-red", "xy", 2),  # the first fibre table on z
+])
+def test_singular_tangential_table_is_refused(monkeypatch, fresh_proof, name,
+                                              comp, axis):
+    """A tangential 1-D table made singular, its first functional replaced
+    by a copy of its last, leaves the trace on t_x = 1 undetermined although
+    every fibre on x still holds its face functionals: premise (i) fails."""
+    fam = family(name, min_order(name))
+    group = elements.shape_space(fam).group_of(comp).name
+    real = verify.group_forms
+    forms = real(fam)
+    axes = list(forms[group][0].axes)
+    lists = list(axes[axis])
+    lists[0] = [lists[0][-1]] + lists[0][1:]
+    axes[axis] = tuple(lists)
+    doctored = {**forms, group: (forms[group][0]._replace(axes=tuple(axes)),)
+                + forms[group][1:]}
+    monkeypatch.setattr(verify, "group_forms",
+                        lambda f: doctored if f == fam else real(f))
+    with pytest.raises(ConformityError, match=re.escape(
+            f"{name} k={fam.k}, axis x, trace {comp} deriv (0, 0, 0): not "
+            f"determined by its DOFs on t = 1: ")):
+        jump_check(fam, uniform_unit_mesh(2, 1, 1))
 
 
 def test_dof_without_mirror_is_refused(monkeypatch, fresh_proof):
