@@ -95,7 +95,6 @@ integer 1-D tables too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, perm
@@ -103,6 +102,7 @@ from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import _exactcore
+from ._value import Value
 from .elements import (DofFunctional, FamilyId, _COMP_POS, _DIAG_COMPS,
                        _axis_table, _bubbles_for, _catalog_functionals,
                        _component_poly, group_forms, local_dofs, shape_space,
@@ -178,17 +178,20 @@ def _entity_ranks(fam: FamilyId, ref: list[DofFunctional], labels
     return ranks, {cls: len(dofs) for cls, dofs in carried.items()}
 
 
-@dataclass
-class GlobalSpace:
+class GlobalSpace(Value):
     """An assembled finite element space on a cuboid mesh: its
     ``dimension``, per cell the global index of each catalog DOF
     (``cell_maps``), and the unit-cell catalog ``ref_dofs``."""
 
-    fam: FamilyId
-    mesh: CuboidMesh
-    dimension: int
-    cell_maps: list[list[int]]
-    ref_dofs: list[DofFunctional]
+    __slots__ = ("fam", "mesh", "dimension", "cell_maps", "ref_dofs")
+
+    def __init__(self, fam: FamilyId, mesh: CuboidMesh, dimension: int,
+                 cell_maps: list[list[int]], ref_dofs: list[DofFunctional]) -> None:
+        self.fam = fam
+        self.mesh = mesh
+        self.dimension = dimension
+        self.cell_maps = cell_maps
+        self.ref_dofs = ref_dofs
 
     def key(self, gi: int) -> tuple:
         """The identity of global DOF ``gi``, ``DofFunctional.dof_key`` of

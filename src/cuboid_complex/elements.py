@@ -32,7 +32,6 @@ bakes in the cyclic x -> y -> z -> x covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
@@ -40,6 +39,7 @@ from math import lcm, prod
 from typing import Iterable, Mapping, NamedTuple
 
 from . import _exactcore
+from ._value import FrozenValue
 from .mesh import _EDGE_SIDES, _VERTEX_CORNERS
 from .polytensor import (AXIS_NAMES, CellBox, Degree3, EntityRef, TensorPoly,
                          UNIT_BOX, degree_from_caps, moment, monomial_weight)
@@ -50,6 +50,12 @@ FAMILY_NAMES = ("u", "sigma", "xi", "q", "sigma-red", "xi-red", "q-red",
 _MIN_K = {"u": 3, "sigma": 3, "xi": 3, "q": 3, "sigma-red": 3, "xi-red": 3,
           "q-red": 3, "x": 2, "phi": 2, "gamma": 2, "gamma-red": 2,
           "z": 2, "z-red": 2}
+
+#: The highest polynomial order a family or a complex accepts.  A cell's
+#: tables grow like k^3 per component and its eliminations faster, so a
+#: larger order is refused with a message instead of running out of memory.
+#: The tests and the benchmark use k <= 8.
+MAX_ORDER = 10
 
 # Storage component keys, in the fixed order used for DOF sorting.
 COMPONENT_ORDER = ("s", "x", "y", "z",
@@ -91,19 +97,20 @@ _D0 = (0, 0, 0)
 _F0 = Fraction(0)
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(FrozenValue):
     """A family name together with an admissible polynomial order."""
 
-    name: str
-    k: int
+    __slots__ = ("name", "k")
 
-    def __post_init__(self) -> None:
-        if self.name not in FAMILY_NAMES:
-            raise ValueError(f"unknown family {self.name!r}")
-        if self.k < _MIN_K[self.name]:
-            raise ValueError(
-                f"family {self.name!r} requires k >= {_MIN_K[self.name]}, got {self.k}")
+    def __init__(self, name: str, k: int) -> None:
+        if name not in FAMILY_NAMES:
+            raise ValueError(f"unknown family {name!r}")
+        if k < _MIN_K[name]:
+            raise ValueError(f"family {name!r} requires k >= {_MIN_K[name]}, got {k}")
+        if k > MAX_ORDER:
+            raise ValueError(f"family {name!r} requires k <= {MAX_ORDER}, got {k}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "k", k)
 
 
 def family(name: str, k: int) -> FamilyId:
@@ -125,8 +132,7 @@ def _resolve(fam: FamilyId) -> tuple[str, int]:
 # shape spaces
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
+class ComponentGroup(FrozenValue):
     """Components whose DOFs and monomial coordinates form one block.
 
     For all families but the traceless diagonal this is a single component.
@@ -134,20 +140,28 @@ class ComponentGroup:
     group stores three components but only two independent ones.
     """
 
-    name: str
-    components: tuple[str, ...]
-    independent: tuple[str, ...]
+    __slots__ = ("name", "components", "independent")
+
+    def __init__(self, name: str, components: tuple[str, ...],
+                 independent: tuple[str, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "independent", independent)
 
 
-@dataclass(frozen=True)
-class ShapeSpaceSpec:
+class ShapeSpaceSpec(FrozenValue):
     """Per-component degree grids plus the component group structure."""
 
-    kind: str                     # "scalar" | "vector" | "matrix"
-    symmetric: bool
-    traceless: bool
-    degrees: dict[str, Degree3]
-    groups: tuple[ComponentGroup, ...]
+    __slots__ = ("kind", "symmetric", "traceless", "degrees", "groups")
+
+    def __init__(self, kind: str, symmetric: bool, traceless: bool,
+                 degrees: dict[str, Degree3],
+                 groups: tuple[ComponentGroup, ...]) -> None:
+        object.__setattr__(self, "kind", kind)  # "scalar" | "vector" | "matrix"
+        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "traceless", traceless)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "groups", groups)
 
     def group_coords(self, group: ComponentGroup) -> list[tuple[str, tuple[int, int, int]]]:
         """Independent monomial coordinates of a group, in canonical order."""
@@ -222,8 +236,7 @@ def shape_space(fam: FamilyId) -> ShapeSpaceSpec:
 # degrees of freedom
 
 
-@dataclass(frozen=True)
-class DofFunctional:
+class DofFunctional(FrozenValue):
     """One degree of freedom.
 
     ``entity_label`` is the cell-local entity tag; ``entity`` its geometric
@@ -233,13 +246,19 @@ class DofFunctional:
     basis, selected by ``bubble_index``.
     """
 
-    entity_label: tuple
-    entity: EntityRef
-    component: str
-    deriv: tuple[int, int, int]
-    weight: tuple[int, int, int]
-    kind: str
-    bubble_index: int = -1
+    __slots__ = ("entity_label", "entity", "component", "deriv", "weight",
+                 "kind", "bubble_index")
+
+    def __init__(self, entity_label: tuple, entity: EntityRef, component: str,
+                 deriv: tuple[int, int, int], weight: tuple[int, int, int],
+                 kind: str, bubble_index: int = -1) -> None:
+        object.__setattr__(self, "entity_label", entity_label)
+        object.__setattr__(self, "entity", entity)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "deriv", deriv)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "bubble_index", bubble_index)
 
     def sort_key(self):
         return (_entity_sort_key(self.entity_label), _COMP_POS[self.component],
@@ -557,22 +576,26 @@ def local_dofs(fam: FamilyId, cell: CellBox = UNIT_BOX) -> list[DofFunctional]:
         return list(dofs)
     entities = {label: entity_ref_for(label, cell)
                 for label in {d.entity_label for d in dofs}}
-    return [replace(d, entity=entities[d.entity_label]) for d in dofs]
+    return [DofFunctional(d.entity_label, entities[d.entity_label], d.component,
+                          d.deriv, d.weight, d.kind, d.bubble_index) for d in dofs]
 
 
 # ---------------------------------------------------------------------------
 # bubble basis for the coupled diagonal
 
 
-@dataclass(frozen=True)
-class BubbleBasis:
+class BubbleBasis(FrozenValue):
     """Basis of diagonal triples (xx, yy, zz) in Q_{k-1,k-1,k-1}^3 that sum
     to zero pointwise and whose a-th component vanishes on both faces normal
     to axis a.  These are exactly the trial weights for the coupled cell
     moments of the reduced traceless family."""
 
-    k: int
-    triples: tuple[tuple[TensorPoly, TensorPoly, TensorPoly], ...]
+    __slots__ = ("k", "triples")
+
+    def __init__(self, k: int,
+                 triples: tuple[tuple[TensorPoly, TensorPoly, TensorPoly], ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "triples", triples)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -959,9 +982,11 @@ def _rank(rows: list, ncols: int) -> int:
     return _exactcore.ff_rank(ints, ncols)
 
 
-def _table_rank(cap: int, funcs) -> int:
+@lru_cache(maxsize=None)
+def _table_rank(cap: int, funcs: tuple) -> int:
     """The rank of the 1-D table of the functionals ``funcs`` on ``t^0 ..
-    t^cap``."""
+    t^cap``, once per table: the unisolvence checks and every trace and
+    axis of :func:`verify.jump_check` re-read the same few."""
     return _rank([_axis_table(cap, *f, Fraction(1)) for f in funcs], cap + 1)
 
 
@@ -976,7 +1001,7 @@ def _form_rank(fam: FamilyId, spec: ShapeSpaceSpec, form: GroupForm) -> int | No
         g = _rank([{j: v for j, v in r.items() if j >= npiv} for r in T[npiv:]], len(T))
         return _rank(T[:npiv], npiv) + g if g == len(T) - npiv else None
     caps = spec.degrees[form.comps[0]].caps
-    ranks = [[_table_rank(caps[a], fl) for fl in lists]
+    ranks = [[_table_rank(caps[a], tuple(fl)) for fl in lists]
              for a, lists in enumerate(form.axes)]
     fibre = [a for a in range(3) if len(ranks[a]) > 1]
     if not fibre:

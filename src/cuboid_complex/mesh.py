@@ -12,10 +12,9 @@ lives: it maps each local entity label to its global (kind, id).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
+from ._value import FrozenValue
 from .polytensor import CellBox, EntityRef
 
 # Local deltas, fixed once; see module docstring.
@@ -33,20 +32,24 @@ def _check_breaks(breaks, axis_name: str) -> tuple[Fraction, ...]:
     return vals
 
 
-@dataclass(frozen=True)
-class CuboidMesh:
-    """Tensor-product mesh; use :func:`build_box_mesh` to construct one."""
+class CuboidMesh(FrozenValue):
+    """Tensor-product mesh; use :func:`build_box_mesh` to construct one.
+    ``shape`` is the cell count per axis."""
 
-    breaks_x: tuple[Fraction, ...]
-    breaks_y: tuple[Fraction, ...]
-    breaks_z: tuple[Fraction, ...]
+    _fields = ("breaks_x", "breaks_y", "breaks_z")
+    __slots__ = _fields + ("shape",)
+
+    def __init__(self, breaks_x: tuple[Fraction, ...],
+                 breaks_y: tuple[Fraction, ...],
+                 breaks_z: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "breaks_x", breaks_x)
+        object.__setattr__(self, "breaks_y", breaks_y)
+        object.__setattr__(self, "breaks_z", breaks_z)
+        # every id helper reads it
+        object.__setattr__(self, "shape", (len(breaks_x) - 1, len(breaks_y) - 1,
+                                           len(breaks_z) - 1))
 
     # -- sizes -------------------------------------------------------------
-
-    @cached_property
-    def shape(self) -> tuple[int, int, int]:
-        # every id helper reads it; computed once per mesh
-        return (len(self.breaks_x) - 1, len(self.breaks_y) - 1, len(self.breaks_z) - 1)
 
     @property
     def num_vertices(self) -> int:

@@ -13,20 +13,23 @@ from shape-space coordinates; the way into coordinates checks membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Mapping
 
+from ._value import Value
 from .elements import ShapeSpaceSpec, comp_name
 from .polytensor import CellBox, Degree3, TensorPoly
 
 
-@dataclass
-class PolyField:
-    kind: str                      # "scalar" | "vector" | "matrix"
-    comps: dict[str, TensorPoly]
-    cell: CellBox
-    symmetric: bool = False
+class PolyField(Value):
+    __slots__ = ("kind", "comps", "cell", "symmetric")
+
+    def __init__(self, kind: str, comps: dict[str, TensorPoly], cell: CellBox,
+                 symmetric: bool = False) -> None:
+        self.kind = kind               # "scalar" | "vector" | "matrix"
+        self.comps = comps
+        self.cell = cell
+        self.symmetric = symmetric
 
     def _zero(self) -> TensorPoly:
         return TensorPoly.zero(Degree3(0, 0, 0), self.cell)

@@ -14,12 +14,13 @@ weights in entity-normalized coordinates make up the element DOFs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Iterator
+
+from ._value import FrozenValue
 
 AXIS_NAMES = ("x", "y", "z")
 
@@ -27,8 +28,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Degree3:
+class Degree3(FrozenValue):
     """Per-axis degree caps of an anisotropic tensor space Q_{kx,ky,kz}.
 
     A negative cap on any axis denotes the empty space: it contains no
@@ -36,9 +36,12 @@ class Degree3:
     for degree grids such as Q_{k-3,k-4} that vanish for small k.
     """
 
-    kx: int
-    ky: int
-    kz: int
+    __slots__ = ("kx", "ky", "kz")
+
+    def __init__(self, kx: int, ky: int, kz: int) -> None:
+        object.__setattr__(self, "kx", kx)
+        object.__setattr__(self, "ky", ky)
+        object.__setattr__(self, "kz", kz)
 
     @property
     def caps(self) -> tuple[int, int, int]:
@@ -78,17 +81,18 @@ def degree_from_caps(caps: dict[int, int], default: int) -> Degree3:
     return Degree3(caps.get(0, default), caps.get(1, default), caps.get(2, default))
 
 
-@dataclass(frozen=True)
-class CellBox:
+class CellBox(FrozenValue):
     """An axis-aligned box, possibly degenerate along some axes."""
 
-    lo: tuple[Fraction, Fraction, Fraction]
-    hi: tuple[Fraction, Fraction, Fraction]
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
+    def __init__(self, lo: tuple[Fraction, Fraction, Fraction],
+                 hi: tuple[Fraction, Fraction, Fraction]) -> None:
         for a in range(3):
-            if self.lo[a] > self.hi[a]:
+            if lo[a] > hi[a]:
                 raise ValueError(f"box extent reversed on axis {AXIS_NAMES[a]}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def h(self, axis: int) -> Fraction:
         return self.hi[axis] - self.lo[axis]
@@ -125,21 +129,21 @@ UNIT_BOX = box(0, 1, 0, 1, 0, 1)
 _KIND_FOR_NFREE = {0: "vertex", 1: "edge", 2: "face", 3: "cell"}
 
 
-@dataclass(frozen=True)
-class EntityRef:
+class EntityRef(FrozenValue):
     """A mesh entity: its kind and geometric extent.
 
     ``extent`` is degenerate (lo == hi) exactly on the frozen axes; an edge
     has one free axis, a face two, a cell three.
     """
 
-    kind: str
-    extent: CellBox
+    __slots__ = ("kind", "extent")
 
-    def __post_init__(self) -> None:
-        expected = _KIND_FOR_NFREE[len(self.extent.free_axes())]
-        if self.kind != expected:
-            raise ValueError(f"entity tagged {self.kind!r} but extent says {expected!r}")
+    def __init__(self, kind: str, extent: CellBox) -> None:
+        expected = _KIND_FOR_NFREE[len(extent.free_axes())]
+        if kind != expected:
+            raise ValueError(f"entity tagged {kind!r} but extent says {expected!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "extent", extent)
 
     @property
     def free_axes(self) -> tuple[int, ...]:

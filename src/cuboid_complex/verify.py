@@ -28,21 +28,21 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, prod
 
 from . import _exactcore
+from ._value import Value
 from .assembly import (COMPLEXES, ConformityError, GlobalSpace, SparseMatrix,
                        assemble_space, interpolate, operator_matrix,
                        reconstruct_local, _catalog_functionals,
                        _operator_rows, _reference_block)
-from .elements import (FamilyId, comp_name, global_dimension_formula,
-                       group_forms, local_dofs, shape_space, _axis_table,
-                       _group_positions, _others, _product_row, _rank,
-                       _table_rank)
+from .elements import (MAX_ORDER, FamilyId, comp_name,
+                       global_dimension_formula, group_forms, local_dofs,
+                       shape_space, _axis_table, _group_positions, _others,
+                       _product_row, _rank, _table_rank)
 from .mesh import CuboidMesh
 from .operators import (MembershipError, PolyField,
                         check_identity_curl_symgrad, div_rows,
@@ -54,7 +54,8 @@ COMPLEX_NAMES = tuple(COMPLEXES)
 
 def _complex(name: str, k: int) -> tuple:
     """The :data:`COMPLEXES` entry of ``name`` at order ``k``; an unknown
-    name or an order below the complex's minimum raises ``ValueError``."""
+    name or an order below the complex's minimum or above
+    :data:`~cuboid_complex.elements.MAX_ORDER` raises ``ValueError``."""
     try:
         entry = COMPLEXES[name]
     except KeyError:
@@ -62,6 +63,8 @@ def _complex(name: str, k: int) -> tuple:
                          f"{', '.join(COMPLEX_NAMES)}") from None
     if k < entry[3]:
         raise ValueError(f"complex {name!r} needs k >= {entry[3]}")
+    if k > MAX_ORDER:
+        raise ValueError(f"complex {name!r} needs k <= {MAX_ORDER}")
     return entry
 
 
@@ -379,21 +382,31 @@ def _ladder_checks(dims: list[int], ranks: list[int],
             "onto": ranks[2] == dims[3]}
 
 
-@dataclass
-class ExactnessReport:
-    complex_name: str
-    k: int
-    mesh_shape: tuple[int, int, int]
-    dims: list[int]
-    ranks: list[int]
-    ranks_float: list[int] | None
-    composition_zero: bool
-    kernel_dim_expected: int
-    exact: bool
-    cohomology_dim: int
-    elapsed_ms: float
-    arithmetic_mode: str
-    seed: int | None = None
+class ExactnessReport(Value):
+    __slots__ = ("complex_name", "k", "mesh_shape", "dims", "ranks",
+                 "ranks_float", "composition_zero", "kernel_dim_expected",
+                 "exact", "cohomology_dim", "elapsed_ms", "arithmetic_mode",
+                 "seed")
+
+    def __init__(self, complex_name: str, k: int,
+                 mesh_shape: tuple[int, int, int], dims: list[int],
+                 ranks: list[int], ranks_float: list[int] | None,
+                 composition_zero: bool, kernel_dim_expected: int,
+                 exact: bool, cohomology_dim: int, elapsed_ms: float,
+                 arithmetic_mode: str, seed: int | None = None) -> None:
+        self.complex_name = complex_name
+        self.k = k
+        self.mesh_shape = mesh_shape
+        self.dims = dims
+        self.ranks = ranks
+        self.ranks_float = ranks_float
+        self.composition_zero = composition_zero
+        self.kernel_dim_expected = kernel_dim_expected
+        self.exact = exact
+        self.cohomology_dim = cohomology_dim
+        self.elapsed_ms = elapsed_ms
+        self.arithmetic_mode = arithmetic_mode
+        self.seed = seed
 
     def checks(self) -> dict[str, bool]:
         return {**_ladder_checks(self.dims, self.ranks,
@@ -880,10 +893,6 @@ def face_jump(space: GlobalSpace, coeffs: list[Fraction],
     return out
 
 
-#: each 1-D table rank premise (i) of :func:`jump_check` reads, once per table
-_tangential_rank = lru_cache(maxsize=None)(_table_rank)
-
-
 def _trace_determined(fam: FamilyId, comp: str, d: int, a: int, phi: list[int]) -> bool:
     """Premise (i) of :func:`jump_check` for the DOFs ``phi``: on product
     and fibred blocks, every distinct tangential 1-D table is nonsingular
@@ -896,7 +905,7 @@ def _trace_determined(fam: FamilyId, comp: str, d: int, a: int, phi: list[int]) 
         # a dependent component (zz of a traceless diagonal) reads them all
         own = [f for f in forms if comp in f.comps] or forms
         # each table is square, so full rank is nonsingular
-        return (all(_tangential_rank(cap, tuple(fl)) == cap + 1 for f in own
+        return (all(_table_rank(cap, tuple(fl)) == cap + 1 for f in own
                     for x, cap in enumerate(spec.degrees[f.comps[0]].caps)
                     if x != a for fl in f.axes[x])
                 and all(any(fn[::2] == (d, 1) for fn in fl)

@@ -148,6 +148,41 @@ def test_complex_low_order_exits_one(capsys):
     assert "verification failed" in err
 
 
+def _never(*a, **kw):
+    raise AssertionError("work started above the maximum order")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("unisolvence", "--family", "u", "--k", "100000000"),
+     "family 'u' requires k <= 10, got 100000000"),
+    (("unisolvence", "--family", "all", "--k", "11"),
+     "family 'u' requires k <= 10, got 11"),
+    (("dims", "--family", "xi", "--k", "11"),
+     "family 'xi' requires k <= 10, got 11"),
+    (("export", "--complex", "elasticity", "--k", "99999999999", "--edge",
+      "div", "--out", "/tmp/never.mtx"),
+     "complex 'elasticity' needs k <= 10"),
+])
+def test_order_above_the_maximum_exits_two(capsys, monkeypatch, argv,
+                                           message):
+    """Refused with the message a too-small k gets, before any work: each
+    entry point's work is replaced by a failure."""
+    for name in ("check_unisolvence", "verify_dimensions", "complex_spaces"):
+        monkeypatch.setattr(cli, name, _never)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_complex_order_above_the_maximum_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "assemble_space", _never)
+    code, out, err = run(capsys, "complex", "--complex", "gradgrad", "--k",
+                         "99999999999")
+    assert code == 1 and not out
+    assert "verification failed: complex 'gradgrad' needs k <= 10" in err
+
+
 def test_complex_ignores_former_thread_variable(capsys, monkeypatch):
     # The rank routine reads no environment variable: a value that is no
     # number must not turn into a failed verification.

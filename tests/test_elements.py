@@ -87,8 +87,18 @@ def test_unisolvence_equals_dense_oracle(name):
         assert check_unisolvence(fam) == dense_unisolvence(fam)
 
 
+@pytest.fixture
+def fresh_table_ranks():
+    """The 1-D table ranks, cached by table content, emptied before and
+    after, so a test's patched tables are seen and not left behind."""
+    elements._table_rank.cache_clear()
+    yield
+    elements._table_rank.cache_clear()
+
+
 @pytest.mark.parametrize("name,k", [("u", 5), ("sigma-red", 4), ("xi-red", 4)])
-def test_unisolvence_sees_a_singular_table(monkeypatch, name, k):
+def test_unisolvence_sees_a_singular_table(monkeypatch, fresh_table_ranks,
+                                           name, k):
     """Negative control: with the moment against t^1 read as the moment
     against t^0, tables holding both are singular.  The check reports the
     family singular with the oracle's rank: a product block by its table
@@ -114,6 +124,19 @@ def test_family_validation():
         family("gamma", 1)
     with pytest.raises(ValueError):
         family("nonsense", 3)
+
+
+def test_order_above_the_maximum_is_refused():
+    """The cap is checked where the floor is, with the same kind of
+    message; the cap itself is admitted."""
+    assert elements.MAX_ORDER > 8  # the highest order the tests use
+    for name in FAMILY_NAMES:
+        assert family(name, elements.MAX_ORDER).k == elements.MAX_ORDER
+        for k in (elements.MAX_ORDER + 1, 10 ** 11):
+            with pytest.raises(ValueError, match=(
+                    f"family '{name}' requires k <= {elements.MAX_ORDER}, "
+                    f"got {k}")):
+                family(name, k)
 
 
 def test_shape_space_structure():

@@ -67,6 +67,21 @@ def test_verify_complex_rejects_low_order():
         verify_complex("gradgrad", 2, uniform_unit_mesh(1, 1, 1))
 
 
+@pytest.mark.parametrize("name", COMPLEXES)
+def test_order_above_the_maximum_is_refused_before_any_work(monkeypatch,
+                                                            name):
+    def never(*a, **kw):
+        raise AssertionError("a space was assembled")
+
+    monkeypatch.setattr(verify, "assemble_space", never)
+    mesh = uniform_unit_mesh(1, 1, 1)
+    message = f"complex '{name}' needs k <= {elements.MAX_ORDER}"
+    for k in (elements.MAX_ORDER + 1, 10 ** 11):
+        for entry in (verify_complex, verify.complex_spaces):
+            with pytest.raises(ValueError, match=message):
+                entry(name, k, mesh)
+
+
 @pytest.mark.parametrize("name,k,dims,ranks", [
     ("gradgrad", 3, [64, 204, 198, 54], [60, 144, 54]),
     ("elasticity", 2, [144, 204, 102, 36], [138, 66, 36]),
